@@ -226,14 +226,6 @@ def activation_memory_bits(g: LayerGraph, order, n: int, act_bits: dict) -> int:
     return peak
 
 
-def weight_memory(g, order, n, weight_bits) -> float:
-    return weight_memory_bits(g, order, n, weight_bits) / 8.0
-
-
-def activation_memory(g, order, n, act_bits) -> float:
-    return activation_memory_bits(g, order, n, act_bits) / 8.0
-
-
 # -- profiles from JSON ------------------------------------------------------------
 
 

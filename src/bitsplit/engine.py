@@ -17,14 +17,13 @@ import numpy as np
 from . import tensorio
 from .graph import BN_EPS, GraphError, LayerGraph, WEIGHTED_OPS, topological_order
 from .quantize import QuantParams, choose_clip_range, dequantize, quantize_tensor
-from .util import parallel_map, prod
+from .util import prod
 
 
 @dataclass
 class EvalSet:
     inputs: list
     labels: list
-    metric: str = "top1"
 
     def __post_init__(self):
         if len(self.inputs) != len(self.labels):
@@ -255,13 +254,13 @@ def evaluate_accuracy(g: LayerGraph, eval_set: EvalSet, n: int, assignment, orde
     order = order or topological_order(g)
     compute = [i for i in order if i != g.input_id]
     if n == 0:
-        preds = parallel_map(lambda x: _top1(run_inference(g, x, order)[0]), eval_set.inputs)
+        preds = [_top1(run_inference(g, x, order)[0]) for x in eval_set.inputs]
     else:
         qw = quantized_weights(g, compute[:n], assignment)
-        preds = parallel_map(
-            lambda x: _top1(run_fake_quantized_detailed(g, x, n, assignment, order=order, _qw=qw)[0][0]),
-            eval_set.inputs,
-        )
+        preds = [
+            _top1(run_fake_quantized_detailed(g, x, n, assignment, order=order, _qw=qw)[0][0])
+            for x in eval_set.inputs
+        ]
     hits = sum(1 for p, t in zip(preds, eval_set.labels) if p == int(t))
     return hits / len(eval_set.labels)
 

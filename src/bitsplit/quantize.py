@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import LayerGraph, WEIGHTED_OPS
-from .util import parallel_map
 
 CLIP_ALPHAS = [1.0 - 0.05 * k for k in range(11)]  # 1.0 down to 0.50
 REFERENCE_BITS = 16
@@ -204,7 +203,6 @@ def weight_distortion_table(g: LayerGraph, B) -> DistortionTable:
     """
     order = [i for i in g._order if i != g.input_id]
     sizes, d = {}, {}
-    jobs = []
     for i in order:
         n = g.nodes[i]
         sizes[i] = n.weight_elements()
@@ -214,10 +212,7 @@ def weight_distortion_table(g: LayerGraph, B) -> DistortionTable:
             else:
                 if n.weights is None:
                     raise QuantError("layer %d has no weights blob loaded" % i)
-                jobs.append((i, b, n.weights))
-    results = parallel_map(lambda j: quant_mse(j[2], j[1], symmetric=True), jobs)
-    for (i, b, _), v in zip(jobs, results):
-        d[(i, b)] = v
+                d[(i, b)] = quant_mse(n.weights, b, symmetric=True)
     return DistortionTable("w", B, sizes, d)
 
 
@@ -225,18 +220,11 @@ def activation_distortion_table(g: LayerGraph, calib: dict, B) -> DistortionTabl
     """Mean local fake-quantization MSE of each layer's sampled outputs."""
     order = [i for i in g._order if i != g.input_id]
     sizes, d = {}, {}
-    jobs = []
     for i in order:
         sizes[i] = g.nodes[i].act_elements()
         samples = calib.get(i)
         if not samples:
             raise QuantError("no calibration samples for layer %d" % i)
         for b in B:
-            jobs.append((i, b, samples))
-    results = parallel_map(
-        lambda j: float(np.mean([quant_mse(s, j[1], symmetric=False) for s in j[2]])),
-        jobs,
-    )
-    for (i, b, _), v in zip(jobs, results):
-        d[(i, b)] = v
+            d[(i, b)] = float(np.mean([quant_mse(s, b, symmetric=False) for s in samples]))
     return DistortionTable("a", B, sizes, d)

@@ -1,37 +1,23 @@
-"""Small shared helpers: deterministic parallel map and integer math."""
+"""Small shared integer helpers."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "AUTOSPLIT_THREADS"
-
 
 def worker_count() -> int:
-    """Worker cap from the environment; at least 1."""
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = min(8, os.cpu_count() or 1)
-    return n
+    """Always 1: evaluation and table building run serially.
 
-
-def parallel_map(fn, items):
-    """Map fn over items, possibly in threads; results in input order.
-
-    Output is independent of the worker count: items are independent and
-    results are collected positionally.
+    Kept only so that benchmark run records can still report a worker count.
     """
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    return 1
+
+
+def parallel_map(fn, items) -> list:
+    """`[fn(x) for x in items]`. Nothing in bitsplit calls it any more.
+
+    Kept only because the benchmark's traced run wraps this name and
+    declares per-layer metrics for it; it goes when they do (ROADMAP 4b).
+    """
+    return [fn(x) for x in items]
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -25,6 +25,7 @@ from .util import prod
 MAGIC = 0x4153
 VERSION = 1
 PACKABLE_BITS = (1, 2, 4, 8)
+CONNECT_TIMEOUT_S = 10.0  # edge connect and cloud accept deadline for TCP sessions
 _HEAD = struct.Struct("<HBBIffB")
 
 
@@ -314,6 +315,41 @@ def cloud_role(g: LayerGraph, solution, chan: Channel, order=None, want_transcri
     return (outputs, transcript) if want_transcript else outputs
 
 
+def _drive(edge, cloud):
+    """Run edge() in a thread and cloud() here; return cloud's result.
+
+    The edge thread is joined (for up to 30 s) before this returns or raises,
+    so callers that close their channels afterwards do not cut off an edge
+    that is still sending.
+
+    When the cloud saw its channel close, an error the edge recorded is the
+    root cause, so that is raised instead, chained from the cloud's. Any
+    other cloud error is the cloud's own and is raised unchanged.
+    """
+    errors = []
+
+    def run_edge():
+        try:
+            edge()
+        except Exception as e:  # re-raised in the caller
+            errors.append(e)
+
+    t = threading.Thread(target=run_edge, daemon=True)
+    t.start()
+    try:
+        try:
+            result = cloud()
+        finally:
+            t.join(timeout=30)
+    except ChannelClosedError as cloud_error:
+        if errors:
+            raise errors[0] from cloud_error
+        raise
+    if errors:
+        raise errors[0]
+    return result
+
+
 def run_split_session(g: LayerGraph, x, solution, order=None, channels=None, want_transcript=False):
     """Drive edge and cloud roles over a byte channel; returns cloud outputs.
 
@@ -323,26 +359,17 @@ def run_split_session(g: LayerGraph, x, solution, order=None, channels=None, wan
     """
     order = order or topological_order(g)
     edge_chan, cloud_chan = channels or make_channel_pair()
-    errors = []
 
-    def run_edge():
+    def edge():
         try:
             edge_role(g, x, solution, edge_chan, order=order)
-        except Exception as e:  # re-raised in the caller
-            errors.append(e)
         finally:
             edge_chan.close()
 
-    t = threading.Thread(target=run_edge, daemon=True)
-    t.start()
     try:
-        result = cloud_role(g, solution, cloud_chan, order=order, want_transcript=want_transcript)
+        return _drive(edge, lambda: cloud_role(g, solution, cloud_chan, order=order, want_transcript=want_transcript))
     finally:
-        t.join(timeout=30)
         cloud_chan.close()
-    if errors:
-        raise errors[0]
-    return result
 
 
 def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=None, want_transcript=False):
@@ -352,33 +379,31 @@ def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind((host, port))
     server.listen(1)
+    server.settimeout(CONNECT_TIMEOUT_S)
     actual_port = server.getsockname()[1]
-    errors = []
+    conns = []
 
-    def run_edge():
+    def edge():
+        chan = Channel(socket.create_connection((host, actual_port), timeout=CONNECT_TIMEOUT_S))
         try:
-            sock = socket.create_connection((host, actual_port), timeout=10)
-            chan = Channel(sock)
-            try:
-                edge_role(g, x, solution, chan, order=order)
-            finally:
-                chan.close()
-        except Exception as e:
-            errors.append(e)
+            edge_role(g, x, solution, chan, order=order)
+        finally:
+            chan.close()
 
-    t = threading.Thread(target=run_edge, daemon=True)
-    t.start()
-    conn, _ = server.accept()
-    chan = Channel(conn)
+    def cloud():
+        try:
+            conn, _ = server.accept()
+        except socket.timeout:
+            raise ChannelClosedError("edge did not connect within %g s" % CONNECT_TIMEOUT_S)
+        conns.append(Channel(conn))
+        return cloud_role(g, solution, conns[0], order=order, want_transcript=want_transcript)
+
     try:
-        result = cloud_role(g, solution, chan, order=order, want_transcript=want_transcript)
+        return _drive(edge, cloud)
     finally:
-        t.join(timeout=30)
-        chan.close()
+        for chan in conns:
+            chan.close()
         server.close()
-    if errors:
-        raise errors[0]
-    return result
 
 
 def reference_outputs(g: LayerGraph, x, solution, order=None):

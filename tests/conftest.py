@@ -24,9 +24,3 @@ def toy_tables(toy_graph, toy_eval):
     calib = calibrate_activations(toy_graph, toy_eval.inputs, max_samples=8, order=order)
     B = (2, 4, 8)
     return weight_distortion_table(toy_graph, B), activation_distortion_table(toy_graph, calib, B)
-
-
-@pytest.fixture(autouse=True)
-def _single_thread(monkeypatch):
-    """Keep worker pools small so the suite stays deterministic and light."""
-    monkeypatch.setenv("AUTOSPLIT_THREADS", "2")

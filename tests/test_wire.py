@@ -1,9 +1,11 @@
 import struct
+import time
 
 import numpy as np
 import pytest
 
 import oracles
+from bitsplit import wire
 from bitsplit.cost import crossing_bits_map, message_payload_bytes
 from bitsplit.graph import boundary_cut, topological_order
 from bitsplit.search import BitAssignment, SplitSolution
@@ -12,6 +14,7 @@ from bitsplit.wire import (
     ActivationMessage,
     BadMagicError,
     BadVersionError,
+    ChannelClosedError,
     PACKABLE_BITS,
     TruncatedError,
     WireError,
@@ -245,20 +248,58 @@ def test_sessions_on_random_graphs():
             assert np.array_equal(a, b)
 
 
+def _sixteen_bit_boundary_plan(g, order, n):
+    asg = uniform_assignment(g, order, n, 8, 8)
+    cut = boundary_cut(g, order, n)
+    crossing = [i for i in cut.crossing_tensors if i != g.input_id]
+    return make_sol(n, BitAssignment(weight_bits=asg.weight_bits, act_bits={**asg.act_bits, crossing[0]: 16}))
+
+
 def test_edge_refuses_untransportable_bits(toy_graph):
     order = topological_order(toy_graph)
-    asg = uniform_assignment(toy_graph, order, 3, 8, 8)
-    cut = boundary_cut(toy_graph, order, 3)
-    crossing = [i for i in cut.crossing_tensors if i != toy_graph.input_id]
-    asg = BitAssignment(
-        weight_bits=asg.weight_bits,
-        act_bits={**asg.act_bits, crossing[0]: 16},
-    )
+    sol = _sixteen_bit_boundary_plan(toy_graph, order, 3)
     x = grid_input_covering(np.random.default_rng(13), toy_graph.nodes[toy_graph.input_id].out_shape)
     a, b = make_channel_pair()
     try:
         with pytest.raises(WireError, match="non-transportable"):
-            edge_role(toy_graph, x, make_sol(3, asg), a, order=order)
+            edge_role(toy_graph, x, sol, a, order=order)
     finally:
         a.close()
         b.close()
+
+
+@pytest.mark.parametrize("runner", [run_split_session, run_tcp_session])
+def test_sessions_raise_the_edge_error(toy_graph, runner):
+    order = topological_order(toy_graph)
+    sol = _sixteen_bit_boundary_plan(toy_graph, order, 3)
+    x = grid_input_covering(np.random.default_rng(13), toy_graph.nodes[toy_graph.input_id].out_shape)
+    with pytest.raises(WireError, match="non-transportable bit-width") as info:
+        runner(toy_graph, x, sol, order=order)
+    assert isinstance(info.value.__cause__, ChannelClosedError)
+
+
+def test_tcp_session_fails_promptly_when_edge_cannot_connect(toy_graph, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ConnectionRefusedError("edge cannot connect")
+
+    monkeypatch.setattr(wire.socket, "create_connection", refuse)
+    monkeypatch.setattr(wire, "CONNECT_TIMEOUT_S", 0.5)
+    order = topological_order(toy_graph)
+    x = grid_input_covering(np.random.default_rng(14), toy_graph.nodes[toy_graph.input_id].out_shape)
+    sol = make_sol(3, uniform_assignment(toy_graph, order, 3, 8, 8))
+    t0 = time.monotonic()
+    with pytest.raises(ConnectionRefusedError) as info:
+        run_tcp_session(toy_graph, x, sol, order=order)
+    assert time.monotonic() - t0 < 5.0
+    assert isinstance(info.value.__cause__, ChannelClosedError)
+
+
+def test_sessions_keep_a_cloud_error_that_is_not_a_closed_channel():
+    def edge():
+        raise ChannelClosedError("send failed: timed out")
+
+    def cloud():
+        raise BadMagicError("bad magic 0x0000")
+
+    with pytest.raises(BadMagicError, match="bad magic"):
+        wire._drive(edge, cloud)
