@@ -175,7 +175,7 @@ def cmd_solve(args) -> int:
     for w in g.warnings:
         print("note: %s" % w, file=sys.stderr)
     order = topological_order(g)
-    compute = g.compute_ids(order)
+    compute = g.compute_ids()
 
     eval_set = load_eval_dir(cfg["eval_dir"])
     calib = calibrate_activations(g, eval_set.inputs, max_samples=calib_n, order=order)
@@ -303,7 +303,7 @@ def _selected_doc(g, order, chosen, A, B, M, seed):
 
 
 def _summary_text(g, order, edge, cloud, net, M, B, eval_set, base_acc, stats, S, chosen, A, seed):
-    compute = g.compute_ids(order)
+    compute = g.compute_ids()
     weighted = [i for i in compute if g.nodes[i].op_kind in WEIGHTED_OPS]
     w_elems = sum(g.nodes[i].weight_elements() for i in compute)
     peak = max(ws.total_elements for ws in compute_working_sets(g, order))
@@ -416,7 +416,7 @@ def cmd_simulate(args) -> int:
 def cmd_inspect(args) -> int:
     g = optimize_graph(load_graph(args.graph))
     order = topological_order(g)
-    compute = g.compute_ids(order)
+    compute = g.compute_ids()
     working = compute_working_sets(g, order)
     peak = max(ws.total_elements for ws in working) if working else 0
 

@@ -6,7 +6,7 @@ bit-independent at or below the device's native MAC width; wider operands slow
 compute proportionally. Data movement scales linearly with operand bit-widths.
 Transmission is pure bandwidth (optional fixed RTT), charged on every tensor
 that crosses the split boundary; graph outputs count as crossing so an
-edge-only split still ships its result (switchable off).
+edge-only split still ships its result.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .graph import (
     LayerGraph,
     WEIGHTED_OPS,
     boundary_cut,
-    compute_working_sets,
 )
 from .util import ceil_div, prod
 
@@ -146,16 +145,6 @@ def crossing_bits_map(g: LayerGraph, cut: BoundaryCut, assignment) -> dict:
     return bits
 
 
-def _drop_free_outputs(g: LayerGraph, cut: BoundaryCut, order_pos):
-    """Crossing tensors kept only because they are graph outputs."""
-    kept = []
-    for nid in cut.crossing_tensors:
-        real = [order_pos[c] for c in g.consumers[nid]]
-        if any(p > cut.split_index for p in real):
-            kept.append(nid)
-    return kept
-
-
 def split_latency(
     g: LayerGraph,
     order,
@@ -164,9 +153,8 @@ def split_latency(
     edge: DeviceProfile,
     cloud: DeviceProfile,
     net: NetworkProfile,
-    edge_pays_output: bool = True,
 ) -> LatencyBreakdown:
-    compute = [i for i in order if i != g.input_id]
+    compute = g.compute_ids()
     if not 0 <= n <= len(compute):
         raise GraphError("split index %d out of range" % n)
     edge_ids, cloud_ids = compute[:n], compute[n:]
@@ -182,14 +170,6 @@ def split_latency(
         cloud_s += layer_latency(g.nodes[nid], g, cloud, 16, 16)
 
     cut = boundary_cut(g, order, n)
-    if not edge_pays_output:
-        pos = {nid: k for k, nid in enumerate(order)}
-        keep = set(_drop_free_outputs(g, cut, pos))
-        cut = BoundaryCut(
-            split_index=n,
-            crossing_tensors=[c for c in cut.crossing_tensors if c in keep],
-            cut_elements=sum(g.nodes[c].act_elements() for c in cut.crossing_tensors if c in keep),
-        )
     transmit_s = transmission_latency(g, cut, crossing_bits_map(g, cut, assignment), net)
 
     return LatencyBreakdown(
@@ -205,19 +185,16 @@ def split_latency(
 
 
 def weight_memory_bits(g: LayerGraph, order, n: int, weight_bits: dict) -> int:
-    compute = [i for i in order if i != g.input_id]
     total = 0
-    for nid in compute[:n]:
+    for nid in g.compute_ids()[:n]:
         total += g.nodes[nid].weight_elements() * int(weight_bits[nid])
     return total
 
 
 def activation_memory_bits(g: LayerGraph, order, n: int, act_bits: dict) -> int:
     """Peak bit-weighted working set over the first n compute steps."""
-    if n == 0:
-        return 0
     peak = 0
-    for ws in compute_working_sets(g, order)[:n]:
+    for ws in g.liveness.working_sets[:n]:
         step_bits = 0
         for nid, elems in ws.live_tensors:
             b = g.input_bits if nid == g.input_id else int(act_bits[nid])

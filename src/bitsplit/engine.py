@@ -153,7 +153,7 @@ def calibrate_activations(g: LayerGraph, inputs, max_samples=None, order=None):
     take = len(inputs) if max_samples is None else min(int(max_samples), len(inputs))
     if take < 1:
         raise ValueError("need at least one calibration input")
-    samples = {i: [] for i in order if i != g.input_id}
+    samples = {i: [] for i in g.compute_ids()}
     for x in inputs[:take]:
         vals = _forward(g, x, order)
         for i in samples:
@@ -187,7 +187,7 @@ def run_fake_quantized_detailed(g: LayerGraph, x, n: int, assignment, order=None
     session never touches cloud layers).
     """
     order = order or topological_order(g)
-    compute = [i for i in order if i != g.input_id]
+    compute = g.compute_ids()
     if not 0 <= n <= len(compute):
         raise GraphError("split index %d out of range" % n)
     edge = compute[:n]
@@ -252,7 +252,7 @@ def evaluate_accuracy(g: LayerGraph, eval_set: EvalSet, n: int, assignment, orde
     if len(g.output_ids) != 1:
         raise GraphError("accuracy needs a single-output graph")
     order = order or topological_order(g)
-    compute = [i for i in order if i != g.input_id]
+    compute = g.compute_ids()
     if n == 0:
         preds = [_top1(run_inference(g, x, order)[0]) for x in eval_set.inputs]
     else:

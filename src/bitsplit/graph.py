@@ -6,11 +6,18 @@ count the remaining (compute) nodes: split n puts the first n compute nodes on
 the edge device. Tensors produced by graph outputs (sink nodes) are treated as
 consumed by the outside world, so an edge-only split still has a boundary
 tensor to ship.
+
+Order, positions, last uses and per-step working sets are derived once per
+graph and cached on it (`LayerGraph.liveness`). A graph is immutable by
+convention and every rewrite returns a new graph, so the cache cannot go
+stale. Functions below that take an `order` argument read that cache: any
+`order` passed to them must be `topological_order(g)`.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import heapq
 import json
 import math
@@ -82,6 +89,14 @@ class BoundaryCut:
     split_index: int
     crossing_tensors: list  # producer ids, ascending
     cut_elements: int
+
+
+@dataclass(frozen=True)
+class Liveness:
+    compute_ids: tuple  # topological order without the input node
+    pos: dict  # node id -> position in the topological order
+    last_use: dict  # node id -> position of its last consumer (inf for outputs)
+    working_sets: tuple  # WorkingSet per compute step 1..N
 
 
 def _conv_spatial(size: int, k: int, stride: int, pad: int) -> int:
@@ -294,9 +309,32 @@ class LayerGraph:
     def node(self, nid: int) -> LayerNode:
         return self.nodes[nid]
 
-    def compute_ids(self, order=None):
-        order = order if order is not None else topological_order(self)
-        return [i for i in order if i != self.input_id]
+    def compute_ids(self) -> list:
+        """Topological order without the input node."""
+        return list(self.liveness.compute_ids)
+
+    @functools.cached_property
+    def liveness(self) -> Liveness:
+        """Liveness of the topological order, built on first use.
+
+        A tensor is live at step k (after running compute node k) iff it was
+        produced at a position <= k and either it was produced at k or some
+        consumer sits at a position >= k (graph outputs are consumed by the
+        outside world, position +inf). The running node's input and output
+        are both live.
+        """
+        order = self._order
+        pos = {nid: k for k, nid in enumerate(order)}
+        last_use = {nid: max((pos[c] for c in self.consumers[nid]), default=math.inf) for nid in order}
+        sets = []
+        for k in range(1, len(order)):
+            live = [
+                (nid, self.nodes[nid].act_elements())
+                for nid in order[: k + 1]
+                if pos[nid] == k or last_use[nid] >= k
+            ]
+            sets.append(WorkingSet(step=k, live_tensors=live, total_elements=sum(e for _, e in live)))
+        return Liveness(tuple(order[1:]), pos, last_use, tuple(sets))
 
     def canonical_dump(self) -> str:
         """Deterministic structural dump (weights excluded)."""
@@ -495,46 +533,17 @@ def topological_order(g: LayerGraph) -> list:
     return list(g._order)
 
 
-def _positions(g: LayerGraph, order):
-    pos = {nid: k for k, nid in enumerate(order)}
-    last_use = {}
-    for nid in order:
-        cons = g.consumers[nid]
-        last_use[nid] = math.inf if not cons else max(pos[c] for c in cons)
-    return pos, last_use
-
-
 def compute_working_sets(g: LayerGraph, order) -> list:
-    """Live tensor sets per compute step (step k = after running compute node k).
-
-    A tensor is live at step k iff it was produced at a position <= k and
-    either it was produced at k or some consumer sits at a position >= k
-    (graph outputs are consumed by the outside world, position +inf). The
-    running node's input and output are both live.
-    """
-    pos, last_use = _positions(g, order)
-    sets = []
-    for k in range(1, len(order)):
-        live = []
-        for nid in order:
-            p = pos[nid]
-            if p > k:
-                break
-            if p == k or last_use[nid] >= k:
-                live.append((nid, g.nodes[nid].act_elements()))
-        total = sum(e for _, e in live)
-        sets.append(WorkingSet(step=k, live_tensors=live, total_elements=total))
-    return sets
+    """Live tensor sets per compute step; see LayerGraph.liveness."""
+    return list(g.liveness.working_sets)
 
 
 def boundary_cut(g: LayerGraph, order, n: int) -> BoundaryCut:
     """Tensors produced in the n-prefix that someone after the prefix still needs."""
-    N = len(order) - 1
+    lv = g.liveness
+    N = len(lv.compute_ids)
     if not 0 <= n <= N:
         raise GraphError("split index %d out of range [0, %d]" % (n, N))
-    pos, last_use = _positions(g, order)
-    crossing = sorted(
-        nid for nid in order if pos[nid] <= n and last_use[nid] > n
-    )
+    crossing = sorted(nid for nid, p in lv.pos.items() if p <= n and lv.last_use[nid] > n)
     cut = sum(g.nodes[c].act_elements() for c in crossing)
     return BoundaryCut(split_index=n, crossing_tensors=crossing, cut_elements=cut)

@@ -201,9 +201,8 @@ def weight_distortion_table(g: LayerGraph, B) -> DistortionTable:
 
     Bias vectors stay in float and are excluded from both distortion and rate.
     """
-    order = [i for i in g._order if i != g.input_id]
     sizes, d = {}, {}
-    for i in order:
+    for i in g.compute_ids():
         n = g.nodes[i]
         sizes[i] = n.weight_elements()
         for b in B:
@@ -218,9 +217,8 @@ def weight_distortion_table(g: LayerGraph, B) -> DistortionTable:
 
 def activation_distortion_table(g: LayerGraph, calib: dict, B) -> DistortionTable:
     """Mean local fake-quantization MSE of each layer's sampled outputs."""
-    order = [i for i in g._order if i != g.input_id]
     sizes, d = {}, {}
-    for i in order:
+    for i in g.compute_ids():
         sizes[i] = g.nodes[i].act_elements()
         samples = calib.get(i)
         if not samples:

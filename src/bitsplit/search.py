@@ -23,7 +23,7 @@ from .cost import (
     weight_memory_bits,
 )
 from .engine import evaluate_accuracy, float_accuracy
-from .graph import LayerGraph, compute_working_sets
+from .graph import LayerGraph
 from .quantize import DistortionTable
 
 
@@ -83,7 +83,7 @@ def potential_splits(g: LayerGraph, order, edge: DeviceProfile, net: NetworkProf
     """Split prefixes that beat raw-input transmission and fit memory at min bits."""
     B = tuple(B) if B else edge.supported_bits
     b_min = min(B)
-    compute = [i for i in order if i != g.input_id]
+    compute = g.compute_ids()
     N = len(compute)
 
     cut0 = boundary_cut(g, order, 0)
@@ -91,7 +91,7 @@ def potential_splits(g: LayerGraph, order, edge: DeviceProfile, net: NetworkProf
 
     weights_prefix = 0
     peak_elems = 0
-    working = compute_working_sets(g, order)
+    working = g.liveness.working_sets
     out = []
     for n in range(1, N + 1):
         node = g.nodes[compute[n - 1]]
@@ -123,18 +123,6 @@ def _choices_at(points, lam):
     return out
 
 
-def _lambda_max(points) -> float:
-    top = 0.0
-    for pts in points.values():
-        for k in range(len(pts)):
-            for j in range(k + 1, len(pts)):
-                _, d1, r1 = pts[k]
-                _, d2, r2 = pts[j]
-                if r2 > r1 and d1 > d2:
-                    top = max(top, (d1 - d2) / (r2 - r1))
-    return top + 1.0
-
-
 def _table_points(table: DistortionTable, layer_ids):
     return {
         i: [(b, table.d(i, b), table.r(i, b)) for b in table.bits]
@@ -142,54 +130,63 @@ def _table_points(table: DistortionTable, layer_ids):
     }
 
 
+def _sweep(points, fits):
+    """(choices, multiplier) at the smallest multiplier whose choices fit, or None.
+
+    Per-layer choices change only where two of a layer's points cost the same,
+    at the breakpoints (d1 - d2) / (r2 - r1) (Shoham & Gersho, IEEE TASSP
+    1988). One probe strictly inside each interval between breakpoints (0
+    below the first, midpoints, twice the last above it) therefore visits
+    every distinct choice, and no probe sits on a breakpoint, where a float
+    tie would decide. Rate and peak memory both fall as the multiplier
+    grows, so the probes are bisected by index.
+    """
+    cuts = sorted(
+        {
+            (d1 - d2) / (r2 - r1)
+            for pts in points.values()
+            for k, (_, d1, r1) in enumerate(pts)
+            for _, d2, r2 in pts[k + 1 :]
+            if r2 > r1 and d1 > d2
+        }
+    )
+    probes = [0.0] + [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])] + [2.0 * c for c in cuts[-1:]]
+    lo, hi = 0, len(probes) - 1
+    best = _choices_at(points, probes[hi])
+    if not fits(best):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cand = _choices_at(points, probes[mid])
+        if fits(cand):
+            best, hi = cand, mid
+        else:
+            lo = mid + 1
+    return best, probes[hi]
+
+
 def allocate_bits_lagrangian(table: DistortionTable, layer_ids, budget_bits: int) -> Allocation:
     """Largest-rate convex-hull point with total rate within the budget.
 
-    Bisection on the multiplier (64 iterations); returned bits satisfy the
-    budget and each layer's choice minimizes d_i(b) + lam*r_i(b) at the final
-    multiplier.
+    Exact: the multiplier sweep (`_sweep`) visits every lower-hull point of
+    the summed rate/distortion, and each layer's returned choice minimizes
+    d_i(b) + lam*r_i(b) at the returned multiplier.
     """
     layer_ids = list(layer_ids)
-    if not layer_ids:
-        return Allocation(feasible=True, bits={}, budget_used_bits=0, total_distortion=0.0)
-    points = _table_points(table, layer_ids)
 
     def rate_of(bits):
         return sum(table.r(i, bits[i]) for i in layer_ids)
 
-    def dist_of(bits):
-        return sum(table.d(i, bits[i]) for i in layer_ids)
-
-    floor_bits = _choices_at(points, _lambda_max(points))
-    if rate_of(floor_bits) > budget_bits:
+    found = _sweep(_table_points(table, layer_ids), lambda bits: rate_of(bits) <= budget_bits)
+    if found is None:
         return Allocation(feasible=False, bits={}, reason="budget below minimum rate")
-
-    top_bits = _choices_at(points, 0.0)
-    if rate_of(top_bits) <= budget_bits:
-        return Allocation(
-            feasible=True,
-            bits=top_bits,
-            budget_used_bits=rate_of(top_bits),
-            total_distortion=dist_of(top_bits),
-            lam=0.0,
-        )
-
-    lo, hi = 0.0, _lambda_max(points)
-    best = floor_bits
-    best_lam = hi
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        cand = _choices_at(points, mid)
-        if rate_of(cand) <= budget_bits:
-            best, best_lam, hi = cand, mid, mid
-        else:
-            lo = mid
+    bits, lam = found
     return Allocation(
         feasible=True,
-        bits=best,
-        budget_used_bits=rate_of(best),
-        total_distortion=dist_of(best),
-        lam=best_lam,
+        bits=bits,
+        budget_used_bits=rate_of(bits),
+        total_distortion=sum(table.d(i, bits[i]) for i in layer_ids),
+        lam=lam,
     )
 
 
@@ -201,7 +198,7 @@ def repair_activation_assignment(table, g, order, n, bits, budget_bits):
     the repaired bits dict or None when stuck.
     """
     bits = dict(bits)
-    working = compute_working_sets(g, order)[:n]
+    working = g.liveness.working_sets[:n]
     ladder = {b: i for i, b in enumerate(table.bits)}
     while True:
         violating = None
@@ -225,43 +222,18 @@ def repair_activation_assignment(table, g, order, n, bits, budget_bits):
         bits[victim] = table.bits[ladder[bits[victim]] - 1]
 
 
-def allocate_activation_bits(
-    table: DistortionTable, g: LayerGraph, order, n: int, budget_bytes=None, budget_bits=None
-) -> Allocation:
+def allocate_activation_bits(table: DistortionTable, g: LayerGraph, order, n: int, budget_bits: int) -> Allocation:
     """Per-layer Lagrangian choices with feasibility measured on the true
     constraint: the peak bit-weighted working set of the edge prefix."""
-    if budget_bits is None:
-        budget_bits = int(round(budget_bytes * 8))
-    compute = [i for i in order if i != g.input_id]
-    layer_ids = compute[:n]
-    if not layer_ids:
-        return Allocation(feasible=True, bits={}, budget_used_bits=0)
-    points = _table_points(table, layer_ids)
+    layer_ids = g.compute_ids()[:n]
 
     def peak_of(bits):
         return activation_memory_bits(g, order, n, bits)
 
-    def dist_of(bits):
-        return sum(table.d(i, bits[i]) for i in layer_ids)
-
-    floor_bits = _choices_at(points, _lambda_max(points))
-    if peak_of(floor_bits) > budget_bits:
+    found = _sweep(_table_points(table, layer_ids), lambda bits: peak_of(bits) <= budget_bits)
+    if found is None:
         return Allocation(feasible=False, bits={}, reason="infeasible even at minimum bits")
-
-    top_bits = _choices_at(points, 0.0)
-    if peak_of(top_bits) <= budget_bits:
-        chosen, lam = top_bits, 0.0
-    else:
-        lo, hi = 0.0, _lambda_max(points)
-        chosen, lam = floor_bits, hi
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            cand = _choices_at(points, mid)
-            if peak_of(cand) <= budget_bits:
-                chosen, lam, hi = cand, mid, mid
-            else:
-                lo = mid
-
+    chosen, lam = found
     repaired = repair_activation_assignment(table, g, order, n, chosen, budget_bits)
     if repaired is None:
         return Allocation(feasible=False, bits={}, reason="repair could not fit budget")
@@ -269,7 +241,7 @@ def allocate_activation_bits(
         feasible=True,
         bits=repaired,
         budget_used_bits=peak_of(repaired),
-        total_distortion=dist_of(repaired),
+        total_distortion=sum(table.d(i, repaired[i]) for i in layer_ids),
         lam=lam,
     )
 
@@ -296,7 +268,6 @@ def enumerate_solutions(
     net: NetworkProfile,
     M_bytes: int,
     B=None,
-    edge_pays_output: bool = True,
     distortion_cap: float | None = None,
 ):
     """All feasible (split, bit assignment) candidates plus the sentinel.
@@ -305,12 +276,12 @@ def enumerate_solutions(
     constraint re-checked exactly; the sentinel is always first.
     """
     B = tuple(B) if B else edge.supported_bits
-    compute = [i for i in order if i != g.input_id]
+    compute = g.compute_ids()
 
     sentinel = SplitSolution(
         n=0,
         assignment=EMPTY_ASSIGNMENT,
-        breakdown=split_latency(g, order, 0, EMPTY_ASSIGNMENT, edge, cloud, net, edge_pays_output),
+        breakdown=split_latency(g, order, 0, EMPTY_ASSIGNMENT, edge, cloud, net),
         total_distortion=0.0,
         edge_weight_bytes=0.0,
         edge_act_bytes=0.0,
@@ -327,7 +298,7 @@ def enumerate_solutions(
         pairs_kept=0,
     )
 
-    working = compute_working_sets(g, order)
+    working = g.liveness.working_sets
     seen = set()
     for n in P:
         prefix = compute[:n]
@@ -368,7 +339,7 @@ def enumerate_solutions(
                     SplitSolution(
                         n=n,
                         assignment=assignment,
-                        breakdown=split_latency(g, order, n, assignment, edge, cloud, net, edge_pays_output),
+                        breakdown=split_latency(g, order, n, assignment, edge, cloud, net),
                         total_distortion=distortion,
                         edge_weight_bytes=mw / 8.0,
                         edge_act_bytes=ma / 8.0,
@@ -395,8 +366,7 @@ def solution_sort_key(sol: SplitSolution, compute_ids):
 def measure_drop(g, order, eval_set, sol: SplitSolution, base_acc: float, cache: dict):
     if sol.is_sentinel:
         return 0.0
-    compute = [i for i in order if i != g.input_id]
-    key = (sol.n, sol.assignment.key(compute[: sol.n]))
+    key = (sol.n, sol.assignment.key(g.compute_ids()[: sol.n]))
     if key not in cache:
         acc = evaluate_accuracy(g, eval_set, sol.n, sol.assignment, order=order)
         cache[key] = base_acc - acc
@@ -410,7 +380,7 @@ def select_solution(
     stays within A. The sentinel's drop is 0 by definition, so this returns."""
     if not any(s.is_sentinel for s in S):
         raise ValueError("solution list is missing the cloud-only sentinel")
-    compute = [i for i in order if i != g.input_id]
+    compute = g.compute_ids()
     cache = drop_cache if drop_cache is not None else {}
     if base_acc is None:
         base_acc = float_accuracy(g, eval_set, order=order)
@@ -432,16 +402,16 @@ def measure_all(S, g, order, eval_set, drop_cache: dict | None = None):
     ]
 
 
-def float_baseline(g, order, edge, cloud, net, edge_pays_output=True):
+def float_baseline(g, order, edge, cloud, net):
     """Best all-16-bit split by predicted latency (no quantization)."""
-    compute = [i for i in order if i != g.input_id]
+    compute = g.compute_ids()
     best = None
     for n in range(0, len(compute) + 1):
         assignment = BitAssignment(
             weight_bits={i: 16 for i in compute[:n]},
             act_bits={i: 16 for i in compute[:n]},
         )
-        br = split_latency(g, order, n, assignment, edge, cloud, net, edge_pays_output)
+        br = split_latency(g, order, n, assignment, edge, cloud, net)
         key = (br.total_s, n)
         if best is None or key < best[0]:
             best = (key, n, br)

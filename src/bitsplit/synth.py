@@ -304,9 +304,8 @@ def weighted_positions(g: LayerGraph, order=None) -> dict:
 def last_weighted_in_prefix(g: LayerGraph, order, n: int):
     """Weighted index of the deepest weighted layer within the n-prefix."""
     wpos = weighted_positions(g, order)
-    compute = [i for i in order if i != g.input_id]
     best = None
-    for nid in compute[:n]:
+    for nid in g.compute_ids()[:n]:
         if nid in wpos:
             best = wpos[nid]
     return best

@@ -303,8 +303,7 @@ def cloud_role(g: LayerGraph, solution, chan: Channel, order=None, want_transcri
                 }
             )
 
-    compute = [i for i in order if i != g.input_id]
-    suffix = compute[n:]
+    suffix = g.compute_ids()[n:]
     from .engine import _apply_node, _need_weights  # late import to keep module load light
 
     for nid in suffix:

@@ -136,6 +136,33 @@ def test_allocator_matches_exhaustive_search_within_hull_gap():
 # -- 2. liveness, cuts, memory vs brute force ------------------------------------------
 
 
+def _check_liveness(g, wb, ab):
+    order = topological_order(g)
+    compute = [i for i in order if i != g.input_id]
+    N = len(compute)
+
+    sets = compute_working_sets(g, order)
+    assert len(sets) == N
+    for k in range(1, N + 1):
+        want_live = oracles.live_ids(g, order, k)
+        got = sets[k - 1]
+        assert sorted(i for i, _ in got.live_tensors) == want_live
+        assert got.total_elements == sum(g.nodes[i].act_elements() for i in want_live)
+
+    for n in range(0, N + 1):
+        cut = boundary_cut(g, order, n)
+        assert cut.crossing_tensors == oracles.cut_ids(g, order, n)
+        assert cut.cut_elements == sum(
+            g.nodes[c].act_elements() for c in cut.crossing_tensors
+        )
+        assert weight_memory_bits(g, order, n, wb) == oracles.weight_bits_brute(
+            g, order, n, wb
+        )
+        assert activation_memory_bits(g, order, n, ab) == oracles.act_peak_bits_brute(
+            g, order, n, ab, g.input_bits
+        )
+
+
 def test_liveness_cuts_and_memory_match_brute_force():
     t0 = time.monotonic()
     rng = np.random.default_rng(7)
@@ -143,32 +170,13 @@ def test_liveness_cuts_and_memory_match_brute_force():
     while dags < 200:
         g = random_dag(rng, max_nodes=10)
         dags += 1
-        order = topological_order(g)
-        compute = [i for i in order if i != g.input_id]
-        N = len(compute)
-
-        sets = compute_working_sets(g, order)
-        assert len(sets) == N
-        for k in range(1, N + 1):
-            want_live = oracles.live_ids(g, order, k)
-            got = sets[k - 1]
-            assert sorted(i for i, _ in got.live_tensors) == want_live
-            assert got.total_elements == sum(g.nodes[i].act_elements() for i in want_live)
-
+        compute = [i for i in topological_order(g) if i != g.input_id]
         wb = {i: int(rng.choice((2, 4, 8))) for i in compute}
         ab = {i: int(rng.choice((2, 4, 8))) for i in compute}
-        for n in range(0, N + 1):
-            cut = boundary_cut(g, order, n)
-            assert cut.crossing_tensors == oracles.cut_ids(g, order, n)
-            assert cut.cut_elements == sum(
-                g.nodes[c].act_elements() for c in cut.crossing_tensors
-            )
-            assert weight_memory_bits(g, order, n, wb) == oracles.weight_bits_brute(
-                g, order, n, wb
-            )
-            assert activation_memory_bits(g, order, n, ab) == oracles.act_peak_bits_brute(
-                g, order, n, ab, g.input_bits
-            )
+        _check_liveness(g, wb, ab)
+        # rewritten only after g's cached analysis was read: the new graph
+        # must build its own (its compute ids are a subset of g's)
+        _check_liveness(optimize_graph(g), wb, ab)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     print("PASS graph machinery: %d random DAGs, every split index, %.1fs" % (dags, elapsed))

@@ -192,9 +192,6 @@ def test_split_full_ships_outputs_unless_disabled(toy_graph):
     br = split_latency(toy_graph, order, N, asg, edge, cloud, net)
     assert br.cloud_s == 0.0
     assert br.transmit_s == pytest.approx(10 * 8 / net.uplink_bits_per_s)  # 10 logits
-    br2 = split_latency(toy_graph, order, N, asg, edge, cloud, net, edge_pays_output=False)
-    assert br2.transmit_s == 0.0
-    assert br2.total_s == pytest.approx(br2.edge_s)
 
 
 def test_split_latency_total_is_sum_of_parts(toy_graph):

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from bitsplit.engine import calibrate_activations
-from bitsplit.graph import boundary_cut, compute_working_sets, topological_order
+from bitsplit.graph import LayerGraph, LayerNode, boundary_cut, compute_working_sets, topological_order
 from bitsplit.quantize import DistortionTable, activation_distortion_table, weight_distortion_table
 from bitsplit.search import (
     BitAssignment,
@@ -177,6 +177,20 @@ def test_lagrangian_weightless_layers_cost_nothing():
     assert table.r(0, alloc.bits[0]) == 0
 
 
+# Layer 0's largest multiplier breakpoint is 5e29 and all of layer 1's lie
+# below 1e-9: 64 halvings down from 5e29 cannot tell those apart, while the
+# breakpoint sweep probes between every pair.
+WIDE_D = {(0, 2): 1e30, (0, 4): 1.0, (0, 8): 0.0, (1, 2): 1e-9, (1, 4): 1e-12, (1, 8): 0.0}
+
+
+def test_lagrangian_exact_across_wide_breakpoints():
+    table = DistortionTable("w", (2, 4, 8), {0: 1, 1: 1}, WIDE_D)
+    alloc = allocate_bits_lagrangian(table, [0, 1], 12)
+    assert alloc.bits == {0: 8, 1: 4}
+    assert alloc.budget_used_bits == 12
+    assert alloc.total_distortion == 1e-12
+
+
 # -- activation allocation under the working-set constraint --------------------------------
 
 
@@ -222,6 +236,22 @@ def test_activation_allocation_single_layer_optimal():
         assert alloc.feasible == (best is not None)
         if best is not None:
             assert alloc.total_distortion == pytest.approx(best[0])
+
+
+def test_activation_allocation_exact_across_wide_breakpoints():
+    # input -> relu 1 -> relu 2, one element each: the peak is max(8 + b1, b1 + b2)
+    nodes = [
+        LayerNode(id=0, op_kind="input", out_shape=(1,)),
+        LayerNode(id=1, op_kind="relu", out_shape=(1,), inputs=[0]),
+        LayerNode(id=2, op_kind="relu", out_shape=(1,), inputs=[1]),
+    ]
+    g = LayerGraph(nodes, input_bits=8)
+    order = topological_order(g)
+    d = {(1, 2): 1e-9, (1, 4): 1e-12, (1, 8): 0.0, (2, 2): 1e30, (2, 4): 1.0, (2, 8): 0.0}
+    table = DistortionTable("a", (2, 4, 8), {1: 1, 2: 1}, d)
+    alloc = allocate_activation_bits(table, g, order, n=2, budget_bits=12)
+    assert alloc.bits == {1: 4, 2: 8}
+    assert alloc.bits == oracles.exhaustive_act_alloc(table, g, order, 2, 12)[1]
 
 
 def test_repair_lowers_heaviest_live_tensor(toy_graph):
