@@ -12,6 +12,7 @@ edge-only split still ships its result.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 
 from .graph import (
@@ -39,6 +40,8 @@ class DeviceProfile:
     supported_bits: tuple = (2, 4, 8)
 
     def __post_init__(self):
+        # a tuple keeps the profile hashable: split_latency caches per profile
+        object.__setattr__(self, "supported_bits", tuple(self.supported_bits))
         for f in ("on_chip_bytes", "off_chip_bytes", "bandwidth_bytes_per_s", "peak_ops_per_s", "mac_bits"):
             if getattr(self, f) <= 0:
                 raise ConfigError("%s: %s must be positive" % (self.name, f))
@@ -145,6 +148,18 @@ def crossing_bits_map(g: LayerGraph, cut: BoundaryCut, assignment) -> dict:
     return bits
 
 
+_CLOUD_LATENCIES = weakref.WeakKeyDictionary()  # graph -> {cloud profile: {node id: seconds}}
+
+
+def _cloud_latencies(g: LayerGraph, cloud: DeviceProfile) -> dict:
+    """16-bit latency of every compute layer on the cloud, computed once per
+    (graph, profile): graphs are immutable by convention, profiles frozen."""
+    per_graph = _CLOUD_LATENCIES.setdefault(g, {})
+    if cloud not in per_graph:
+        per_graph[cloud] = {nid: layer_latency(g.nodes[nid], g, cloud, 16, 16) for nid in g.compute_ids()}
+    return per_graph[cloud]
+
+
 def split_latency(
     g: LayerGraph,
     order,
@@ -159,15 +174,15 @@ def split_latency(
         raise GraphError("split index %d out of range" % n)
     edge_ids, cloud_ids = compute[:n], compute[n:]
 
+    cloud16 = _cloud_latencies(g, cloud)
     edge_s = 0.0
     cloud_of_prefix = 0.0
     for nid in edge_ids:
-        node = g.nodes[nid]
-        edge_s += layer_latency(node, g, edge, assignment.weight_bits[nid], assignment.act_bits[nid])
-        cloud_of_prefix += layer_latency(node, g, cloud, 16, 16)
+        edge_s += layer_latency(g.nodes[nid], g, edge, assignment.weight_bits[nid], assignment.act_bits[nid])
+        cloud_of_prefix += cloud16[nid]
     cloud_s = 0.0
     for nid in cloud_ids:
-        cloud_s += layer_latency(g.nodes[nid], g, cloud, 16, 16)
+        cloud_s += cloud16[nid]
 
     cut = boundary_cut(g, order, n)
     transmit_s = transmission_latency(g, cut, crossing_bits_map(g, cut, assignment), net)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LayerGraph, WEIGHTED_OPS
+from .graph import LayerGraph
 
 CLIP_ALPHAS = [1.0 - 0.05 * k for k in range(11)]  # 1.0 down to 0.50
 REFERENCE_BITS = 16
@@ -31,27 +31,35 @@ class QuantParams:
     symmetric: bool
 
     def qrange(self):
-        if self.symmetric:
-            m = 2 ** (self.bits - 1) - 1
-            return -m, m
-        return 0, 2**self.bits - 1
+        return _qrange(self.bits, self.symmetric)
 
 
-def _f32(x) -> float:
-    return float(np.float32(x))
+def _qrange(bits: int, symmetric: bool):
+    if symmetric:
+        m = 2 ** (bits - 1) - 1
+        return -m, m
+    return 0, 2**bits - 1
+
+
+def _codes(x, scale, zero, qmin, qmax):
+    """(q, dequant) of x under float32 scale and zero point, which may be
+    arrays that broadcast against x."""
+    scale = np.asarray(scale, dtype=np.float32).astype(np.float64)
+    zero = np.asarray(zero, dtype=np.float32).astype(np.float64)
+    t = np.divide(x, scale, dtype=np.float64)
+    t += zero
+    np.rint(t, out=t)
+    q = np.clip(t, qmin, qmax, out=t).astype(np.int64)
+    np.subtract(q, zero, out=t)
+    t *= scale
+    return q, t.astype(np.float32)
 
 
 def quantize_tensor(x: np.ndarray, p: QuantParams):
     """Returns (q, dequant): integer codes and their float32 reconstruction."""
     if p.symmetric and p.bits < 2:
         raise QuantError("symmetric quantization needs at least 2 bits")
-    qmin, qmax = p.qrange()
-    scale = np.float64(np.float32(p.scale))
-    zero = np.float64(np.float32(p.zero_point))
-    xf = np.asarray(x, dtype=np.float64)
-    q = np.clip(np.rint(xf / scale + zero), qmin, qmax).astype(np.int64)
-    deq = ((q - zero) * scale).astype(np.float32)
-    return q, deq
+    return _codes(x, p.scale, p.zero_point, *p.qrange())
 
 
 def dequantize(q: np.ndarray, p: QuantParams) -> np.ndarray:
@@ -65,58 +73,101 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(d * d)) if d.size else 0.0
 
 
+def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
+    """MSE-optimal clip for each row of a stack (N, M), over a fixed alpha grid.
+
+    Returns float32 scale and zero point arrays and the float64 MSE of each
+    row's reconstruction. Per row: clip bounds alpha * max|x| (symmetric) or
+    alpha * min and alpha * max (asymmetric) in float64, params rounded to
+    float32, the MSE a mean over the row, and ties resolve to the larger
+    alpha. All-zero rows, and constant rows of an asymmetric search, are
+    represented exactly.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    if x.shape[1] == 0:
+        raise QuantError("empty tensor")
+    if not np.isfinite(x).all():
+        raise QuantError("non-finite values")
+    if bits < 1 or (symmetric and bits < 2):
+        raise QuantError("bad bit-width %d" % bits)
+    qmin, qmax = _qrange(bits, symmetric)
+    scale = np.ones(len(x), dtype=np.float32)
+    zero = np.zeros(len(x), dtype=np.float32)
+    err = np.zeros(len(x))
+
+    amax = np.max(np.abs(x), axis=1).astype(np.float64)
+    if symmetric:
+        live = amax != 0.0
+    else:
+        lo = np.min(x, axis=1).astype(np.float64)
+        hi = np.max(x, axis=1).astype(np.float64)
+        # constant row: code 0 with zero_point -c reconstructs exactly
+        const = (lo == hi) & (amax != 0.0)
+        zero[const] = -lo[const]
+        live = lo != hi
+    if not live.any():
+        return scale, zero, err
+
+    # params for every alpha at once, shape (alphas, live rows); alpha > 0
+    # keeps every live row's clip range non-empty
+    alphas = np.array(CLIP_ALPHAS)[:, None]
+    if symmetric:
+        s = (alphas * amax[live] / qmax).astype(np.float32)
+        z = np.zeros_like(s)
+    else:
+        lo_a = alphas * lo[live]
+        hi_a = alphas * hi[live]
+        step = (hi_a - lo_a) / qmax
+        s, z = step.astype(np.float32), (-lo_a / step).astype(np.float32)
+
+    xl = x[live].astype(np.float64)
+    buf = np.empty_like(xl)
+    sums = np.empty(s.shape)
+    for s64, z64, row_sums in zip(s.astype(np.float64)[..., None], z.astype(np.float64)[..., None], sums):
+        # _codes' reconstruction, in place; codes stay float64, which changes
+        # at most the sign of a zero and so no squared error
+        np.divide(xl, s64, out=buf)
+        buf += z64
+        np.rint(buf, out=buf)
+        np.clip(buf, qmin, qmax, out=buf)
+        buf -= z64
+        buf *= s64
+        buf[...] = buf.astype(np.float32)
+        np.subtract(xl, buf, out=buf)
+        buf *= buf
+        np.add.reduce(buf, axis=1, out=row_sums)
+    errs = sums / xl.shape[1]  # np.mean over each row, as the same sum and division
+    best = np.argmin(errs, axis=0)  # the first minimum: ties go to the larger alpha
+    rows = np.arange(len(xl))
+    scale[live], zero[live], err[live] = s[best, rows], z[best, rows], errs[best, rows]
+    return scale, zero, err
+
+
 def choose_clip_range(x: np.ndarray, bits: int, symmetric: bool) -> QuantParams:
     """MSE-optimal clip over a fixed alpha grid; ties resolve to larger alpha.
 
     Degenerate tensors (all zero, or constant) are represented exactly.
     """
     x = np.asarray(x, dtype=np.float32)
-    if x.size == 0:
-        raise QuantError("empty tensor")
-    if not np.isfinite(x).all():
-        raise QuantError("non-finite values")
-    if bits < 1 or (symmetric and bits < 2):
-        raise QuantError("bad bit-width %d" % bits)
+    scale, zero, _ = choose_clip_rows(x.reshape(1, -1), bits, symmetric)
+    return QuantParams(bits, float(scale[0]), float(zero[0]), symmetric)
 
-    amax = float(np.max(np.abs(x)))
-    if amax == 0.0:
-        return QuantParams(bits, 1.0, 0.0, symmetric)
 
-    lo_full = float(np.min(x))
-    hi_full = float(np.max(x))
-    if not symmetric and lo_full == hi_full:
-        # constant tensor: code 0 with zero_point -c reconstructs exactly
-        return QuantParams(bits, 1.0, _f32(-lo_full), False)
+def quantize_rows(x: np.ndarray, bits: int, symmetric: bool):
+    """choose_clip_range and quantize_tensor on each row of a stack (N, M).
 
-    best = None
-    for alpha in CLIP_ALPHAS:
-        if symmetric:
-            clip = alpha * amax
-            if clip <= 0.0:
-                continue
-            scale = clip / (2 ** (bits - 1) - 1)
-            p = QuantParams(bits, _f32(scale), 0.0, True)
-        else:
-            lo = alpha * lo_full
-            hi = alpha * hi_full
-            if hi <= lo:
-                continue
-            scale = (hi - lo) / (2**bits - 1)
-            zero = -lo / scale
-            p = QuantParams(bits, _f32(scale), _f32(zero), False)
-        _, deq = quantize_tensor(x, p)
-        err = mse(x, deq)
-        if best is None or err < best[0]:
-            best = (err, p)
-    return best[1]
+    Returns (q, dequant, scale, zero_point), the last two per row.
+    """
+    scale, zero, _ = choose_clip_rows(x, bits, symmetric)
+    q, deq = _codes(x, scale[:, None], zero[:, None], *_qrange(bits, symmetric))
+    return q, deq, scale, zero
 
 
 def quant_mse(x: np.ndarray, bits: int, symmetric: bool) -> float:
     if bits >= REFERENCE_BITS:
         return 0.0
-    p = choose_clip_range(x, bits, symmetric)
-    _, deq = quantize_tensor(x, p)
-    return mse(x, deq)
+    x = np.asarray(x, dtype=np.float32)
+    return float(choose_clip_rows(x.reshape(1, -1), bits, symmetric)[2][0])
 
 
 # -- distortion tables --------------------------------------------------------
@@ -221,8 +272,12 @@ def activation_distortion_table(g: LayerGraph, calib: dict, B) -> DistortionTabl
     for i in g.compute_ids():
         sizes[i] = g.nodes[i].act_elements()
         samples = calib.get(i)
-        if not samples:
+        if samples is None or len(samples) == 0:
             raise QuantError("no calibration samples for layer %d" % i)
+        rows = np.asarray(samples, dtype=np.float32).reshape(len(samples), -1)
         for b in B:
-            d[(i, b)] = float(np.mean([quant_mse(s, b, symmetric=False) for s in samples]))
+            if b >= REFERENCE_BITS:
+                d[(i, b)] = 0.0
+            else:
+                d[(i, b)] = float(np.mean(choose_clip_rows(rows, b, symmetric=False)[2]))
     return DistortionTable("a", B, sizes, d)

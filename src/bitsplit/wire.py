@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import message_payload_bytes
-from .engine import run_fake_quantized_detailed, run_inference
-from .graph import GraphError, LayerGraph, boundary_cut, topological_order
+from .engine import _check_input, _forward, run_fake_quantized_detailed, run_inference
+from .graph import LayerGraph, boundary_cut, topological_order
 from .quantize import QuantParams, choose_clip_range, dequantize, quantize_tensor
 from .util import prod
 
@@ -239,6 +239,7 @@ def _quantize_input(g: LayerGraph, x) -> tuple:
 
 def _crossing_payloads(g: LayerGraph, x, solution, order):
     """One (id, message) per boundary tensor, ascending id order."""
+    x = _check_input(g, x)  # one input: the engine would also take a stack
     n = solution.n
     cut = boundary_cut(g, order, n)
     if n == 0:
@@ -291,7 +292,7 @@ def cloud_role(g: LayerGraph, solution, chan: Channel, order=None, want_transcri
             raise WireError("tensor %d shape mismatch" % msg.tensor_id)
         q = unpack_activations(msg.payload, msg.bits, msg.shape)
         p = QuantParams(msg.bits, msg.scale, msg.zero_point, symmetric=False)
-        vals[msg.tensor_id] = dequantize(q, p)
+        vals[msg.tensor_id] = dequantize(q, p)[None]
         if want_transcript:
             transcript.append(
                 {
@@ -303,14 +304,8 @@ def cloud_role(g: LayerGraph, solution, chan: Channel, order=None, want_transcri
                 }
             )
 
-    suffix = g.compute_ids()[n:]
-    from .engine import _apply_node, _need_weights  # late import to keep module load light
-
-    for nid in suffix:
-        node = g.nodes[nid]
-        _need_weights(node)
-        vals[nid] = _apply_node(node, [vals[i] for i in node.inputs])
-    outputs = [vals[i] for i in g.output_ids]
+    _forward(g, vals, g.compute_ids()[n:])  # a stack of one, as in reference_outputs
+    outputs = [vals[i][0] for i in g.output_ids]
     return (outputs, transcript) if want_transcript else outputs
 
 
@@ -408,6 +403,7 @@ def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=
 def reference_outputs(g: LayerGraph, x, solution, order=None):
     """What a session must reproduce bitwise: the monolithic reference."""
     order = order or topological_order(g)
+    x = _check_input(g, x)
     if solution.n == 0:
         return run_inference(g, x, order)
     return run_fake_quantized_detailed(g, x, solution.n, solution.assignment, order=order)[0]

@@ -259,6 +259,59 @@ def random_budget(rng, table, slack=0.1):
     return int(round(rmin + u * (rmax - rmin)))
 
 
+# -- quantization reference ------------------------------------------------------
+
+
+def clip_range_scalar(x, bits, symmetric):
+    """The clip search for one tensor, one alpha at a time.
+
+    alpha runs from 1.0 down to 0.5 in steps of 0.05. Clip bounds are Python
+    floats, scale and zero point are rounded to float32, codes are clipped
+    integers, and the error is the mean squared error of the float32
+    reconstruction; a later alpha must be strictly better to win. All-zero
+    tensors, and constant ones under asymmetric quantization, are represented
+    exactly. Returns (QuantParams, mse).
+    """
+    from bitsplit.quantize import QuantParams
+
+    x = np.asarray(x, dtype=np.float32)
+    amax = float(np.max(np.abs(x)))
+    if amax == 0.0:
+        return QuantParams(bits, 1.0, 0.0, symmetric), 0.0
+    lo_full = float(np.min(x))
+    hi_full = float(np.max(x))
+    if not symmetric and lo_full == hi_full:
+        return QuantParams(bits, 1.0, float(np.float32(-lo_full)), False), 0.0
+
+    xf = x.astype(np.float64)
+    best = None
+    for k in range(11):
+        alpha = 1.0 - 0.05 * k
+        if symmetric:
+            qmax = 2 ** (bits - 1) - 1
+            qmin = -qmax
+            clip = alpha * amax
+            if clip <= 0.0:
+                continue
+            scale, zero = clip / qmax, 0.0
+        else:
+            qmin, qmax = 0, 2**bits - 1
+            lo, hi = alpha * lo_full, alpha * hi_full
+            if hi <= lo:
+                continue
+            scale = (hi - lo) / qmax
+            zero = -lo / scale
+        s = float(np.float32(scale))
+        z = float(np.float32(zero))
+        q = np.clip(np.rint(xf / s + z), qmin, qmax).astype(np.int64)
+        deq = ((q - z) * s).astype(np.float32)
+        d = xf - deq.astype(np.float64)
+        err = float(np.mean(d * d))
+        if best is None or err < best[1]:
+            best = (QuantParams(bits, s, z, symmetric), err)
+    return best
+
+
 # -- bit packing reference ------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,6 +212,27 @@ def test_split_latency_total_is_sum_of_parts(toy_graph):
         assert br.edge_s == pytest.approx(want_edge)
         want_cloud = sum(layer_latency(toy_graph.nodes[i], toy_graph, cloud, 16, 16) for i in compute[n:])
         assert br.cloud_s == pytest.approx(want_cloud)
+
+
+def test_cloud_latencies_exact_per_profile(toy_graph):
+    # the 16-bit cloud latencies are computed once per (graph, profile): a
+    # second profile on the same graph must get its own, summed as before
+    edge, cloud, net = table1_profiles()
+    slow = replace(cloud, peak_ops_per_s=cloud.peak_ops_per_s / 1e3, bandwidth_bytes_per_s=1e6)
+    order = topological_order(toy_graph)
+    compute = toy_graph.compute_ids()
+    rng = np.random.default_rng(22)
+    for n in range(len(compute) + 1):
+        asg = random_assignment(toy_graph, order, n, rng)
+        for c in (cloud, slow, cloud):
+            br = split_latency(toy_graph, order, n, asg, edge, c, net)
+            cloud_s = prefix_s = 0.0
+            for i in compute[n:]:
+                cloud_s += layer_latency(toy_graph.nodes[i], toy_graph, c, 16, 16)
+            for i in compute[:n]:
+                prefix_s += layer_latency(toy_graph.nodes[i], toy_graph, c, 16, 16)
+            assert br.cloud_s == cloud_s
+            assert br.relative_s == br.edge_s + br.transmit_s - prefix_s
 
 
 def test_split_index_range_checked(toy_graph):

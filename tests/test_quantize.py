@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from bitsplit.engine import calibrate_activations
 from bitsplit.graph import topological_order
 from bitsplit.quantize import (
@@ -9,6 +10,7 @@ from bitsplit.quantize import (
     QuantError,
     QuantParams,
     choose_clip_range,
+    choose_clip_rows,
     dequantize,
     mse,
     quant_mse,
@@ -126,6 +128,63 @@ def test_better_than_naive_minmax():
     p_full = QuantParams(4, float(np.float32(np.max(np.abs(x)) / 7)), 0.0, True)
     _, deq_full = quantize_tensor(x, p_full)
     assert quant_mse(x, 4, symmetric=True) <= mse(x, deq_full) + 1e-15
+
+
+def _clip_search_rows(rng, m, bits):
+    """Rows of length m that stress the clip search: random, non-negative,
+    all-zero, constant, signed zeros, huge and tiny magnitudes, and values on
+    an exact quantization grid (where several alphas can tie)."""
+    rows = [
+        rng.standard_normal(m) * rng.uniform(0.05, 20),
+        np.abs(rng.standard_normal(m)),
+        np.zeros(m),
+        np.full(m, -2.5),
+        np.full(m, 0.375),
+        np.where(rng.random(m) < 0.5, -0.0, 0.0),
+        rng.standard_normal(m) * 1e30,
+        rng.standard_normal(m) * 1e-30,
+        rng.integers(0, 2**bits, m) * 0.125,
+        (rng.integers(0, 2**bits, m) - (2 ** (bits - 1) - 1)) / 4.0,
+        np.round(rng.standard_normal(m) * 2) / 2,
+    ]
+    if m > 1:
+        rows.append(np.concatenate([[-0.0], rng.standard_normal(m - 1)]))
+        grid = rng.integers(0, 2**bits, m) * 0.25
+        grid[:2] = [0.0, (2**bits - 1) * 0.25]  # spans the full code range
+        rows.append(grid)
+    return np.stack(rows).astype(np.float32)
+
+
+def _exact(p):
+    return (p.bits, np.float64(p.scale).tobytes(), np.float64(p.zero_point).tobytes(), p.symmetric)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_row_search_matches_scalar_oracle(symmetric):
+    rng = np.random.default_rng(40 + symmetric)
+    for bits in range(2 if symmetric else 1, 9):
+        for m in (1, 2, 9, 300, 9000):
+            stack = _clip_search_rows(rng, m, bits)
+            scale, zero, err = choose_clip_rows(stack, bits, symmetric)
+            assert scale.dtype == zero.dtype == np.float32
+            for k, row in enumerate(stack):
+                want, want_err = oracles.clip_range_scalar(row, bits, symmetric)
+                got = QuantParams(bits, float(scale[k]), float(zero[k]), symmetric)
+                assert _exact(got) == _exact(want), (bits, m, k)
+                assert err[k] == want_err, (bits, m, k)
+                assert _exact(choose_clip_range(row, bits, symmetric)) == _exact(want)
+                assert quant_mse(row, bits, symmetric) == want_err
+
+
+def test_row_search_validates_the_stack():
+    rows = np.ones((3, 4), dtype=np.float32)
+    with pytest.raises(QuantError, match="empty"):
+        choose_clip_rows(np.zeros((2, 0), dtype=np.float32), 4, symmetric=False)
+    rows[1, 2] = np.nan
+    with pytest.raises(QuantError, match="non-finite"):
+        choose_clip_rows(rows, 4, symmetric=False)
+    with pytest.raises(QuantError, match="bit-width"):
+        choose_clip_rows(np.ones((3, 4), dtype=np.float32), 1, symmetric=True)
 
 
 # -- distortion tables ----------------------------------------------------------

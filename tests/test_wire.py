@@ -7,7 +7,7 @@ import pytest
 import oracles
 from bitsplit import wire
 from bitsplit.cost import crossing_bits_map, message_payload_bytes
-from bitsplit.graph import boundary_cut, topological_order
+from bitsplit.graph import GraphError, boundary_cut, topological_order
 from bitsplit.search import BitAssignment, SplitSolution
 from bitsplit.synth import random_dag
 from bitsplit.wire import (
@@ -246,6 +246,18 @@ def test_sessions_on_random_graphs():
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_sessions_take_one_input_not_a_stack(toy_graph, n):
+    rng = np.random.default_rng(13)
+    order = topological_order(toy_graph)
+    x = grid_input_covering(rng, toy_graph.nodes[toy_graph.input_id].out_shape)
+    sol = make_sol(n, uniform_assignment(toy_graph, order, n, 8, 8))
+    with pytest.raises(GraphError, match="input shape"):
+        reference_outputs(toy_graph, x[None], sol, order=order)
+    with pytest.raises(GraphError, match="input shape"):
+        run_split_session(toy_graph, x[None], sol, order=order)
 
 
 def _sixteen_bit_boundary_plan(g, order, n):
