@@ -174,35 +174,34 @@ def cmd_solve(args) -> int:
     g = optimize_graph(load_graph(cfg["graph"]))
     for w in g.warnings:
         print("note: %s" % w, file=sys.stderr)
-    order = topological_order(g)
     compute = g.compute_ids()
 
     eval_set = load_eval_dir(cfg["eval_dir"])
-    calib = calibrate_activations(g, eval_set.inputs, max_samples=calib_n, order=order)
+    calib = calibrate_activations(g, eval_set.inputs, max_samples=calib_n)
     wtable = weight_distortion_table(g, B)
     atable = activation_distortion_table(g, calib, B)
 
     S, stats = enumerate_solutions(
-        g, order, wtable, atable, edge, cloud, net, M, B=B,
+        g, topological_order(g), wtable, atable, edge, cloud, net, M, B=B,
         distortion_cap=cfg["distortion_cap"],
     )
     if cfg["require_split"] and len(S) <= 1:
         raise InfeasibleError("no feasible split found under %d bytes" % M)
 
-    base_acc = float_accuracy(g, eval_set, order=order)
+    base_acc = float_accuracy(g, eval_set)
     drop_cache: dict = {}
-    chosen = select_solution(S, g, order, eval_set, A, drop_cache=drop_cache, base_acc=base_acc)
+    chosen = select_solution(S, g, eval_set, A, drop_cache=drop_cache, base_acc=base_acc)
     if cfg["require_split"] and chosen.is_sentinel:
         raise InfeasibleError("only the cloud-only sentinel meets the %.4f%% accuracy limit" % A)
 
     os.makedirs(out_dir, exist_ok=True)
     _write_solutions_csv(os.path.join(out_dir, "solutions.csv"), S, compute, drop_cache)
     _write_tradeoff_csv(os.path.join(out_dir, "tradeoff.csv"), S, compute, drop_cache)
-    sel_doc = _selected_doc(g, order, chosen, A, B, M, seed)
+    sel_doc = _selected_doc(g, chosen, A, B, M, seed)
     with open(os.path.join(out_dir, "selected.json"), "w") as f:
         json.dump(sel_doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    summary = _summary_text(g, order, edge, cloud, net, M, B, eval_set, base_acc, stats, S, chosen, A, seed)
+    summary = _summary_text(g, edge, cloud, net, M, B, eval_set, base_acc, stats, S, chosen, A, seed)
     with open(os.path.join(out_dir, "summary.txt"), "w") as f:
         f.write(summary)
 
@@ -272,8 +271,8 @@ def _write_tradeoff_csv(path, S, compute, drop_cache):
         f.write("\n".join(lines) + "\n")
 
 
-def _selected_doc(g, order, chosen, A, B, M, seed):
-    cut = boundary_cut(g, order, chosen.n)
+def _selected_doc(g, chosen, A, B, M, seed):
+    cut = boundary_cut(g, chosen.n)
     br = chosen.breakdown
     return {
         "split_index": chosen.n,
@@ -302,12 +301,12 @@ def _selected_doc(g, order, chosen, A, B, M, seed):
     }
 
 
-def _summary_text(g, order, edge, cloud, net, M, B, eval_set, base_acc, stats, S, chosen, A, seed):
+def _summary_text(g, edge, cloud, net, M, B, eval_set, base_acc, stats, S, chosen, A, seed):
     compute = g.compute_ids()
     weighted = [i for i in compute if g.nodes[i].op_kind in WEIGHTED_OPS]
     w_elems = sum(g.nodes[i].weight_elements() for i in compute)
-    peak = max(ws.total_elements for ws in compute_working_sets(g, order))
-    fb_n, fb_br = float_baseline(g, order, edge, cloud, net)
+    peak = max(ws.total_elements for ws in compute_working_sets(g))
+    fb_n, fb_br = float_baseline(g, edge, cloud, net)
     br = chosen.breakdown
     lines = [
         "split and bit-width optimization summary",
@@ -367,7 +366,6 @@ def _load_selected(path, g):
 
 def cmd_simulate(args) -> int:
     g = optimize_graph(load_graph(args.graph))
-    order = topological_order(g)
     plan = _load_selected(args.selected, g)
     eval_set = load_eval_dir(args.eval_dir)
     limit = len(eval_set.inputs) if args.limit is None else int(args.limit)
@@ -379,10 +377,10 @@ def cmd_simulate(args) -> int:
     all_match = True
     for idx, x in enumerate(inputs):
         if args.tcp:
-            outs, transcript = run_tcp_session(g, x, plan, order=order, want_transcript=True)
+            outs, transcript = run_tcp_session(g, x, plan, want_transcript=True)
         else:
-            outs, transcript = run_split_session(g, x, plan, order=order, want_transcript=True)
-        ref = reference_outputs(g, x, plan, order=order)
+            outs, transcript = run_split_session(g, x, plan, want_transcript=True)
+        ref = reference_outputs(g, x, plan)
         match = len(outs) == len(ref) and all(
             a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(outs, ref)
         )
@@ -415,13 +413,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_inspect(args) -> int:
     g = optimize_graph(load_graph(args.graph))
-    order = topological_order(g)
     compute = g.compute_ids()
-    working = compute_working_sets(g, order)
+    working = compute_working_sets(g)
     peak = max(ws.total_elements for ws in working) if working else 0
 
     node_rows = []
-    for nid in order:
+    for nid in topological_order(g):
         n = g.nodes[nid]
         node_rows.append(
             {
@@ -446,10 +443,10 @@ def cmd_inspect(args) -> int:
         edge, cloud, net = load_device_config(args.devices)
         B = _parse_bits(args.bits) or edge.supported_bits
         M = int(args.memory_bytes) if args.memory_bytes is not None else edge.off_chip_bytes
-        P = potential_splits(g, order, edge, net, M, B)
+        P = potential_splits(g, edge, net, M, B)
         splits = []
         for n in P:
-            cut = boundary_cut(g, order, n)
+            cut = boundary_cut(g, n)
             splits.append(
                 {
                     "split_index": n,
@@ -495,7 +492,6 @@ def cmd_inspect(args) -> int:
 
 def cmd_profile(args) -> int:
     g = optimize_graph(load_graph(args.graph))
-    order = topological_order(g)
     B = _parse_bits(args.bits) or (2, 4, 8)
     out_dir = args.out or "bitsplit_out"
     os.makedirs(out_dir, exist_ok=True)
@@ -508,7 +504,7 @@ def cmd_profile(args) -> int:
     if args.eval_dir:
         eval_set = load_eval_dir(args.eval_dir)
         calib_n = 8 if args.calib is None else int(args.calib)
-        calib = calibrate_activations(g, eval_set.inputs, max_samples=calib_n, order=order)
+        calib = calibrate_activations(g, eval_set.inputs, max_samples=calib_n)
         atable = activation_distortion_table(g, calib, B)
         apath = os.path.join(out_dir, "act_distortion.csv")
         atable.to_csv(apath)

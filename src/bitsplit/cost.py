@@ -32,7 +32,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class DeviceProfile:
     name: str
-    on_chip_bytes: int
     off_chip_bytes: int
     bandwidth_bytes_per_s: float
     peak_ops_per_s: float
@@ -42,7 +41,7 @@ class DeviceProfile:
     def __post_init__(self):
         # a tuple keeps the profile hashable: split_latency caches per profile
         object.__setattr__(self, "supported_bits", tuple(self.supported_bits))
-        for f in ("on_chip_bytes", "off_chip_bytes", "bandwidth_bytes_per_s", "peak_ops_per_s", "mac_bits"):
+        for f in ("off_chip_bytes", "bandwidth_bytes_per_s", "peak_ops_per_s", "mac_bits"):
             if getattr(self, f) <= 0:
                 raise ConfigError("%s: %s must be positive" % (self.name, f))
         if not self.supported_bits:
@@ -162,7 +161,6 @@ def _cloud_latencies(g: LayerGraph, cloud: DeviceProfile) -> dict:
 
 def split_latency(
     g: LayerGraph,
-    order,
     n: int,
     assignment,
     edge: DeviceProfile,
@@ -184,7 +182,7 @@ def split_latency(
     for nid in cloud_ids:
         cloud_s += cloud16[nid]
 
-    cut = boundary_cut(g, order, n)
+    cut = boundary_cut(g, n)
     transmit_s = transmission_latency(g, cut, crossing_bits_map(g, cut, assignment), net)
 
     return LatencyBreakdown(
@@ -199,14 +197,14 @@ def split_latency(
 # -- memory ----------------------------------------------------------------------
 
 
-def weight_memory_bits(g: LayerGraph, order, n: int, weight_bits: dict) -> int:
+def weight_memory_bits(g: LayerGraph, n: int, weight_bits: dict) -> int:
     total = 0
     for nid in g.compute_ids()[:n]:
         total += g.nodes[nid].weight_elements() * int(weight_bits[nid])
     return total
 
 
-def activation_memory_bits(g: LayerGraph, order, n: int, act_bits: dict) -> int:
+def activation_memory_bits(g: LayerGraph, n: int, act_bits: dict) -> int:
     """Peak bit-weighted working set over the first n compute steps."""
     peak = 0
     for ws in g.liveness.working_sets[:n]:
@@ -225,7 +223,6 @@ def _device_from_dict(d: dict, fallback_name: str) -> DeviceProfile:
     try:
         return DeviceProfile(
             name=str(d.get("name", fallback_name)),
-            on_chip_bytes=int(d["on_chip_bytes"]),
             off_chip_bytes=int(d["off_chip_bytes"]),
             bandwidth_bytes_per_s=float(d["bandwidth_bytes_per_s"]),
             peak_ops_per_s=float(d["peak_ops_per_s"]),

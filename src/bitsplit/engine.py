@@ -172,29 +172,27 @@ def _forward(g: LayerGraph, vals: dict, ids, weights=None, hook=None):
     return vals
 
 
-def run_inference(g: LayerGraph, x, order=None):
+def run_inference(g: LayerGraph, x):
     """Float reference pass; returns one tensor per graph output.
 
     x is one input or a stack of them; for a stack every output is a stack.
     """
-    order = order or topological_order(g)
     xs, single = _as_stack(g, x)
-    vals = _forward(g, {g.input_id: xs}, order)
+    vals = _forward(g, {g.input_id: xs}, topological_order(g))
     return [vals[i][0] if single else vals[i] for i in g.output_ids]
 
 
-def calibrate_activations(g: LayerGraph, inputs, max_samples=None, order=None):
+def calibrate_activations(g: LayerGraph, inputs, max_samples=None):
     """Per-layer float output samples for the quantizer (bounded count).
 
     Returns node id -> stack (samples, *layer output shape), in input order.
     """
-    order = order or topological_order(g)
     take = len(inputs) if max_samples is None else min(int(max_samples), len(inputs))
     if take < 1:
         raise ValueError("need at least one calibration input")
     samples = {i: np.empty((take, *g.nodes[i].out_shape), dtype=np.float32) for i in g.compute_ids()}
     for k, xs in _blocks(g, inputs[:take]):
-        vals = _forward(g, {g.input_id: xs}, order)
+        vals = _forward(g, {g.input_id: xs}, topological_order(g))
         for i, stack in samples.items():
             stack[k : k + len(xs)] = vals[i]
     return samples
@@ -256,7 +254,7 @@ def _fake_quantized(g: LayerGraph, xs, ids, edge, assignment, qw, records=None):
     return _forward(g, {g.input_id: xs}, ids, qw, fake_quantize)
 
 
-def run_fake_quantized_detailed(g: LayerGraph, x, n: int, assignment, order=None, prefix_only=False):
+def run_fake_quantized_detailed(g: LayerGraph, x, n: int, assignment, prefix_only=False):
     """Fake-quantized prefix + float suffix.
 
     Returns (outputs, records) where records maps each edge compute node id to
@@ -268,11 +266,10 @@ def run_fake_quantized_detailed(g: LayerGraph, x, n: int, assignment, order=None
     x is one input or a stack of them. For a stack every output is a stack
     and each record is a list, one FakeQuantRecord per input.
     """
-    order = order or topological_order(g)
     edge = _edge_layers(g, n, assignment)
     xs, single = _as_stack(g, x)
     records = {}
-    run_ids = ([g.input_id] + edge) if prefix_only else order
+    run_ids = ([g.input_id] + edge) if prefix_only else topological_order(g)
     qw = quantized_weights(g, edge, assignment)
     vals = _fake_quantized(g, xs, run_ids, edge, assignment, qw, records)
     if single:
@@ -282,15 +279,15 @@ def run_fake_quantized_detailed(g: LayerGraph, x, n: int, assignment, order=None
     return [vals[i][0] if single else vals[i] for i in g.output_ids], records
 
 
-def run_fake_quantized(g: LayerGraph, x, n: int, assignment, order=None):
-    outs, _ = run_fake_quantized_detailed(g, x, n, assignment, order=order)
+def run_fake_quantized(g: LayerGraph, x, n: int, assignment):
+    outs, _ = run_fake_quantized_detailed(g, x, n, assignment)
     return outs
 
 
 # -- evaluation ----------------------------------------------------------------
 
 
-def evaluate_accuracy(g: LayerGraph, eval_set: EvalSet, n: int, assignment, order=None) -> float:
+def evaluate_accuracy(g: LayerGraph, eval_set: EvalSet, n: int, assignment) -> float:
     """Top-1 accuracy of the fake-quantized model over the eval set.
 
     Inputs run EVAL_BLOCK at a time through the kernel run_fake_quantized
@@ -300,19 +297,18 @@ def evaluate_accuracy(g: LayerGraph, eval_set: EvalSet, n: int, assignment, orde
         raise ValueError("empty eval set")
     if len(g.output_ids) != 1:
         raise GraphError("accuracy needs a single-output graph")
-    order = order or topological_order(g)
     edge = _edge_layers(g, n, assignment)
     qw = quantized_weights(g, edge, assignment)
     hits = 0
     for k, xs in _blocks(g, eval_set.inputs):
-        logits = _fake_quantized(g, xs, order, edge, assignment, qw)[g.output_ids[0]]
+        logits = _fake_quantized(g, xs, topological_order(g), edge, assignment, qw)[g.output_ids[0]]
         preds = np.argmax(logits.reshape(len(xs), -1), axis=1)
         hits += sum(1 for p, t in zip(preds, eval_set.labels[k : k + len(xs)]) if int(p) == int(t))
     return hits / len(eval_set.labels)
 
 
-def float_accuracy(g: LayerGraph, eval_set: EvalSet, order=None) -> float:
-    return evaluate_accuracy(g, eval_set, 0, None, order=order)
+def float_accuracy(g: LayerGraph, eval_set: EvalSet) -> float:
+    return evaluate_accuracy(g, eval_set, 0, None)
 
 
 # -- eval set storage -----------------------------------------------------------

@@ -7,11 +7,13 @@ the edge device. Tensors produced by graph outputs (sink nodes) are treated as
 consumed by the outside world, so an edge-only split still has a boundary
 tensor to ship.
 
-Order, positions, last uses and per-step working sets are derived once per
-graph and cached on it (`LayerGraph.liveness`). A graph is immutable by
-convention and every rewrite returns a new graph, so the cache cannot go
-stale. Functions below that take an `order` argument read that cache: any
-`order` passed to them must be `topological_order(g)`.
+The graph owns its execution order. Order, positions, last uses and
+per-step working sets are derived once per graph and cached on it
+(`LayerGraph.liveness`); a graph is immutable by convention and every rewrite
+returns a new graph, so the cache cannot go stale. Code that needs the
+sequence calls `topological_order(g)` or `g.compute_ids()`. Only three
+functions take an `order`, and they ignore it (`enumerate_solutions`,
+`run_tcp_session`, `reference_outputs`).
 """
 
 from __future__ import annotations
@@ -533,12 +535,12 @@ def topological_order(g: LayerGraph) -> list:
     return list(g._order)
 
 
-def compute_working_sets(g: LayerGraph, order) -> list:
+def compute_working_sets(g: LayerGraph) -> list:
     """Live tensor sets per compute step; see LayerGraph.liveness."""
     return list(g.liveness.working_sets)
 
 
-def boundary_cut(g: LayerGraph, order, n: int) -> BoundaryCut:
+def boundary_cut(g: LayerGraph, n: int) -> BoundaryCut:
     """Tensors produced in the n-prefix that someone after the prefix still needs."""
     lv = g.liveness
     N = len(lv.compute_ids)

@@ -25,6 +25,7 @@ from .cost import (
 from .engine import evaluate_accuracy, float_accuracy
 from .graph import LayerGraph
 from .quantize import DistortionTable
+from .wire import PACKABLE_BITS
 
 
 @dataclass(frozen=True)
@@ -79,14 +80,14 @@ class Allocation:
 # -- potential splits -----------------------------------------------------------
 
 
-def potential_splits(g: LayerGraph, order, edge: DeviceProfile, net: NetworkProfile, M_bytes: int, B=None):
+def potential_splits(g: LayerGraph, edge: DeviceProfile, net: NetworkProfile, M_bytes: int, B=None):
     """Split prefixes that beat raw-input transmission and fit memory at min bits."""
     B = tuple(B) if B else edge.supported_bits
     b_min = min(B)
     compute = g.compute_ids()
     N = len(compute)
 
-    cut0 = boundary_cut(g, order, 0)
+    cut0 = boundary_cut(g, 0)
     T0 = transmission_latency(g, cut0, {g.input_id: g.input_bits}, net)
 
     weights_prefix = 0
@@ -97,7 +98,7 @@ def potential_splits(g: LayerGraph, order, edge: DeviceProfile, net: NetworkProf
         node = g.nodes[compute[n - 1]]
         weights_prefix += node.weight_elements()
         peak_elems = max(peak_elems, working[n - 1].total_elements)
-        cut = boundary_cut(g, order, n)
+        cut = boundary_cut(g, n)
         Tn = transmission_latency(g, cut, {c: b_min for c in cut.crossing_tensors}, net)
         if Tn > T0:
             continue
@@ -190,12 +191,13 @@ def allocate_bits_lagrangian(table: DistortionTable, layer_ids, budget_bits: int
     )
 
 
-def repair_activation_assignment(table, g, order, n, bits, budget_bits):
+def repair_activation_assignment(table, g, n, bits, budget_bits):
     """Lower bits until every step's bit-weighted working set fits the budget.
 
     At the first violating step, the live tensor with the largest current rate
     (ties to smaller id) that can still go lower is dropped one width. Returns
-    the repaired bits dict or None when stuck.
+    the repaired bits dict or None when stuck. Unused: the allocator's sweep
+    only returns choices that fit; the benchmark's tracer wraps it (ROADMAP 4b).
     """
     bits = dict(bits)
     working = g.liveness.working_sets[:n]
@@ -222,26 +224,31 @@ def repair_activation_assignment(table, g, order, n, bits, budget_bits):
         bits[victim] = table.bits[ladder[bits[victim]] - 1]
 
 
-def allocate_activation_bits(table: DistortionTable, g: LayerGraph, order, n: int, budget_bits: int) -> Allocation:
+def allocate_activation_bits(table: DistortionTable, g: LayerGraph, n: int, budget_bits: int) -> Allocation:
     """Per-layer Lagrangian choices with feasibility measured on the true
-    constraint: the peak bit-weighted working set of the edge prefix."""
+    constraint: the peak bit-weighted working set of the edge prefix. A layer
+    whose output crosses the boundary gets only widths the wire can pack
+    (`PACKABLE_BITS`); without one in the menu the split is infeasible."""
     layer_ids = g.compute_ids()[:n]
+    points = _table_points(table, layer_ids)
+    for nid in boundary_cut(g, n).crossing_tensors:
+        if nid in points:
+            points[nid] = [p for p in points[nid] if p[0] in PACKABLE_BITS]
+            if not points[nid]:
+                return Allocation(feasible=False, bits={}, reason="no transportable width for tensor %d" % nid)
 
     def peak_of(bits):
-        return activation_memory_bits(g, order, n, bits)
+        return activation_memory_bits(g, n, bits)
 
-    found = _sweep(_table_points(table, layer_ids), lambda bits: peak_of(bits) <= budget_bits)
+    found = _sweep(points, lambda bits: peak_of(bits) <= budget_bits)
     if found is None:
         return Allocation(feasible=False, bits={}, reason="infeasible even at minimum bits")
-    chosen, lam = found
-    repaired = repair_activation_assignment(table, g, order, n, chosen, budget_bits)
-    if repaired is None:
-        return Allocation(feasible=False, bits={}, reason="repair could not fit budget")
+    bits, lam = found
     return Allocation(
         feasible=True,
-        bits=repaired,
-        budget_used_bits=peak_of(repaired),
-        total_distortion=sum(table.d(i, repaired[i]) for i in layer_ids),
+        bits=bits,
+        budget_used_bits=peak_of(bits),
+        total_distortion=sum(table.d(i, bits[i]) for i in layer_ids),
         lam=lam,
     )
 
@@ -273,7 +280,8 @@ def enumerate_solutions(
     """All feasible (split, bit assignment) candidates plus the sentinel.
 
     Returns (solutions, stats). Every emitted solution satisfies the memory
-    constraint re-checked exactly; the sentinel is always first.
+    constraint re-checked exactly; the sentinel is always first. `order` is
+    unused; it keeps its slot because the benchmark passes it (ROADMAP 4b).
     """
     B = tuple(B) if B else edge.supported_bits
     compute = g.compute_ids()
@@ -281,7 +289,7 @@ def enumerate_solutions(
     sentinel = SplitSolution(
         n=0,
         assignment=EMPTY_ASSIGNMENT,
-        breakdown=split_latency(g, order, 0, EMPTY_ASSIGNMENT, edge, cloud, net),
+        breakdown=split_latency(g, 0, EMPTY_ASSIGNMENT, edge, cloud, net),
         total_distortion=0.0,
         edge_weight_bytes=0.0,
         edge_act_bytes=0.0,
@@ -289,7 +297,7 @@ def enumerate_solutions(
     )
     S = [sentinel]
 
-    P = potential_splits(g, order, edge, net, M_bytes, B)
+    P = potential_splits(g, edge, net, M_bytes, B)
     stats = SearchStats(
         potential=P,
         solve_count=0,
@@ -318,13 +326,13 @@ def enumerate_solutions(
                     stats.solve_count += 1
                 walloc = w_cache[kw]
                 if ka not in a_cache:
-                    a_cache[ka] = allocate_activation_bits(atable, g, order, n, budget_bits=Ak)
+                    a_cache[ka] = allocate_activation_bits(atable, g, n, budget_bits=Ak)
                     stats.solve_count += 1
                 aalloc = a_cache[ka]
                 if not (walloc.feasible and aalloc.feasible):
                     continue
-                mw = weight_memory_bits(g, order, n, walloc.bits)
-                ma = activation_memory_bits(g, order, n, aalloc.bits)
+                mw = weight_memory_bits(g, n, walloc.bits)
+                ma = activation_memory_bits(g, n, aalloc.bits)
                 if mw + ma > M_bytes * 8:
                     continue
                 assignment = BitAssignment(weight_bits=dict(walloc.bits), act_bits=dict(aalloc.bits))
@@ -339,7 +347,7 @@ def enumerate_solutions(
                     SplitSolution(
                         n=n,
                         assignment=assignment,
-                        breakdown=split_latency(g, order, n, assignment, edge, cloud, net),
+                        breakdown=split_latency(g, n, assignment, edge, cloud, net),
                         total_distortion=distortion,
                         edge_weight_bytes=mw / 8.0,
                         edge_act_bytes=ma / 8.0,
@@ -363,18 +371,18 @@ def solution_sort_key(sol: SplitSolution, compute_ids):
     )
 
 
-def measure_drop(g, order, eval_set, sol: SplitSolution, base_acc: float, cache: dict):
+def measure_drop(g, eval_set, sol: SplitSolution, base_acc: float, cache: dict):
     if sol.is_sentinel:
         return 0.0
     key = (sol.n, sol.assignment.key(g.compute_ids()[: sol.n]))
     if key not in cache:
-        acc = evaluate_accuracy(g, eval_set, sol.n, sol.assignment, order=order)
+        acc = evaluate_accuracy(g, eval_set, sol.n, sol.assignment)
         cache[key] = base_acc - acc
     return cache[key]
 
 
 def select_solution(
-    S, g, order, eval_set, A_percent: float, drop_cache: dict | None = None, base_acc: float | None = None
+    S, g, eval_set, A_percent: float, drop_cache: dict | None = None, base_acc: float | None = None
 ) -> SplitSolution:
     """First solution in predicted-latency order whose measured accuracy drop
     stays within A. The sentinel's drop is 0 by definition, so this returns."""
@@ -383,26 +391,26 @@ def select_solution(
     compute = g.compute_ids()
     cache = drop_cache if drop_cache is not None else {}
     if base_acc is None:
-        base_acc = float_accuracy(g, eval_set, order=order)
+        base_acc = float_accuracy(g, eval_set)
     threshold = A_percent / 100.0 + 1e-9
     for sol in sorted(S, key=lambda s: solution_sort_key(s, compute)):
-        drop = measure_drop(g, order, eval_set, sol, base_acc, cache)
+        drop = measure_drop(g, eval_set, sol, base_acc, cache)
         if drop <= threshold:
             return replace(sol, accuracy_drop=drop)
     raise AssertionError("unreachable: sentinel always qualifies")
 
 
-def measure_all(S, g, order, eval_set, drop_cache: dict | None = None):
+def measure_all(S, g, eval_set, drop_cache: dict | None = None):
     """Accuracy drops for every solution (used for trade-off reports)."""
     cache = drop_cache if drop_cache is not None else {}
-    base_acc = float_accuracy(g, eval_set, order=order)
+    base_acc = float_accuracy(g, eval_set)
     return [
-        replace(sol, accuracy_drop=measure_drop(g, order, eval_set, sol, base_acc, cache))
+        replace(sol, accuracy_drop=measure_drop(g, eval_set, sol, base_acc, cache))
         for sol in S
     ]
 
 
-def float_baseline(g, order, edge, cloud, net):
+def float_baseline(g, edge, cloud, net):
     """Best all-16-bit split by predicted latency (no quantization)."""
     compute = g.compute_ids()
     best = None
@@ -411,7 +419,7 @@ def float_baseline(g, order, edge, cloud, net):
             weight_bits={i: 16 for i in compute[:n]},
             act_bits={i: 16 for i in compute[:n]},
         )
-        br = split_latency(g, order, n, assignment, edge, cloud, net)
+        br = split_latency(g, n, assignment, edge, cloud, net)
         key = (br.total_s, n)
         if best is None or key < best[0]:
             best = (key, n, br)

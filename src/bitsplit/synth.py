@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import EvalSet, run_inference
-from .graph import LayerGraph, LayerNode, WEIGHTED_OPS, topological_order
+from .graph import LayerGraph, LayerNode, WEIGHTED_OPS
 
 NUM_CLASSES = 10
 IMG = 16
@@ -151,7 +151,6 @@ def toy_device_config() -> dict:
     return {
         "edge": {
             "name": "npu-s",
-            "on_chip_bytes": 4096,
             "off_chip_bytes": 262144,
             "bandwidth_bytes_per_s": 2.5e8,
             "peak_ops_per_s": 2.0e9,
@@ -160,7 +159,6 @@ def toy_device_config() -> dict:
         },
         "cloud": {
             "name": "server",
-            "on_chip_bytes": 1 << 25,
             "off_chip_bytes": 1 << 34,
             "bandwidth_bytes_per_s": 1.3e10,
             "peak_ops_per_s": 9.6e13,
@@ -179,7 +177,6 @@ def table1_device_config() -> dict:
     return {
         "edge": {
             "name": "eyeriss",
-            "on_chip_bytes": 192 * 1024,
             "off_chip_bytes": 4 << 30,
             "bandwidth_bytes_per_s": 1.0e9,
             "peak_ops_per_s": 3.4e10,
@@ -188,7 +185,6 @@ def table1_device_config() -> dict:
         },
         "cloud": {
             "name": "tpu",
-            "on_chip_bytes": 28 << 20,
             "off_chip_bytes": 16 << 30,
             "bandwidth_bytes_per_s": 1.3e10,
             "peak_ops_per_s": 9.6e13,
@@ -289,21 +285,20 @@ def resnet50_shapes():
     return LayerGraph(nodes, input_bits=8), names
 
 
-def weighted_positions(g: LayerGraph, order=None) -> dict:
+def weighted_positions(g: LayerGraph) -> dict:
     """Map node id -> index among weighted layers in execution order."""
-    order = order or topological_order(g)
     out = {}
     k = 0
-    for nid in order:
+    for nid in g.compute_ids():
         if g.nodes[nid].op_kind in WEIGHTED_OPS:
             out[nid] = k
             k += 1
     return out
 
 
-def last_weighted_in_prefix(g: LayerGraph, order, n: int):
+def last_weighted_in_prefix(g: LayerGraph, n: int):
     """Weighted index of the deepest weighted layer within the n-prefix."""
-    wpos = weighted_positions(g, order)
+    wpos = weighted_positions(g)
     best = None
     for nid in g.compute_ids()[:n]:
         if nid in wpos:

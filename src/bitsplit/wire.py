@@ -18,7 +18,7 @@ import numpy as np
 
 from .cost import message_payload_bytes
 from .engine import _check_input, _forward, run_fake_quantized_detailed, run_inference
-from .graph import LayerGraph, boundary_cut, topological_order
+from .graph import LayerGraph, boundary_cut
 from .quantize import QuantParams, choose_clip_range, dequantize, quantize_tensor
 from .util import prod
 
@@ -237,17 +237,15 @@ def _quantize_input(g: LayerGraph, x) -> tuple:
     return q, p
 
 
-def _crossing_payloads(g: LayerGraph, x, solution, order):
+def _crossing_payloads(g: LayerGraph, x, solution):
     """One (id, message) per boundary tensor, ascending id order."""
     x = _check_input(g, x)  # one input: the engine would also take a stack
     n = solution.n
-    cut = boundary_cut(g, order, n)
+    cut = boundary_cut(g, n)
     if n == 0:
         records = {}
     else:
-        _, records = run_fake_quantized_detailed(
-            g, x, n, solution.assignment, order=order, prefix_only=True
-        )
+        _, records = run_fake_quantized_detailed(g, x, n, solution.assignment, prefix_only=True)
     out = []
     for nid in cut.crossing_tensors:
         node = g.nodes[nid]
@@ -270,17 +268,15 @@ def _crossing_payloads(g: LayerGraph, x, solution, order):
     return out
 
 
-def edge_role(g: LayerGraph, x, solution, chan: Channel, order=None):
-    order = order or topological_order(g)
-    for _, msg in _crossing_payloads(g, x, solution, order):
+def edge_role(g: LayerGraph, x, solution, chan: Channel):
+    for _, msg in _crossing_payloads(g, x, solution):
         chan.send_frame(encode_message(msg))
 
 
-def cloud_role(g: LayerGraph, solution, chan: Channel, order=None, want_transcript=False):
+def cloud_role(g: LayerGraph, solution, chan: Channel, want_transcript=False):
     """Receive boundary tensors, run the suffix in float, return outputs."""
-    order = order or topological_order(g)
     n = solution.n
-    cut = boundary_cut(g, order, n)
+    cut = boundary_cut(g, n)
     vals = {}
     transcript = []
     for expect_id in cut.crossing_tensors:
@@ -344,31 +340,30 @@ def _drive(edge, cloud):
     return result
 
 
-def run_split_session(g: LayerGraph, x, solution, order=None, channels=None, want_transcript=False):
+def run_split_session(g: LayerGraph, x, solution, channels=None, want_transcript=False):
     """Drive edge and cloud roles over a byte channel; returns cloud outputs.
 
     Output is bit-identical to the monolithic fake-quantized run for any input
     whose raw tensor is exactly representable at input_bits (needed only when
     the input itself crosses the boundary).
     """
-    order = order or topological_order(g)
     edge_chan, cloud_chan = channels or make_channel_pair()
 
     def edge():
         try:
-            edge_role(g, x, solution, edge_chan, order=order)
+            edge_role(g, x, solution, edge_chan)
         finally:
             edge_chan.close()
 
     try:
-        return _drive(edge, lambda: cloud_role(g, solution, cloud_chan, order=order, want_transcript=want_transcript))
+        return _drive(edge, lambda: cloud_role(g, solution, cloud_chan, want_transcript=want_transcript))
     finally:
         cloud_chan.close()
 
 
 def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=None, want_transcript=False):
-    """Same as run_split_session but over a real TCP loopback connection."""
-    order = order or topological_order(g)
+    """Same as run_split_session but over a real TCP loopback connection.
+    `order` is unused; the benchmark still passes it (ROADMAP 4b)."""
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind((host, port))
@@ -380,7 +375,7 @@ def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=
     def edge():
         chan = Channel(socket.create_connection((host, actual_port), timeout=CONNECT_TIMEOUT_S))
         try:
-            edge_role(g, x, solution, chan, order=order)
+            edge_role(g, x, solution, chan)
         finally:
             chan.close()
 
@@ -390,7 +385,7 @@ def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=
         except socket.timeout:
             raise ChannelClosedError("edge did not connect within %g s" % CONNECT_TIMEOUT_S)
         conns.append(Channel(conn))
-        return cloud_role(g, solution, conns[0], order=order, want_transcript=want_transcript)
+        return cloud_role(g, solution, conns[0], want_transcript=want_transcript)
 
     try:
         return _drive(edge, cloud)
@@ -401,9 +396,9 @@ def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=
 
 
 def reference_outputs(g: LayerGraph, x, solution, order=None):
-    """What a session must reproduce bitwise: the monolithic reference."""
-    order = order or topological_order(g)
+    """What a session must reproduce bitwise: the monolithic reference.
+    `order` is unused; the benchmark still passes it (ROADMAP 4b)."""
     x = _check_input(g, x)
     if solution.n == 0:
-        return run_inference(g, x, order)
-    return run_fake_quantized_detailed(g, x, solution.n, solution.assignment, order=order)[0]
+        return run_inference(g, x)
+    return run_fake_quantized_detailed(g, x, solution.n, solution.assignment)[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bitsplit.engine import calibrate_activations
-from bitsplit.graph import optimize_graph, topological_order
+from bitsplit.graph import optimize_graph
 from bitsplit.quantize import activation_distortion_table, weight_distortion_table
 from bitsplit.synth import make_eval_set, make_toy_classifier
 
@@ -20,7 +20,6 @@ def toy_eval():
 
 @pytest.fixture(scope="session")
 def toy_tables(toy_graph, toy_eval):
-    order = topological_order(toy_graph)
-    calib = calibrate_activations(toy_graph, toy_eval.inputs, max_samples=8, order=order)
+    calib = calibrate_activations(toy_graph, toy_eval.inputs, max_samples=8)
     B = (2, 4, 8)
     return weight_distortion_table(toy_graph, B), activation_distortion_table(toy_graph, calib, B)

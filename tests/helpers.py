@@ -10,7 +10,6 @@ from bitsplit.synth import table1_device_config, toy_device_config
 def device_from(cfg: dict) -> DeviceProfile:
     return DeviceProfile(
         name=cfg["name"],
-        on_chip_bytes=int(cfg["on_chip_bytes"]),
         off_chip_bytes=int(cfg["off_chip_bytes"]),
         bandwidth_bytes_per_s=float(cfg["bandwidth_bytes_per_s"]),
         peak_ops_per_s=float(cfg["peak_ops_per_s"]),
@@ -35,16 +34,16 @@ def table1_profiles():
     return profiles_from(table1_device_config())
 
 
-def uniform_assignment(g, order, n, bw, ba) -> BitAssignment:
-    compute = [i for i in order if i != g.input_id]
+def uniform_assignment(g, n, bw, ba) -> BitAssignment:
+    compute = g.compute_ids()
     return BitAssignment(
         weight_bits={i: bw for i in compute[:n]},
         act_bits={i: ba for i in compute[:n]},
     )
 
 
-def random_assignment(g, order, n, rng, choices=(2, 4, 8)) -> BitAssignment:
-    compute = [i for i in order if i != g.input_id]
+def random_assignment(g, n, rng, choices=(2, 4, 8)) -> BitAssignment:
+    compute = g.compute_ids()
     return BitAssignment(
         weight_bits={i: int(rng.choice(choices)) for i in compute[:n]},
         act_bits={i: int(rng.choice(choices)) for i in compute[:n]},

@@ -138,10 +138,10 @@ def test_allocator_matches_exhaustive_search_within_hull_gap():
 
 def _check_liveness(g, wb, ab):
     order = topological_order(g)
-    compute = [i for i in order if i != g.input_id]
+    compute = g.compute_ids()
     N = len(compute)
 
-    sets = compute_working_sets(g, order)
+    sets = compute_working_sets(g)
     assert len(sets) == N
     for k in range(1, N + 1):
         want_live = oracles.live_ids(g, order, k)
@@ -150,15 +150,15 @@ def _check_liveness(g, wb, ab):
         assert got.total_elements == sum(g.nodes[i].act_elements() for i in want_live)
 
     for n in range(0, N + 1):
-        cut = boundary_cut(g, order, n)
+        cut = boundary_cut(g, n)
         assert cut.crossing_tensors == oracles.cut_ids(g, order, n)
         assert cut.cut_elements == sum(
             g.nodes[c].act_elements() for c in cut.crossing_tensors
         )
-        assert weight_memory_bits(g, order, n, wb) == oracles.weight_bits_brute(
+        assert weight_memory_bits(g, n, wb) == oracles.weight_bits_brute(
             g, order, n, wb
         )
-        assert activation_memory_bits(g, order, n, ab) == oracles.act_peak_bits_brute(
+        assert activation_memory_bits(g, n, ab) == oracles.act_peak_bits_brute(
             g, order, n, ab, g.input_bits
         )
 
@@ -170,7 +170,7 @@ def test_liveness_cuts_and_memory_match_brute_force():
     while dags < 200:
         g = random_dag(rng, max_nodes=10)
         dags += 1
-        compute = [i for i in topological_order(g) if i != g.input_id]
+        compute = g.compute_ids()
         wb = {i: int(rng.choice((2, 4, 8))) for i in compute}
         ab = {i: int(rng.choice((2, 4, 8))) for i in compute}
         _check_liveness(g, wb, ab)
@@ -185,28 +185,27 @@ def test_liveness_cuts_and_memory_match_brute_force():
 # -- shared corpus for the selection guarantees ---------------------------------------
 
 
-def _labels_from_float(g, order, inputs):
-    return [int(np.argmax(run_inference(g, x, order)[0].ravel())) for x in inputs]
+def _labels_from_float(g, inputs):
+    return [int(np.argmax(run_inference(g, x)[0].ravel())) for x in inputs]
 
 
-def _random_instance(rng):
+def _random_instance(rng, B=(2, 4, 8)):
     """Single-output random graph with tables, profiles, and a self-labeled eval set."""
     while True:
         g = random_dag(rng, max_nodes=9)
         if len(g.output_ids) == 1 and g.nodes[g.output_ids[0]].act_elements() >= 2:
             break
-    order = topological_order(g)
-    compute = [i for i in order if i != g.input_id]
+    compute = g.compute_ids()
     shape = g.nodes[g.input_id].out_shape
     inputs = [grid_input_covering(rng, shape) for _ in range(10)]
-    eval_set = EvalSet(inputs=inputs, labels=_labels_from_float(g, order, inputs))
-    calib = calibrate_activations(g, inputs[:4], order=order)
-    wtable = weight_distortion_table(g, (2, 4, 8))
-    atable = activation_distortion_table(g, calib, (2, 4, 8))
+    eval_set = EvalSet(inputs=inputs, labels=_labels_from_float(g, inputs))
+    calib = calibrate_activations(g, inputs[:4])
+    wtable = weight_distortion_table(g, B)
+    atable = activation_distortion_table(g, calib, B)
     w_total = sum(g.nodes[i].weight_elements() for i in compute)
-    peak = max(ws.total_elements for ws in compute_working_sets(g, order))
+    peak = max(ws.total_elements for ws in compute_working_sets(g))
     M = max(1, int((w_total + peak) * float(rng.uniform(0.5, 1.3))))
-    return g, order, eval_set, wtable, atable, M
+    return g, eval_set, wtable, atable, M
 
 
 def test_selected_latency_bounded_by_baselines(toy_graph):
@@ -215,12 +214,10 @@ def test_selected_latency_bounded_by_baselines(toy_graph):
     instances = []
 
     eval_toy = make_eval_set(per_class=6, seed=1, noise=60)
-    order = topological_order(toy_graph)
-    calib = calibrate_activations(toy_graph, eval_toy.inputs, max_samples=8, order=order)
+    calib = calibrate_activations(toy_graph, eval_toy.inputs, max_samples=8)
     instances.append(
         (
             toy_graph,
-            order,
             eval_toy,
             weight_distortion_table(toy_graph, (2, 4, 8)),
             activation_distortion_table(toy_graph, calib, (2, 4, 8)),
@@ -231,14 +228,14 @@ def test_selected_latency_bounded_by_baselines(toy_graph):
         instances.append(_random_instance(rng))
 
     checked = 0
-    for g, order, eval_set, wtable, atable, M in instances:
-        compute = [i for i in order if i != g.input_id]
-        S, _ = enumerate_solutions(g, order, wtable, atable, edge, cloud, net, M, B=(2, 4, 8))
+    for g, eval_set, wtable, atable, M in instances:
+        compute = g.compute_ids()
+        S, _ = enumerate_solutions(g, topological_order(g), wtable, atable, edge, cloud, net, M, B=(2, 4, 8))
         cache: dict = {}
-        measured = measure_all(S, g, order, eval_set, drop_cache=cache)
+        measured = measure_all(S, g, eval_set, drop_cache=cache)
         sentinel_total = next(s.breakdown.total_s for s in S if s.is_sentinel)
         for A in (0.0, 1.0, 5.0, 20.0):
-            chosen = select_solution(S, g, order, eval_set, A, drop_cache=cache)
+            chosen = select_solution(S, g, eval_set, A, drop_cache=cache)
             checked += 1
             assert chosen.breakdown.total_s <= sentinel_total + 1e-15
             threshold = A / 100.0 + 1e-9
@@ -263,8 +260,9 @@ def test_all_emitted_solutions_fit_edge_memory(toy_graph, toy_tables):
     rng = np.random.default_rng(21)
     emitted = 0
 
-    def check(g, order, S, M):
+    def check(g, S, M):
         nonlocal emitted
+        order = topological_order(g)
         for sol in S:
             if sol.is_sentinel:
                 continue
@@ -275,20 +273,53 @@ def test_all_emitted_solutions_fit_edge_memory(toy_graph, toy_tables):
             )
             assert wb + ab <= M * 8
 
-    order = topological_order(toy_graph)
     wtable, atable = toy_tables
     S, _ = enumerate_solutions(
-        toy_graph, order, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
+        toy_graph, topological_order(toy_graph), wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
     )
-    check(toy_graph, order, S, TOY_MEMORY_BYTES)
+    check(toy_graph, S, TOY_MEMORY_BYTES)
 
     for _ in range(16):
-        g, order, _eval, wtable, atable, M = _random_instance(rng)
-        S, _ = enumerate_solutions(g, order, wtable, atable, edge, cloud, net, M, B=(2, 4, 8))
-        check(g, order, S, M)
+        g, _eval, wtable, atable, M = _random_instance(rng)
+        S, _ = enumerate_solutions(g, topological_order(g), wtable, atable, edge, cloud, net, M, B=(2, 4, 8))
+        check(g, S, M)
 
     assert emitted >= 50
     print("PASS memory: %d emitted plans all satisfy weights+peak <= budget" % emitted)
+
+
+# -- 4b. every emitted plan replays over the wire ----------------------------------------
+
+
+def test_emitted_plans_replay_with_a_sixteen_bit_menu(toy_graph, toy_eval):
+    # 16 bits is in the menu but not on the wire: a tensor that crosses the
+    # boundary must still get a packable width, so every plan is executable
+    B = (2, 4, 8, 16)
+    edge, cloud, net = toy_profiles()
+    rng = np.random.default_rng(24)
+    calib = calibrate_activations(toy_graph, toy_eval.inputs, max_samples=8)
+    instances = [
+        (toy_graph, weight_distortion_table(toy_graph, B), activation_distortion_table(toy_graph, calib, B), 100000)
+    ]
+    for _ in range(6):
+        g, _eval, wtable, atable, M = _random_instance(rng, B)
+        instances.append((g, wtable, atable, 2 * M))
+
+    replayed = sixteen = 0
+    for g, wtable, atable, M in instances:
+        S, _ = enumerate_solutions(g, topological_order(g), wtable, atable, edge, cloud, net, M, B=B)
+        x = grid_input_covering(rng, g.nodes[g.input_id].out_shape)
+        for sol in S[1:]:
+            sixteen += 16 in sol.assignment.act_bits.values()
+            got = run_split_session(g, x, sol)
+            want = reference_outputs(g, x, sol)
+            assert [(a.shape, a.tobytes()) for a in got] == [(b.shape, b.tobytes()) for b in want]
+            replayed += 1
+    assert replayed >= 50 and sixteen >= 10
+    print(
+        "PASS replay: %d emitted plans over a 16-bit menu (%d with 16-bit layers) "
+        "replay bit-exactly" % (replayed, sixteen)
+    )
 
 
 # -- 5. candidate splits on a residual classifier ---------------------------------------
@@ -302,24 +333,24 @@ def test_split_candidates_on_residual_classifier_tail():
     in_elems = g.nodes[g.input_id].act_elements()
     assert in_elems == 150528
 
-    P = potential_splits(g, order, edge, net, 1 << 30, B=(8,))
+    P = potential_splits(g, edge, net, 1 << 30, B=(8,))
     assert P, "no candidates admitted"
 
     # every admitted boundary moves no more data than the raw input
     for n in P:
-        assert boundary_cut(g, order, n).cut_elements <= in_elems
+        assert boundary_cut(g, n).cut_elements <= in_elems
 
     # the big stage boundaries are all rejected
     for name in ("layer1.2.add", "layer2.3.add", "layer3.5.add"):
         n_stage = order.index(names[name])
-        assert boundary_cut(g, order, n_stage).cut_elements > in_elems
+        assert boundary_cut(g, n_stage).cut_elements > in_elems
         assert n_stage not in P
 
     # single-tensor candidates land exactly on the published tail layers
     single = {
-        last_weighted_in_prefix(g, order, n)
+        last_weighted_in_prefix(g, n)
         for n in P
-        if len(boundary_cut(g, order, n).crossing_tensors) == 1
+        if len(boundary_cut(g, n).crossing_tensors) == 1
     }
     assert single == {46, 49, 52, 53}
     elapsed = time.monotonic() - t0
@@ -337,24 +368,24 @@ def test_split_ranking_under_device_profiles():
     g, names = resnet50_shapes()
     order = topological_order(g)
     edge, cloud, net = table1_profiles()
-    compute = [i for i in order if i != g.input_id]
+    compute = g.compute_ids()
     n12 = order.index(names["layer2.0.add"])
     n53 = len(compute)
-    assert boundary_cut(g, order, n12).cut_elements == 401408
-    assert boundary_cut(g, order, n53).cut_elements == 1000
+    assert boundary_cut(g, n12).cut_elements == 401408
+    assert boundary_cut(g, n53).cut_elements == 1000
 
     # full precision: the last split ships >=2x less time on the wire
-    a12 = uniform_assignment(g, order, n12, 16, 16)
-    a53 = uniform_assignment(g, order, n53, 16, 16)
-    br12 = split_latency(g, order, n12, a12, edge, cloud, net)
-    br53 = split_latency(g, order, n53, a53, edge, cloud, net)
+    a12 = uniform_assignment(g, n12, 16, 16)
+    a53 = uniform_assignment(g, n53, 16, 16)
+    br12 = split_latency(g, n12, a12, edge, cloud, net)
+    br53 = split_latency(g, n53, a53, edge, cloud, net)
     assert br53.transmit_s * 2 < br12.transmit_s
 
     # 8-bit compute with 1-bit transmission: the earlier split wins end to end
-    q12 = split_latency(g, order, n12, uniform_assignment(g, order, n12, 8, 8), edge, cloud, net)
-    q53 = split_latency(g, order, n53, uniform_assignment(g, order, n53, 8, 8), edge, cloud, net)
-    cut12 = boundary_cut(g, order, n12)
-    cut53 = boundary_cut(g, order, n53)
+    q12 = split_latency(g, n12, uniform_assignment(g, n12, 8, 8), edge, cloud, net)
+    q53 = split_latency(g, n53, uniform_assignment(g, n53, 8, 8), edge, cloud, net)
+    cut12 = boundary_cut(g, n12)
+    cut53 = boundary_cut(g, n53)
     tx12 = transmission_latency(g, cut12, {c: 1 for c in cut12.crossing_tensors}, net)
     tx53 = transmission_latency(g, cut53, {c: 1 for c in cut53.crossing_tensors}, net)
     total12 = q12.edge_s + tx12 + q12.cloud_s
@@ -372,18 +403,17 @@ def test_split_ranking_under_device_profiles():
 def test_accuracy_budget_sweep_is_monotone(toy_graph):
     t0 = time.monotonic()
     edge, cloud, net = toy_profiles()
-    order = topological_order(toy_graph)
     eval_set = make_eval_set(per_class=20, seed=1, noise=60)
-    calib = calibrate_activations(toy_graph, eval_set.inputs, max_samples=8, order=order)
+    calib = calibrate_activations(toy_graph, eval_set.inputs, max_samples=8)
     wtable = weight_distortion_table(toy_graph, (2, 4, 8))
     atable = activation_distortion_table(toy_graph, calib, (2, 4, 8))
     S, _ = enumerate_solutions(
-        toy_graph, order, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
+        toy_graph, topological_order(toy_graph), wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
     )
     cache: dict = {}
     rows = []
     for A in (0.0, 1.0, 5.0, 10.0, 20.0):
-        chosen = select_solution(S, toy_graph, order, eval_set, A, drop_cache=cache)
+        chosen = select_solution(S, toy_graph, eval_set, A, drop_cache=cache)
         rows.append((A, chosen.n, chosen.breakdown.total_s, chosen.accuracy_drop))
     totals = [r[2] for r in rows]
     assert all(a >= b - 1e-15 for a, b in zip(totals, totals[1:]))  # non-increasing
@@ -416,12 +446,11 @@ def test_transport_round_trip_is_bit_exact(toy_graph):
     graphs = [toy_graph] + [random_dag(rng, max_nodes=9) for _ in range(9)]
     for case in range(50):
         g = graphs[case % len(graphs)]
-        order = topological_order(g)
-        compute = [i for i in order if i != g.input_id]
+        compute = g.compute_ids()
         n = int(rng.integers(0, len(compute) + 1))
         sol = SplitSolution(
             n=n,
-            assignment=random_assignment(g, order, n, rng),
+            assignment=random_assignment(g, n, rng),
             breakdown=None,
             total_distortion=0.0,
             edge_weight_bytes=0.0,
@@ -429,12 +458,12 @@ def test_transport_round_trip_is_bit_exact(toy_graph):
         )
         x = grid_input_covering(rng, g.nodes[g.input_id].out_shape)
         runner = run_tcp_session if case % 5 == 4 else run_split_session
-        outs, transcript = runner(g, x, sol, order=order, want_transcript=True)
-        want = reference_outputs(g, x, sol, order=order)
+        outs, transcript = runner(g, x, sol, want_transcript=True)
+        want = reference_outputs(g, x, sol)
         assert len(outs) == len(want)
         for a, b in zip(outs, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        cut = boundary_cut(g, order, n)
+        cut = boundary_cut(g, n)
         bits_map = crossing_bits_map(g, cut, sol.assignment)
         assert [m["tensor_id"] for m in transcript] == list(cut.crossing_tensors)
         for m in transcript:
@@ -505,7 +534,7 @@ def test_numerical_guarantees_hold():
         order = topological_order(g)
         x = rng.standard_normal(g.nodes[g.input_id].out_shape).astype(np.float32)
         vals = {g.input_id: x.astype(np.float64)}
-        outs = run_inference(g, x, order)
+        outs = run_inference(g, x)
         got = dict(zip(g.output_ids, outs))
         for nid in order[1:]:
             node = g.nodes[nid]
@@ -544,9 +573,8 @@ def test_numerical_guarantees_hold():
     tables = violations = 0
     for _ in range(12):
         g = random_dag(rng, max_nodes=9)
-        order = topological_order(g)
         inputs = [grid_input_covering(rng, g.nodes[g.input_id].out_shape) for _ in range(3)]
-        calib = calibrate_activations(g, inputs, order=order)
+        calib = calibrate_activations(g, inputs)
         wt = weight_distortion_table(g, (2, 4, 8))
         at = activation_distortion_table(g, calib, (1, 2, 4, 8))
         for table in (wt, at):

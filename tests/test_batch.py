@@ -12,7 +12,7 @@ from bitsplit.engine import (
     run_fake_quantized_detailed,
     run_inference,
 )
-from bitsplit.graph import GraphError, LayerGraph, LayerNode, optimize_graph, topological_order
+from bitsplit.graph import GraphError, LayerGraph, LayerNode, optimize_graph
 from bitsplit.search import BitAssignment
 from bitsplit.synth import make_eval_set, make_toy_classifier, random_dag, random_grid_input
 
@@ -52,10 +52,9 @@ def _stacks(xs):
 
 
 def _check_batch_invariance(g, xs, rng):
-    order = topological_order(g)
-    singles = [[o.tobytes() for o in run_inference(g, x, order)] for x in xs]
+    singles = [[o.tobytes() for o in run_inference(g, x)] for x in xs]
     for start, stack in _stacks(xs):
-        outs = run_inference(g, stack, order)
+        outs = run_inference(g, stack)
         for k in range(len(stack)):
             assert [o[k].tobytes() for o in outs] == singles[start + k]
 
@@ -63,10 +62,10 @@ def _check_batch_invariance(g, xs, rng):
         asg = _assignment(g, n, rng)
         singles = []
         for x in xs:
-            outs, recs = run_fake_quantized_detailed(g, x, n, asg, order=order)
+            outs, recs = run_fake_quantized_detailed(g, x, n, asg)
             singles.append(([o.tobytes() for o in outs], {i: _record_bytes(r) for i, r in recs.items()}))
         for start, stack in _stacks(xs):
-            outs, recs = run_fake_quantized_detailed(g, stack, n, asg, order=order)
+            outs, recs = run_fake_quantized_detailed(g, stack, n, asg)
             for k in range(len(stack)):
                 got_recs = {i: _record_bytes(rows[k]) for i, rows in recs.items()}
                 assert ([o[k].tobytes() for o in outs], got_recs) == singles[start + k], (n, start + k)

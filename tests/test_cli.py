@@ -189,3 +189,18 @@ def test_solve_honours_bits_flag(demo_dir, tmp_path):
     doc = json.loads((out / "selected.json").read_text())
     assert all(v in (8, 16) for v in doc["weight_bits"].values())
     assert all(v in (8, 16) for v in doc["act_bits"].values())
+
+
+def test_plan_from_a_sixteen_bit_menu_simulates(tmp_path):
+    # configs/tpu.json offers 16 bits; the plan solve picks must still go over
+    # the wire, whose widths stop at 8
+    demo = tmp_path / "demo"
+    assert main(["make-demo", "--out", str(demo), "--seed", "2"]) == 0
+    devices = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "tpu.json")
+    report = tmp_path / "report"
+    rc = main(["solve", "--config", str(demo / "run.json"), "--devices", devices,
+               "--memory-bytes", "100000", "--out", str(report)])
+    assert rc == 0
+    rc = main(["simulate", "--graph", str(demo / "graph.json"), "--selected", str(report / "selected.json"),
+               "--eval-dir", str(demo / "eval"), "--limit", "2"])
+    assert rc == 0

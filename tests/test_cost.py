@@ -26,7 +26,7 @@ from helpers import random_assignment, table1_profiles, uniform_assignment
 
 
 def _dev(**kw):
-    base = dict(name="d", on_chip_bytes=1 << 20, off_chip_bytes=1 << 30,
+    base = dict(name="d", off_chip_bytes=1 << 30,
                 bandwidth_bytes_per_s=1e9, peak_ops_per_s=1e10, mac_bits=8,
                 supported_bits=(2, 4, 8))
     base.update(kw)
@@ -131,9 +131,8 @@ def test_transmission_of_a_megabyte_scale_tensor():
         LayerNode(0, "input", out_shape=(elems,)),
         LayerNode(1, "relu", out_shape=(elems,), inputs=[0]),
     ])
-    order = topological_order(g)
     net = NetworkProfile(uplink_bits_per_s=3e6)
-    cut = boundary_cut(g, order, 1)
+    cut = boundary_cut(g, 1)
     t = transmission_latency(g, cut, {1: 8}, net)
     assert t == pytest.approx(2.654208, rel=1e-6)
 
@@ -145,9 +144,8 @@ def test_transmission_includes_rtt_and_all_crossings():
         LayerNode(2, "relu", out_shape=(4, 2, 2), inputs=[0]),
         LayerNode(3, "add", out_shape=(4, 2, 2), inputs=[1, 2]),
     ])
-    order = topological_order(g)
     net = NetworkProfile(uplink_bits_per_s=1e3, fixed_rtt_s=0.5)
-    cut = boundary_cut(g, order, 1)  # node 1 done; input still needed by 2
+    cut = boundary_cut(g, 1)  # node 1 done; input still needed by 2
     assert cut.crossing_tensors == [0, 1]
     t = transmission_latency(g, cut, {0: 8, 1: 4}, net)
     assert t == pytest.approx((16 * 8 + 16 * 4) / 1e3 + 0.5)
@@ -163,8 +161,7 @@ def test_message_payload_bytes_rounds_up():
 
 
 def test_crossing_bits_map_uses_input_bits(toy_graph):
-    order = topological_order(toy_graph)
-    cut = boundary_cut(toy_graph, order, 0)
+    cut = boundary_cut(toy_graph, 0)
     m = crossing_bits_map(toy_graph, cut, None)
     assert m == {toy_graph.input_id: toy_graph.input_bits}
 
@@ -174,10 +171,9 @@ def test_crossing_bits_map_uses_input_bits(toy_graph):
 
 def test_split_zero_is_cloud_only(toy_graph):
     edge, cloud, net = table1_profiles()
-    order = topological_order(toy_graph)
     from bitsplit.search import EMPTY_ASSIGNMENT
 
-    br = split_latency(toy_graph, order, 0, EMPTY_ASSIGNMENT, edge, cloud, net)
+    br = split_latency(toy_graph, 0, EMPTY_ASSIGNMENT, edge, cloud, net)
     assert br.edge_s == 0.0
     want_tx = toy_graph.nodes[toy_graph.input_id].act_elements() * 8 / net.uplink_bits_per_s
     assert br.transmit_s == pytest.approx(want_tx)
@@ -187,24 +183,22 @@ def test_split_zero_is_cloud_only(toy_graph):
 
 def test_split_full_ships_outputs_unless_disabled(toy_graph):
     edge, cloud, net = table1_profiles()
-    order = topological_order(toy_graph)
-    N = len(order) - 1
-    asg = uniform_assignment(toy_graph, order, N, 8, 8)
-    br = split_latency(toy_graph, order, N, asg, edge, cloud, net)
+    N = len(toy_graph.compute_ids())
+    asg = uniform_assignment(toy_graph, N, 8, 8)
+    br = split_latency(toy_graph, N, asg, edge, cloud, net)
     assert br.cloud_s == 0.0
     assert br.transmit_s == pytest.approx(10 * 8 / net.uplink_bits_per_s)  # 10 logits
 
 
 def test_split_latency_total_is_sum_of_parts(toy_graph):
     edge, cloud, net = table1_profiles()
-    order = topological_order(toy_graph)
     rng = np.random.default_rng(21)
     for n in (1, 3, 5):
-        asg = random_assignment(toy_graph, order, n, rng)
-        br = split_latency(toy_graph, order, n, asg, edge, cloud, net)
+        asg = random_assignment(toy_graph, n, rng)
+        br = split_latency(toy_graph, n, asg, edge, cloud, net)
         assert br.total_s == pytest.approx(br.edge_s + br.transmit_s + br.cloud_s)
         # per-layer recomputation
-        compute = [i for i in order if i != toy_graph.input_id]
+        compute = toy_graph.compute_ids()
         want_edge = sum(
             layer_latency(toy_graph.nodes[i], toy_graph, edge, asg.weight_bits[i], asg.act_bits[i])
             for i in compute[:n]
@@ -219,13 +213,12 @@ def test_cloud_latencies_exact_per_profile(toy_graph):
     # second profile on the same graph must get its own, summed as before
     edge, cloud, net = table1_profiles()
     slow = replace(cloud, peak_ops_per_s=cloud.peak_ops_per_s / 1e3, bandwidth_bytes_per_s=1e6)
-    order = topological_order(toy_graph)
     compute = toy_graph.compute_ids()
     rng = np.random.default_rng(22)
     for n in range(len(compute) + 1):
-        asg = random_assignment(toy_graph, order, n, rng)
+        asg = random_assignment(toy_graph, n, rng)
         for c in (cloud, slow, cloud):
-            br = split_latency(toy_graph, order, n, asg, edge, c, net)
+            br = split_latency(toy_graph, n, asg, edge, c, net)
             cloud_s = prefix_s = 0.0
             for i in compute[n:]:
                 cloud_s += layer_latency(toy_graph.nodes[i], toy_graph, c, 16, 16)
@@ -237,12 +230,11 @@ def test_cloud_latencies_exact_per_profile(toy_graph):
 
 def test_split_index_range_checked(toy_graph):
     edge, cloud, net = table1_profiles()
-    order = topological_order(toy_graph)
     from bitsplit.graph import GraphError
     from bitsplit.search import EMPTY_ASSIGNMENT
 
     with pytest.raises(GraphError, match="out of range"):
-        split_latency(toy_graph, order, 99, EMPTY_ASSIGNMENT, edge, cloud, net)
+        split_latency(toy_graph, 99, EMPTY_ASSIGNMENT, edge, cloud, net)
 
 
 # -- memory vs brute oracles -----------------------------------------------------------
@@ -253,12 +245,12 @@ def test_memory_formulas_match_oracles():
     for k in range(40):
         g = random_dag(rng, max_nodes=10)
         order = topological_order(g)
-        compute = [i for i in order if i != g.input_id]
+        compute = g.compute_ids()
         wb = {i: int(rng.choice([2, 4, 8])) for i in compute}
         ab = {i: int(rng.choice([2, 4, 8])) for i in compute}
         for n in range(len(compute) + 1):
-            assert weight_memory_bits(g, order, n, wb) == oracles.weight_bits_brute(g, order, n, wb)
-            assert activation_memory_bits(g, order, n, ab) == oracles.act_peak_bits_brute(
+            assert weight_memory_bits(g, n, wb) == oracles.weight_bits_brute(g, order, n, wb)
+            assert activation_memory_bits(g, n, ab) == oracles.act_peak_bits_brute(
                 g, order, n, ab, g.input_bits
             )
 
@@ -268,10 +260,9 @@ def test_activation_memory_counts_input_at_input_bits():
         LayerNode(0, "input", out_shape=(4, 4, 4)),
         LayerNode(1, "relu", out_shape=(4, 4, 4), inputs=[0]),
     ], input_bits=8)
-    order = topological_order(g)
     # step 1: input (64 elems at 8) + relu output (64 elems at chosen bits)
-    assert activation_memory_bits(g, order, 1, {1: 2}) == 64 * 8 + 64 * 2
-    assert activation_memory_bits(g, order, 0, {}) == 0
+    assert activation_memory_bits(g, 1, {1: 2}) == 64 * 8 + 64 * 2
+    assert activation_memory_bits(g, 0, {}) == 0
 
 
 # -- profiles --------------------------------------------------------------------------
@@ -291,6 +282,7 @@ def test_device_profile_validation():
 
 
 def test_load_device_config(tmp_path):
+    # on_chip_bytes is a field the model no longer has: old files still load
     doc = {
         "edge": {"name": "e", "on_chip_bytes": 1024, "off_chip_bytes": 4096,
                  "bandwidth_bytes_per_s": 1e6, "peak_ops_per_s": 1e9,

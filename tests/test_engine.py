@@ -13,7 +13,7 @@ from bitsplit.engine import (
     run_inference,
     save_eval_dir,
 )
-from bitsplit.graph import BN_EPS, GraphError, LayerGraph, LayerNode, topological_order
+from bitsplit.graph import BN_EPS, GraphError, LayerGraph, LayerNode
 from bitsplit.quantize import choose_clip_range, quantize_tensor
 from bitsplit.search import BitAssignment
 from bitsplit.synth import make_eval_set, random_dag, random_grid_input
@@ -132,10 +132,9 @@ def test_missing_weights_raise():
 
 def test_calibrate_collects_per_layer_samples(toy_graph):
     rng = np.random.default_rng(8)
-    order = topological_order(toy_graph)
     inputs = [random_grid_input(rng, (1, 16, 16)) for _ in range(5)]
-    calib = calibrate_activations(toy_graph, inputs, max_samples=3, order=order)
-    assert sorted(calib) == sorted(i for i in order if i != toy_graph.input_id)
+    calib = calibrate_activations(toy_graph, inputs, max_samples=3)
+    assert sorted(calib) == sorted(toy_graph.compute_ids())
     for nid, samples in calib.items():
         assert len(samples) == 3
         assert all(tuple(s.shape) == tuple(toy_graph.nodes[nid].out_shape) for s in samples)
@@ -156,12 +155,11 @@ def test_fake_quant_zero_split_is_float(toy_graph):
 
 def test_fake_quant_records_cover_prefix(toy_graph):
     rng = np.random.default_rng(10)
-    order = topological_order(toy_graph)
-    compute = [i for i in order if i != toy_graph.input_id]
+    compute = toy_graph.compute_ids()
     x = random_grid_input(rng, (1, 16, 16))
     n = 3
-    asg = uniform_assignment(toy_graph, order, n, 4, 8)
-    outs, records = run_fake_quantized_detailed(toy_graph, x, n, asg, order=order)
+    asg = uniform_assignment(toy_graph, n, 4, 8)
+    outs, records = run_fake_quantized_detailed(toy_graph, x, n, asg)
     assert sorted(records) == sorted(compute[:n])
     for nid, rec in records.items():
         assert rec.params.bits == 8
@@ -174,10 +172,9 @@ def test_fake_quant_records_cover_prefix(toy_graph):
 
 def test_fake_quant_16bit_acts_pass_through(toy_graph):
     rng = np.random.default_rng(11)
-    order = topological_order(toy_graph)
     x = random_grid_input(rng, (1, 16, 16))
-    asg = uniform_assignment(toy_graph, order, 2, 16, 16)
-    outs, records = run_fake_quantized_detailed(toy_graph, x, 2, asg, order=order)
+    asg = uniform_assignment(toy_graph, 2, 16, 16)
+    outs, records = run_fake_quantized_detailed(toy_graph, x, 2, asg)
     ref = run_inference(toy_graph, x)[0]
     assert np.array_equal(outs[0], ref)  # 16-bit everywhere changes nothing
     for rec in records.values():
@@ -186,12 +183,11 @@ def test_fake_quant_16bit_acts_pass_through(toy_graph):
 
 def test_fake_quant_prefix_only_skips_suffix(toy_graph):
     rng = np.random.default_rng(12)
-    order = topological_order(toy_graph)
     x = random_grid_input(rng, (1, 16, 16))
-    asg = uniform_assignment(toy_graph, order, 2, 4, 4)
-    outs, records = run_fake_quantized_detailed(toy_graph, x, 2, asg, order=order, prefix_only=True)
+    asg = uniform_assignment(toy_graph, 2, 4, 4)
+    outs, records = run_fake_quantized_detailed(toy_graph, x, 2, asg, prefix_only=True)
     assert outs == []
-    full_outs, full_records = run_fake_quantized_detailed(toy_graph, x, 2, asg, order=order)
+    full_outs, full_records = run_fake_quantized_detailed(toy_graph, x, 2, asg)
     for nid in records:
         assert np.array_equal(records[nid].deq, full_records[nid].deq)
 
@@ -203,11 +199,10 @@ def test_fake_quant_quantizes_weights_and_acts():
     n1.weights = rng.standard_normal((3, 2, 1, 1)).astype(np.float32)
     n2 = LayerNode(2, "global_pool", out_shape=(3,), inputs=[1])
     g = LayerGraph([LayerNode(0, "input", out_shape=(2, 4, 4)), n1, n2])
-    order = topological_order(g)
     x = random_grid_input(rng, (2, 4, 4))
 
-    asg = uniform_assignment(g, order, 1, 4, 8)
-    outs, records = run_fake_quantized_detailed(g, x, 1, asg, order=order)
+    asg = uniform_assignment(g, 1, 4, 8)
+    outs, records = run_fake_quantized_detailed(g, x, 1, asg)
 
     wp = choose_clip_range(n1.weights, 4, symmetric=True)
     _, wdeq = quantize_tensor(n1.weights, wp)
@@ -221,10 +216,9 @@ def test_fake_quant_quantizes_weights_and_acts():
 
 
 def test_fake_quant_missing_assignment_raises(toy_graph):
-    order = topological_order(toy_graph)
     with pytest.raises(GraphError, match="missing bit assignment"):
         run_fake_quantized(toy_graph, np.zeros((1, 16, 16), dtype=np.float32), 2,
-                           BitAssignment({}, {}), order=order)
+                           BitAssignment({}, {}))
 
 
 # -- accuracy and eval-set storage ----------------------------------------------------
@@ -237,12 +231,11 @@ def test_float_accuracy_on_clean_templates(toy_graph):
 
 
 def test_accuracy_monotone_grid(toy_graph, toy_eval):
-    order = topological_order(toy_graph)
-    N = len(order) - 1
+    N = len(toy_graph.compute_ids())
     accs = {}
     for bits in (2, 8):
-        asg = uniform_assignment(toy_graph, order, N, bits, bits)
-        accs[bits] = evaluate_accuracy(toy_graph, toy_eval, N, asg, order=order)
+        asg = uniform_assignment(toy_graph, N, bits, bits)
+        accs[bits] = evaluate_accuracy(toy_graph, toy_eval, N, asg)
     base = float_accuracy(toy_graph, toy_eval)
     assert 0.0 <= accs[2] <= accs[8] <= 1.0
     assert accs[8] <= base + 1e-9

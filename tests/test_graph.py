@@ -356,7 +356,7 @@ def test_working_sets_match_oracle():
     for k in range(60):
         g = random_dag(rng, max_nodes=10)
         order = topological_order(g)
-        sets = compute_working_sets(g, order)
+        sets = compute_working_sets(g)
         assert len(sets) == len(order) - 1
         for ws in sets:
             want = oracles.live_ids(g, order, ws.step)
@@ -371,7 +371,7 @@ def test_boundary_cuts_match_oracle():
         g = random_dag(rng, max_nodes=10)
         order = topological_order(g)
         for n in range(len(order)):
-            cut = boundary_cut(g, order, n)
+            cut = boundary_cut(g, n)
             want = oracles.cut_ids(g, order, n)
             assert cut.crossing_tensors == want
             assert cut.cut_elements == sum(g.nodes[i].act_elements() for i in want)
@@ -381,11 +381,11 @@ def test_cut_of_full_prefix_is_outputs_only():
     rng = np.random.default_rng(104)
     g = random_dag(rng, max_nodes=8)
     order = topological_order(g)
-    cut = boundary_cut(g, order, len(order) - 1)
+    cut = boundary_cut(g, len(order) - 1)
     assert cut.crossing_tensors == g.output_ids
 
 
 def test_cut_index_range_checked(toy_graph):
     order = topological_order(toy_graph)
     with pytest.raises(GraphError, match="out of range"):
-        boundary_cut(toy_graph, order, len(order))
+        boundary_cut(toy_graph, len(order))

@@ -3,7 +3,6 @@ import pytest
 
 import oracles
 from bitsplit.engine import calibrate_activations
-from bitsplit.graph import topological_order
 from bitsplit.quantize import (
     CLIP_ALPHAS,
     DistortionTable,
@@ -257,8 +256,7 @@ def test_weight_table_from_graph():
     rng = np.random.default_rng(11)
     g = random_dag(rng, max_nodes=10)
     t = weight_distortion_table(g, (2, 4, 8))
-    order = topological_order(g)
-    assert t.layers() == sorted(i for i in order if i != g.input_id)
+    assert t.layers() == sorted(g.compute_ids())
     for i in t.layers():
         n = g.nodes[i]
         assert t.sizes[i] == n.weight_elements()
@@ -281,13 +279,12 @@ def test_weight_table_requires_blobs():
 
 
 def test_activation_table_is_mean_over_samples(toy_graph):
-    order = topological_order(toy_graph)
     inputs = [random_grid_input(np.random.default_rng(s), (1, 16, 16)) for s in range(3)]
-    calib = calibrate_activations(toy_graph, inputs, order=order)
+    calib = calibrate_activations(toy_graph, inputs)
     from bitsplit.quantize import activation_distortion_table
 
     t = activation_distortion_table(toy_graph, calib, (2, 4, 8))
-    nid = order[1]
+    nid = toy_graph.compute_ids()[0]
     want = float(np.mean([quant_mse(s, 4, symmetric=False) for s in calib[nid]]))
     assert t.d(nid, 4) == pytest.approx(want)
     assert t.sizes[nid] == toy_graph.nodes[nid].act_elements()

@@ -35,8 +35,7 @@ def test_assignment_helpers():
 
 def test_potential_splits_on_toy(toy_graph):
     edge, cloud, net = toy_profiles()
-    order = topological_order(toy_graph)
-    P = potential_splits(toy_graph, order, edge, net, TOY_MEMORY_BYTES, B=(2, 4, 8))
+    P = potential_splits(toy_graph, edge, net, TOY_MEMORY_BYTES, B=(2, 4, 8))
     # the first conv inflates 256 input elements to 2048, so even 2-bit
     # transmission there loses to shipping the 8-bit input
     assert P == [2, 3, 4, 5, 6]
@@ -44,10 +43,9 @@ def test_potential_splits_on_toy(toy_graph):
 
 def test_potential_splits_memory_filter(toy_graph):
     edge, cloud, net = toy_profiles()
-    order = topological_order(toy_graph)
-    P = potential_splits(toy_graph, order, edge, net, 100, B=(2, 4, 8))
+    P = potential_splits(toy_graph, edge, net, 100, B=(2, 4, 8))
     assert P == []  # 100 bytes cannot hold any prefix even at 2 bits
-    P8 = potential_splits(toy_graph, order, edge, net, 10**9, B=(8,))
+    P8 = potential_splits(toy_graph, edge, net, 10**9, B=(8,))
     assert P8  # huge memory admits the transmission-driven set
 
 
@@ -59,14 +57,13 @@ def test_potential_splits_transmission_rule():
 
     for _ in range(20):
         g = random_dag(rng, max_nodes=10)
-        order = topological_order(g)
         M = 10**9
-        P = potential_splits(g, order, edge, net, M, B=(2, 4, 8))
-        compute = [i for i in order if i != g.input_id]
-        cut0 = boundary_cut(g, order, 0)
+        P = potential_splits(g, edge, net, M, B=(2, 4, 8))
+        compute = g.compute_ids()
+        cut0 = boundary_cut(g, 0)
         T0 = transmission_latency(g, cut0, {g.input_id: g.input_bits}, net)
         for n in range(1, len(compute) + 1):
-            cut = boundary_cut(g, order, n)
+            cut = boundary_cut(g, n)
             Tn = transmission_latency(g, cut, {c: 2 for c in cut.crossing_tensors}, net)
             assert (n in P) == (Tn <= T0)
 
@@ -198,7 +195,7 @@ def _act_setup(rng, max_nodes=8):
     g = random_dag(rng, max_nodes=max_nodes)
     order = topological_order(g)
     inputs = [random_grid_input(rng, g.nodes[g.input_id].out_shape) for _ in range(2)]
-    calib = calibrate_activations(g, inputs, order=order)
+    calib = calibrate_activations(g, inputs)
     table = activation_distortion_table(g, calib, (2, 4, 8))
     return g, order, table
 
@@ -207,12 +204,12 @@ def test_activation_allocation_respects_peak():
     rng = np.random.default_rng(51)
     for _ in range(15):
         g, order, table = _act_setup(rng)
-        compute = [i for i in order if i != g.input_id]
+        compute = g.compute_ids()
         n = int(rng.integers(1, len(compute) + 1))
         floor_peak = oracles.act_peak_bits_brute(g, order, n, {i: 2 for i in compute[:n]}, g.input_bits)
         top_peak = oracles.act_peak_bits_brute(g, order, n, {i: 8 for i in compute[:n]}, g.input_bits)
         for budget in {floor_peak - 1, floor_peak, (floor_peak + top_peak) // 2, top_peak}:
-            alloc = allocate_activation_bits(table, g, order, n, budget_bits=budget)
+            alloc = allocate_activation_bits(table, g, n, budget_bits=budget)
             if budget < floor_peak:
                 assert not alloc.feasible
                 continue
@@ -231,7 +228,7 @@ def test_activation_allocation_single_layer_optimal():
         g, order, table = _act_setup(rng, max_nodes=6)
         top_peak = oracles.act_peak_bits_brute(g, order, 1, {order[1]: 8}, g.input_bits)
         mid = top_peak - 1
-        alloc = allocate_activation_bits(table, g, order, 1, budget_bits=mid)
+        alloc = allocate_activation_bits(table, g, 1, budget_bits=mid)
         best = oracles.exhaustive_act_alloc(table, g, order, 1, mid)
         assert alloc.feasible == (best is not None)
         if best is not None:
@@ -249,14 +246,31 @@ def test_activation_allocation_exact_across_wide_breakpoints():
     order = topological_order(g)
     d = {(1, 2): 1e-9, (1, 4): 1e-12, (1, 8): 0.0, (2, 2): 1e30, (2, 4): 1.0, (2, 8): 0.0}
     table = DistortionTable("a", (2, 4, 8), {1: 1, 2: 1}, d)
-    alloc = allocate_activation_bits(table, g, order, n=2, budget_bits=12)
+    alloc = allocate_activation_bits(table, g, n=2, budget_bits=12)
     assert alloc.bits == {1: 4, 2: 8}
     assert alloc.bits == oracles.exhaustive_act_alloc(table, g, order, 2, 12)[1]
 
 
+def test_activation_allocation_ships_only_packable_widths(toy_graph):
+    compute = toy_graph.compute_ids()
+    n = 3
+    crossing = [i for i in boundary_cut(toy_graph, n).crossing_tensors if i in compute]
+    sizes = {i: toy_graph.nodes[i].act_elements() for i in compute}
+    # 16 bits is lossless and the budget unbounded: only the wire holds it back
+    d = {(i, b): float(16 - b) for i in compute for b in (4, 16)}
+    alloc = allocate_activation_bits(DistortionTable("a", (4, 16), sizes, d), toy_graph, n, budget_bits=1 << 40)
+    assert alloc.feasible
+    assert crossing and all(alloc.bits[i] == 4 for i in crossing)
+    assert all(alloc.bits[i] == 16 for i in compute[:n] if i not in crossing)
+
+    d = {(i, b): 0.0 for i in compute for b in (3, 16)}
+    alloc = allocate_activation_bits(DistortionTable("a", (3, 16), sizes, d), toy_graph, n, budget_bits=1 << 40)
+    assert not alloc.feasible and "transportable" in alloc.reason
+
+
 def test_repair_lowers_heaviest_live_tensor(toy_graph):
     order = topological_order(toy_graph)
-    compute = [i for i in order if i != toy_graph.input_id]
+    compute = toy_graph.compute_ids()
     sizes = {i: toy_graph.nodes[i].act_elements() for i in compute}
     d = {(i, b): float(8 - b) for i in compute for b in (2, 4, 8)}
     table = DistortionTable("a", (2, 4, 8), sizes, d)
@@ -264,7 +278,7 @@ def test_repair_lowers_heaviest_live_tensor(toy_graph):
     bits = {i: 8 for i in compute[:n]}
     start = oracles.act_peak_bits_brute(toy_graph, order, n, bits, toy_graph.input_bits)
     budget = start - 1  # just below the all-8 peak
-    repaired = repair_activation_assignment(table, toy_graph, order, n, bits, budget)
+    repaired = repair_activation_assignment(table, toy_graph, n, bits, budget)
     assert repaired is not None
     assert oracles.act_peak_bits_brute(toy_graph, order, n, repaired, toy_graph.input_bits) <= budget
     assert all(repaired[i] <= bits[i] for i in repaired)
@@ -284,13 +298,12 @@ def test_repair_lowers_heaviest_live_tensor(toy_graph):
 
 
 def test_repair_gives_up_when_floor_violates(toy_graph):
-    order = topological_order(toy_graph)
-    compute = [i for i in order if i != toy_graph.input_id]
+    compute = toy_graph.compute_ids()
     sizes = {i: toy_graph.nodes[i].act_elements() for i in compute}
     d = {(i, b): 0.0 for i in compute for b in (2, 4, 8)}
     table = DistortionTable("a", (2, 4, 8), sizes, d)
     bits = {i: 2 for i in compute[:2]}
-    assert repair_activation_assignment(table, toy_graph, order, 2, bits, 10) is None
+    assert repair_activation_assignment(table, toy_graph, 2, bits, 10) is None
 
 
 # -- enumeration -------------------------------------------------------------------------
@@ -308,7 +321,7 @@ def test_enumerate_sentinel_first_and_memory_safe(toy_graph, toy_tables):
     assert stats.pairs_kept == len(S) - 1
     assert stats.solve_count <= stats.solve_bound
     seen = set()
-    compute = [i for i in order if i != toy_graph.input_id]
+    compute = toy_graph.compute_ids()
     for sol in S[1:]:
         key = (sol.n, sol.assignment.key(compute[: sol.n]))
         assert key not in seen
@@ -332,7 +345,7 @@ def test_enumerate_is_deterministic(toy_graph, toy_tables):
         S, _ = enumerate_solutions(
             toy_graph, order, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
         )
-        return [(s.n, s.assignment.key([i for i in order if i != toy_graph.input_id][: s.n]),
+        return [(s.n, s.assignment.key(toy_graph.compute_ids()[: s.n]),
                  s.breakdown.total_s, s.total_distortion) for s in S]
 
     assert run() == run()
@@ -370,7 +383,7 @@ def test_enumerate_tiny_memory_leaves_sentinel(toy_graph, toy_tables):
 def test_sort_key_orders_by_latency_then_simplicity(toy_graph, toy_tables):
     edge, cloud, net = toy_profiles()
     order = topological_order(toy_graph)
-    compute = [i for i in order if i != toy_graph.input_id]
+    compute = toy_graph.compute_ids()
     wtable, atable = toy_tables
     S, _ = enumerate_solutions(
         toy_graph, order, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
@@ -382,22 +395,21 @@ def test_sort_key_orders_by_latency_then_simplicity(toy_graph, toy_tables):
 
 
 def test_select_requires_sentinel(toy_graph, toy_eval):
-    order = topological_order(toy_graph)
     with pytest.raises(ValueError, match="sentinel"):
-        select_solution([], toy_graph, order, toy_eval, 1.0)
+        select_solution([], toy_graph, toy_eval, 1.0)
 
 
 def test_select_falls_back_to_sentinel_when_nothing_qualifies(toy_graph, toy_eval, toy_tables):
     edge, cloud, net = toy_profiles()
     order = topological_order(toy_graph)
-    compute = [i for i in order if i != toy_graph.input_id]
+    compute = toy_graph.compute_ids()
     wtable, atable = toy_tables
     S, _ = enumerate_solutions(
         toy_graph, order, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
     )
     # pre-seeded measurements say every real split fails the accuracy bar
     cache = {(s.n, s.assignment.key(compute[: s.n])): 1.0 for s in S if not s.is_sentinel}
-    chosen = select_solution(S, toy_graph, order, toy_eval, 0.0, drop_cache=cache)
+    chosen = select_solution(S, toy_graph, toy_eval, 0.0, drop_cache=cache)
     assert chosen.is_sentinel
     assert chosen.accuracy_drop == 0.0
 
@@ -405,13 +417,13 @@ def test_select_falls_back_to_sentinel_when_nothing_qualifies(toy_graph, toy_eva
 def test_select_prefers_fastest_qualifier(toy_graph, toy_eval, toy_tables):
     edge, cloud, net = toy_profiles()
     order = topological_order(toy_graph)
-    compute = [i for i in order if i != toy_graph.input_id]
+    compute = toy_graph.compute_ids()
     wtable, atable = toy_tables
     S, _ = enumerate_solutions(
         toy_graph, order, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
     )
     cache = {(s.n, s.assignment.key(compute[: s.n])): 0.0 for s in S if not s.is_sentinel}
-    chosen = select_solution(S, toy_graph, order, toy_eval, 0.0, drop_cache=cache)
+    chosen = select_solution(S, toy_graph, toy_eval, 0.0, drop_cache=cache)
     best = min(S, key=lambda s: solution_sort_key(s, compute))
     assert solution_sort_key(chosen, compute)[:2] == solution_sort_key(best, compute)[:2]
 
@@ -424,9 +436,9 @@ def test_select_uses_drop_cache(toy_graph, toy_eval, toy_tables):
         toy_graph, order, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
     )
     cache = {}
-    a = select_solution(S, toy_graph, order, toy_eval, 5.0, drop_cache=cache)
+    a = select_solution(S, toy_graph, toy_eval, 5.0, drop_cache=cache)
     evaluated = len(cache)
-    b = select_solution(S, toy_graph, order, toy_eval, 5.0, drop_cache=cache)
+    b = select_solution(S, toy_graph, toy_eval, 5.0, drop_cache=cache)
     assert len(cache) == evaluated  # second pass reused every measurement
     assert (a.n, a.accuracy_drop) == (b.n, b.accuracy_drop)
 
@@ -438,22 +450,21 @@ def test_measure_all_fills_every_drop(toy_graph, toy_eval, toy_tables):
     S, _ = enumerate_solutions(
         toy_graph, order, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
     )
-    measured = measure_all(S, toy_graph, order, toy_eval)
+    measured = measure_all(S, toy_graph, toy_eval)
     assert all(s.accuracy_drop is not None for s in measured)
     assert measured[0].accuracy_drop == 0.0
 
 
 def test_float_baseline_is_min_over_splits(toy_graph):
     edge, cloud, net = toy_profiles()
-    order = topological_order(toy_graph)
-    compute = [i for i in order if i != toy_graph.input_id]
-    n_star, br_star = float_baseline(toy_graph, order, edge, cloud, net)
+    compute = toy_graph.compute_ids()
+    n_star, br_star = float_baseline(toy_graph, edge, cloud, net)
     from bitsplit.cost import split_latency
 
     totals = []
     for n in range(len(compute) + 1):
-        asg = uniform_assignment(toy_graph, order, n, 16, 16)
-        totals.append(split_latency(toy_graph, order, n, asg, edge, cloud, net).total_s)
+        asg = uniform_assignment(toy_graph, n, 16, 16)
+        totals.append(split_latency(toy_graph, n, asg, edge, cloud, net).total_s)
     assert br_star.total_s == pytest.approx(min(totals))
     assert totals[n_star] == pytest.approx(min(totals))
 
@@ -465,12 +476,12 @@ def test_enumerate_on_random_graphs_memory_safe():
         g = random_dag(rng, max_nodes=8)
         order = topological_order(g)
         inputs = [random_grid_input(rng, g.nodes[g.input_id].out_shape) for _ in range(2)]
-        calib = calibrate_activations(g, inputs, order=order)
+        calib = calibrate_activations(g, inputs)
         wtable = weight_distortion_table(g, (2, 4, 8))
         atable = activation_distortion_table(g, calib, (2, 4, 8))
-        compute = [i for i in order if i != g.input_id]
+        compute = g.compute_ids()
         w_total = sum(g.nodes[i].weight_elements() for i in compute)
-        peak = max(ws.total_elements for ws in compute_working_sets(g, order))
+        peak = max(ws.total_elements for ws in compute_working_sets(g))
         M = max(1, int((w_total + peak) * rng.uniform(0.3, 1.2)))
         S, _ = enumerate_solutions(g, order, wtable, atable, edge, cloud, net, M, B=(2, 4, 8))
         assert S[0].is_sentinel

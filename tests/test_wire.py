@@ -7,7 +7,7 @@ import pytest
 import oracles
 from bitsplit import wire
 from bitsplit.cost import crossing_bits_map, message_payload_bytes
-from bitsplit.graph import GraphError, boundary_cut, topological_order
+from bitsplit.graph import GraphError, boundary_cut
 from bitsplit.search import BitAssignment, SplitSolution
 from bitsplit.synth import random_dag
 from bitsplit.wire import (
@@ -187,13 +187,12 @@ def test_decode_rejects_payload_shape_mismatch():
 
 def test_session_equals_reference_on_toy(toy_graph):
     rng = np.random.default_rng(8)
-    order = topological_order(toy_graph)
     x = grid_input_covering(rng, toy_graph.nodes[toy_graph.input_id].out_shape)
-    compute = [i for i in order if i != toy_graph.input_id]
+    compute = toy_graph.compute_ids()
     for n in (0, 2, 4, len(compute)):
-        sol = make_sol(n, random_assignment(toy_graph, order, n, rng))
-        got = run_split_session(toy_graph, x, sol, order=order)
-        want = reference_outputs(toy_graph, x, sol, order=order)
+        sol = make_sol(n, random_assignment(toy_graph, n, rng))
+        got = run_split_session(toy_graph, x, sol)
+        want = reference_outputs(toy_graph, x, sol)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == np.float32
@@ -202,25 +201,21 @@ def test_session_equals_reference_on_toy(toy_graph):
 
 def test_tcp_session_equals_reference(toy_graph):
     rng = np.random.default_rng(9)
-    order = topological_order(toy_graph)
     x = grid_input_covering(rng, toy_graph.nodes[toy_graph.input_id].out_shape)
-    sol = make_sol(3, random_assignment(toy_graph, order, 3, rng))
-    got = run_tcp_session(toy_graph, x, sol, order=order)
-    want = reference_outputs(toy_graph, x, sol, order=order)
+    sol = make_sol(3, random_assignment(toy_graph, 3, rng))
+    got = run_tcp_session(toy_graph, x, sol)
+    want = reference_outputs(toy_graph, x, sol)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
 
 def test_transcript_matches_cost_accounting(toy_graph):
     rng = np.random.default_rng(10)
-    order = topological_order(toy_graph)
     x = grid_input_covering(rng, toy_graph.nodes[toy_graph.input_id].out_shape)
     for n in (0, 3):
-        sol = make_sol(n, uniform_assignment(toy_graph, order, n, 8, 4))
-        _, transcript = run_split_session(
-            toy_graph, x, sol, order=order, want_transcript=True
-        )
-        cut = boundary_cut(toy_graph, order, n)
+        sol = make_sol(n, uniform_assignment(toy_graph, n, 8, 4))
+        _, transcript = run_split_session(toy_graph, x, sol, want_transcript=True)
+        cut = boundary_cut(toy_graph, n)
         bits_map = crossing_bits_map(toy_graph, cut, sol.assignment)
         assert [row["tensor_id"] for row in transcript] == list(cut.crossing_tensors)
         for row in transcript:
@@ -236,13 +231,12 @@ def test_sessions_on_random_graphs():
     rng = np.random.default_rng(12)
     for _ in range(8):
         g = random_dag(rng, max_nodes=9)
-        order = topological_order(g)
-        compute = [i for i in order if i != g.input_id]
+        compute = g.compute_ids()
         x = grid_input_covering(rng, g.nodes[g.input_id].out_shape)
         n = int(rng.integers(0, len(compute) + 1))
-        sol = make_sol(n, random_assignment(g, order, n, rng))
-        got = run_split_session(g, x, sol, order=order)
-        want = reference_outputs(g, x, sol, order=order)
+        sol = make_sol(n, random_assignment(g, n, rng))
+        got = run_split_session(g, x, sol)
+        want = reference_outputs(g, x, sol)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -251,30 +245,28 @@ def test_sessions_on_random_graphs():
 @pytest.mark.parametrize("n", [0, 3])
 def test_sessions_take_one_input_not_a_stack(toy_graph, n):
     rng = np.random.default_rng(13)
-    order = topological_order(toy_graph)
     x = grid_input_covering(rng, toy_graph.nodes[toy_graph.input_id].out_shape)
-    sol = make_sol(n, uniform_assignment(toy_graph, order, n, 8, 8))
+    sol = make_sol(n, uniform_assignment(toy_graph, n, 8, 8))
     with pytest.raises(GraphError, match="input shape"):
-        reference_outputs(toy_graph, x[None], sol, order=order)
+        reference_outputs(toy_graph, x[None], sol)
     with pytest.raises(GraphError, match="input shape"):
-        run_split_session(toy_graph, x[None], sol, order=order)
+        run_split_session(toy_graph, x[None], sol)
 
 
-def _sixteen_bit_boundary_plan(g, order, n):
-    asg = uniform_assignment(g, order, n, 8, 8)
-    cut = boundary_cut(g, order, n)
+def _sixteen_bit_boundary_plan(g, n):
+    asg = uniform_assignment(g, n, 8, 8)
+    cut = boundary_cut(g, n)
     crossing = [i for i in cut.crossing_tensors if i != g.input_id]
     return make_sol(n, BitAssignment(weight_bits=asg.weight_bits, act_bits={**asg.act_bits, crossing[0]: 16}))
 
 
 def test_edge_refuses_untransportable_bits(toy_graph):
-    order = topological_order(toy_graph)
-    sol = _sixteen_bit_boundary_plan(toy_graph, order, 3)
+    sol = _sixteen_bit_boundary_plan(toy_graph, 3)
     x = grid_input_covering(np.random.default_rng(13), toy_graph.nodes[toy_graph.input_id].out_shape)
     a, b = make_channel_pair()
     try:
         with pytest.raises(WireError, match="non-transportable"):
-            edge_role(toy_graph, x, sol, a, order=order)
+            edge_role(toy_graph, x, sol, a)
     finally:
         a.close()
         b.close()
@@ -282,11 +274,10 @@ def test_edge_refuses_untransportable_bits(toy_graph):
 
 @pytest.mark.parametrize("runner", [run_split_session, run_tcp_session])
 def test_sessions_raise_the_edge_error(toy_graph, runner):
-    order = topological_order(toy_graph)
-    sol = _sixteen_bit_boundary_plan(toy_graph, order, 3)
+    sol = _sixteen_bit_boundary_plan(toy_graph, 3)
     x = grid_input_covering(np.random.default_rng(13), toy_graph.nodes[toy_graph.input_id].out_shape)
     with pytest.raises(WireError, match="non-transportable bit-width") as info:
-        runner(toy_graph, x, sol, order=order)
+        runner(toy_graph, x, sol)
     assert isinstance(info.value.__cause__, ChannelClosedError)
 
 
@@ -296,12 +287,11 @@ def test_tcp_session_fails_promptly_when_edge_cannot_connect(toy_graph, monkeypa
 
     monkeypatch.setattr(wire.socket, "create_connection", refuse)
     monkeypatch.setattr(wire, "CONNECT_TIMEOUT_S", 0.5)
-    order = topological_order(toy_graph)
     x = grid_input_covering(np.random.default_rng(14), toy_graph.nodes[toy_graph.input_id].out_shape)
-    sol = make_sol(3, uniform_assignment(toy_graph, order, 3, 8, 8))
+    sol = make_sol(3, uniform_assignment(toy_graph, 3, 8, 8))
     t0 = time.monotonic()
     with pytest.raises(ConnectionRefusedError) as info:
-        run_tcp_session(toy_graph, x, sol, order=order)
+        run_tcp_session(toy_graph, x, sol)
     assert time.monotonic() - t0 < 5.0
     assert isinstance(info.value.__cause__, ChannelClosedError)
 
