@@ -21,12 +21,12 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import (
     ConfigError,
+    LatencyBreakdown,
     layer_macs,
     load_device_config,
 )
@@ -49,7 +49,9 @@ from .graph import (
 from .quantize import QuantError, activation_distortion_table, weight_distortion_table
 from .search import (
     BitAssignment,
+    SplitSolution,
     float_baseline,
+    min_wire_bits,
     potential_splits,
     enumerate_solutions,
     select_solution,
@@ -62,12 +64,6 @@ from .wire import WireError, reference_outputs, run_split_session, run_tcp_sessi
 
 class InfeasibleError(RuntimeError):
     pass
-
-
-@dataclass
-class _Plan:
-    n: int
-    assignment: BitAssignment
 
 
 def _f(x: float) -> str:
@@ -189,14 +185,13 @@ def cmd_solve(args) -> int:
         raise InfeasibleError("no feasible split found under %d bytes" % M)
 
     base_acc = float_accuracy(g, eval_set)
-    drop_cache: dict = {}
-    chosen = select_solution(S, g, eval_set, A, drop_cache=drop_cache, base_acc=base_acc)
+    chosen = select_solution(S, g, eval_set, A, base_acc=base_acc)
     if cfg["require_split"] and chosen.is_sentinel:
         raise InfeasibleError("only the cloud-only sentinel meets the %.4f%% accuracy limit" % A)
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_solutions_csv(os.path.join(out_dir, "solutions.csv"), S, compute, drop_cache)
-    _write_tradeoff_csv(os.path.join(out_dir, "tradeoff.csv"), S, compute, drop_cache)
+    _write_solutions_csv(os.path.join(out_dir, "solutions.csv"), S, compute)
+    _write_tradeoff_csv(os.path.join(out_dir, "tradeoff.csv"), S, compute)
     sel_doc = _selected_doc(g, chosen, A, B, M, seed)
     with open(os.path.join(out_dir, "selected.json"), "w") as f:
         json.dump(sel_doc, f, indent=2, sort_keys=True)
@@ -215,20 +210,14 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _drop_for(sol, compute, drop_cache):
-    if sol.is_sentinel:
-        return 0.0
-    return drop_cache.get((sol.n, sol.assignment.key(compute[: sol.n])))
-
-
-def _write_solutions_csv(path, S, compute, drop_cache):
+def _write_solutions_csv(path, S, compute):
     header = (
         "split_index,weight_bits,act_bits,edge_s,transmit_s,cloud_s,total_s,"
         "weight_bytes,act_bytes,total_distortion,accuracy_drop_percent"
     )
     lines = [header]
     for sol in sorted(S, key=lambda s: solution_sort_key(s, compute)):
-        drop = _drop_for(sol, compute, drop_cache)
+        drop = sol.accuracy_drop
         br = sol.breakdown
         lines.append(
             ",".join(
@@ -251,11 +240,11 @@ def _write_solutions_csv(path, S, compute, drop_cache):
         f.write("\n".join(lines) + "\n")
 
 
-def _write_tradeoff_csv(path, S, compute, drop_cache):
+def _write_tradeoff_csv(path, S, compute):
     sentinel_total = next(s for s in S if s.is_sentinel).breakdown.total_s
     rows = {}
     for sol in sorted(S, key=lambda s: solution_sort_key(s, compute)):
-        drop = _drop_for(sol, compute, drop_cache)
+        drop = sol.accuracy_drop
         if drop is None:
             continue
         row = (
@@ -353,15 +342,27 @@ def _load_selected(path, g):
     except json.JSONDecodeError as e:
         raise ConfigError("corrupt selected file %s: %s" % (path, e))
     try:
-        n = int(doc["split_index"])
-        wb = {int(k): int(v) for k, v in doc["weight_bits"].items()}
-        ab = {int(k): int(v) for k, v in doc["act_bits"].items()}
+        latency, memory = doc["latency"], doc["memory"]
+        plan = SplitSolution(
+            n=int(doc["split_index"]),
+            assignment=BitAssignment(
+                weight_bits={int(k): int(v) for k, v in doc["weight_bits"].items()},
+                act_bits={int(k): int(v) for k, v in doc["act_bits"].items()},
+            ),
+            breakdown=LatencyBreakdown(
+                **{k: float(latency[k]) for k in ("edge_s", "transmit_s", "cloud_s", "total_s", "relative_s")}
+            ),
+            total_distortion=float(doc["total_distortion"]),
+            edge_weight_bytes=float(memory["weight_bytes"]),
+            edge_act_bytes=float(memory["act_bytes"]),
+            accuracy_drop=float(doc["accuracy_drop_percent"]) / 100.0,
+        )
         digest = doc["graph_sha256"]
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ConfigError("selected file %s is missing fields: %s" % (path, e))
     if digest != _graph_digest(g):
         raise ConfigError("selected file %s was solved against a different graph" % path)
-    return _Plan(n=n, assignment=BitAssignment(weight_bits=wb, act_bits=ab))
+    return plan
 
 
 def cmd_simulate(args) -> int:
@@ -447,12 +448,13 @@ def cmd_inspect(args) -> int:
         splits = []
         for n in P:
             cut = boundary_cut(g, n)
+            bits = min_wire_bits(g, cut, B)
             splits.append(
                 {
                     "split_index": n,
                     "crossing_tensors": list(cut.crossing_tensors),
                     "cut_elements": cut.cut_elements,
-                    "tx_bits_at_min": cut.cut_elements * min(B),
+                    "tx_bits_at_min": sum(g.nodes[c].act_elements() * bits[c] for c in cut.crossing_tensors),
                 }
             )
         doc["memory_bytes"] = M

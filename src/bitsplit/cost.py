@@ -197,13 +197,6 @@ def split_latency(
 # -- memory ----------------------------------------------------------------------
 
 
-def weight_memory_bits(g: LayerGraph, n: int, weight_bits: dict) -> int:
-    total = 0
-    for nid in g.compute_ids()[:n]:
-        total += g.nodes[nid].weight_elements() * int(weight_bits[nid])
-    return total
-
-
 def activation_memory_bits(g: LayerGraph, n: int, act_bits: dict) -> int:
     """Peak bit-weighted working set over the first n compute steps."""
     peak = 0

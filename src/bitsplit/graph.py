@@ -308,9 +308,6 @@ class LayerGraph:
 
     # -- derived views -----------------------------------------------------
 
-    def node(self, nid: int) -> LayerNode:
-        return self.nodes[nid]
-
     def compute_ids(self) -> list:
         """Topological order without the input node."""
         return list(self.liveness.compute_ids)

@@ -215,15 +215,6 @@ class DistortionTable:
     def r(self, layer: int, b: int) -> int:
         return self.sizes[layer] * int(b)
 
-    def restrict(self, layer_ids) -> "DistortionTable":
-        ids = set(layer_ids)
-        return DistortionTable(
-            self.kind,
-            self.bits,
-            {i: s for i, s in self.sizes.items() if i in ids},
-            {(i, b): v for (i, b), v in self._d.items() if i in ids},
-        )
-
     def to_csv(self, path):
         with open(path, "w", newline="") as f:
             w = csv.writer(f)

@@ -11,7 +11,7 @@ cloud-only sentinel, so selection under an accuracy threshold cannot fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cost import (
     DeviceProfile,
@@ -20,7 +20,6 @@ from .cost import (
     boundary_cut,
     split_latency,
     transmission_latency,
-    weight_memory_bits,
 )
 from .engine import evaluate_accuracy, float_accuracy
 from .graph import LayerGraph
@@ -39,21 +38,15 @@ class BitAssignment:
     def key(self, prefix_ids) -> tuple:
         return tuple((self.weight_bits[i], self.act_bits[i]) for i in prefix_ids)
 
-    def histogram(self) -> tuple:
-        def hist(d):
-            out = {}
-            for b in d.values():
-                out[b] = out.get(b, 0) + 1
-            return tuple(sorted(out.items()))
-
-        return hist(self.weight_bits), hist(self.act_bits)
-
 
 EMPTY_ASSIGNMENT = BitAssignment(weight_bits={}, act_bits={})
 
 
 @dataclass
 class SplitSolution:
+    """One plan: the split, its bits, predicted latency, distortion and edge
+    memory, and its accuracy drop once `select_solution` has measured it."""
+
     n: int
     assignment: BitAssignment
     breakdown: object
@@ -80,9 +73,23 @@ class Allocation:
 # -- potential splits -----------------------------------------------------------
 
 
+def min_wire_bits(g: LayerGraph, cut, B):
+    """Bits per crossing tensor at the cheapest width the wire can ship it:
+    the input at `input_bits`, every other tensor at the smallest width in B
+    that is also in `PACKABLE_BITS`. None when B holds no packable width."""
+    packable = [b for b in B if b in PACKABLE_BITS]
+    if not packable:
+        return None
+    return {c: g.input_bits if c == g.input_id else min(packable) for c in cut.crossing_tensors}
+
+
 def potential_splits(g: LayerGraph, edge: DeviceProfile, net: NetworkProfile, M_bytes: int, B=None):
-    """Split prefixes that beat raw-input transmission and fit memory at min bits."""
+    """Split prefixes whose boundary, at the cheapest widths the wire can ship
+    (`min_wire_bits`), beats raw-input transmission, and that fit memory at
+    min(B). Without a packable width in B no split is admitted."""
     B = tuple(B) if B else edge.supported_bits
+    if not any(b in PACKABLE_BITS for b in B):
+        return []
     b_min = min(B)
     compute = g.compute_ids()
     N = len(compute)
@@ -99,7 +106,7 @@ def potential_splits(g: LayerGraph, edge: DeviceProfile, net: NetworkProfile, M_
         weights_prefix += node.weight_elements()
         peak_elems = max(peak_elems, working[n - 1].total_elements)
         cut = boundary_cut(g, n)
-        Tn = transmission_latency(g, cut, {c: b_min for c in cut.crossing_tensors}, net)
+        Tn = transmission_latency(g, cut, min_wire_bits(g, cut, B), net)
         if Tn > T0:
             continue
         if b_min * (weights_prefix + peak_elems) > M_bytes * 8:
@@ -131,8 +138,9 @@ def _table_points(table: DistortionTable, layer_ids):
     }
 
 
-def _sweep(points, fits):
-    """(choices, multiplier) at the smallest multiplier whose choices fit, or None.
+def _sweep(points, measure, budget):
+    """(choices, multiplier, measure(choices)) at the smallest multiplier whose
+    choices measure within the budget, or None.
 
     Per-layer choices change only where two of a layer's points cost the same,
     at the breakpoints (d1 - d2) / (r2 - r1) (Shoham & Gersho, IEEE TASSP
@@ -154,16 +162,18 @@ def _sweep(points, fits):
     probes = [0.0] + [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])] + [2.0 * c for c in cuts[-1:]]
     lo, hi = 0, len(probes) - 1
     best = _choices_at(points, probes[hi])
-    if not fits(best):
+    used = measure(best)
+    if used > budget:
         return None
     while lo < hi:
         mid = (lo + hi) // 2
         cand = _choices_at(points, probes[mid])
-        if fits(cand):
-            best, hi = cand, mid
+        cand_used = measure(cand)
+        if cand_used <= budget:
+            best, used, hi = cand, cand_used, mid
         else:
             lo = mid + 1
-    return best, probes[hi]
+    return best, probes[hi], used
 
 
 def allocate_bits_lagrangian(table: DistortionTable, layer_ids, budget_bits: int) -> Allocation:
@@ -178,14 +188,14 @@ def allocate_bits_lagrangian(table: DistortionTable, layer_ids, budget_bits: int
     def rate_of(bits):
         return sum(table.r(i, bits[i]) for i in layer_ids)
 
-    found = _sweep(_table_points(table, layer_ids), lambda bits: rate_of(bits) <= budget_bits)
+    found = _sweep(_table_points(table, layer_ids), rate_of, budget_bits)
     if found is None:
         return Allocation(feasible=False, bits={}, reason="budget below minimum rate")
-    bits, lam = found
+    bits, lam, used = found
     return Allocation(
         feasible=True,
         bits=bits,
-        budget_used_bits=rate_of(bits),
+        budget_used_bits=used,
         total_distortion=sum(table.d(i, bits[i]) for i in layer_ids),
         lam=lam,
     )
@@ -240,14 +250,14 @@ def allocate_activation_bits(table: DistortionTable, g: LayerGraph, n: int, budg
     def peak_of(bits):
         return activation_memory_bits(g, n, bits)
 
-    found = _sweep(points, lambda bits: peak_of(bits) <= budget_bits)
+    found = _sweep(points, peak_of, budget_bits)
     if found is None:
         return Allocation(feasible=False, bits={}, reason="infeasible even at minimum bits")
-    bits, lam = found
+    bits, lam, used = found
     return Allocation(
         feasible=True,
         bits=bits,
-        budget_used_bits=peak_of(bits),
+        budget_used_bits=used,
         total_distortion=sum(table.d(i, bits[i]) for i in layer_ids),
         lam=lam,
     )
@@ -279,12 +289,20 @@ def enumerate_solutions(
 ):
     """All feasible (split, bit assignment) candidates plus the sentinel.
 
-    Returns (solutions, stats). Every emitted solution satisfies the memory
-    constraint re-checked exactly; the sentinel is always first. `order` is
-    unused; it keeps its slot because the benchmark passes it (ROADMAP 4b).
+    Returns (solutions, stats); the sentinel is always first. Each solution's
+    edge memory is what its two allocations measured, and fits the budget
+    because their budgets do. That holds only when the weight table's sizes
+    are the graph's, so a mismatched table raises ValueError. `order` is
+    unused; it keeps its slot because the benchmark passes it (ROADMAP item 1).
     """
     B = tuple(B) if B else edge.supported_bits
     compute = g.compute_ids()
+    for i in compute:
+        if wtable.sizes.get(i) != g.nodes[i].weight_elements():
+            raise ValueError(
+                "weight table size %s for layer %d differs from its %d weight elements"
+                % (wtable.sizes.get(i), i, g.nodes[i].weight_elements())
+            )
 
     sentinel = SplitSolution(
         n=0,
@@ -331,10 +349,6 @@ def enumerate_solutions(
                 aalloc = a_cache[ka]
                 if not (walloc.feasible and aalloc.feasible):
                     continue
-                mw = weight_memory_bits(g, n, walloc.bits)
-                ma = activation_memory_bits(g, n, aalloc.bits)
-                if mw + ma > M_bytes * 8:
-                    continue
                 assignment = BitAssignment(weight_bits=dict(walloc.bits), act_bits=dict(aalloc.bits))
                 key = (n, assignment.key(prefix))
                 if key in seen:
@@ -349,8 +363,8 @@ def enumerate_solutions(
                         assignment=assignment,
                         breakdown=split_latency(g, n, assignment, edge, cloud, net),
                         total_distortion=distortion,
-                        edge_weight_bytes=mw / 8.0,
-                        edge_act_bytes=ma / 8.0,
+                        edge_weight_bytes=walloc.budget_used_bits / 8.0,
+                        edge_act_bytes=aalloc.budget_used_bits / 8.0,
                     )
                 )
                 stats.pairs_kept += 1
@@ -371,43 +385,25 @@ def solution_sort_key(sol: SplitSolution, compute_ids):
     )
 
 
-def measure_drop(g, eval_set, sol: SplitSolution, base_acc: float, cache: dict):
-    if sol.is_sentinel:
-        return 0.0
-    key = (sol.n, sol.assignment.key(g.compute_ids()[: sol.n]))
-    if key not in cache:
-        acc = evaluate_accuracy(g, eval_set, sol.n, sol.assignment)
-        cache[key] = base_acc - acc
-    return cache[key]
-
-
-def select_solution(
-    S, g, eval_set, A_percent: float, drop_cache: dict | None = None, base_acc: float | None = None
-) -> SplitSolution:
+def select_solution(S, g, eval_set, A_percent: float, base_acc: float | None = None) -> SplitSolution:
     """First solution in predicted-latency order whose measured accuracy drop
-    stays within A. The sentinel's drop is 0 by definition, so this returns."""
+    stays within A. Each drop measured is recorded on its solution in S, and
+    a solution that already carries one is not measured again. The
+    sentinel's drop is 0 by definition, so this returns."""
     if not any(s.is_sentinel for s in S):
         raise ValueError("solution list is missing the cloud-only sentinel")
     compute = g.compute_ids()
-    cache = drop_cache if drop_cache is not None else {}
-    if base_acc is None:
-        base_acc = float_accuracy(g, eval_set)
     threshold = A_percent / 100.0 + 1e-9
     for sol in sorted(S, key=lambda s: solution_sort_key(s, compute)):
-        drop = measure_drop(g, eval_set, sol, base_acc, cache)
-        if drop <= threshold:
-            return replace(sol, accuracy_drop=drop)
+        if sol.is_sentinel:
+            sol.accuracy_drop = 0.0
+        elif sol.accuracy_drop is None:
+            if base_acc is None:
+                base_acc = float_accuracy(g, eval_set)
+            sol.accuracy_drop = base_acc - evaluate_accuracy(g, eval_set, sol.n, sol.assignment)
+        if sol.accuracy_drop <= threshold:
+            return sol
     raise AssertionError("unreachable: sentinel always qualifies")
-
-
-def measure_all(S, g, eval_set, drop_cache: dict | None = None):
-    """Accuracy drops for every solution (used for trade-off reports)."""
-    cache = drop_cache if drop_cache is not None else {}
-    base_acc = float_accuracy(g, eval_set)
-    return [
-        replace(sol, accuracy_drop=measure_drop(g, eval_set, sol, base_acc, cache))
-        for sol in S
-    ]
 
 
 def float_baseline(g, edge, cloud, net):

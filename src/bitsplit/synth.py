@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import EvalSet, run_inference
-from .graph import LayerGraph, LayerNode, WEIGHTED_OPS
+from .graph import LayerGraph, LayerNode
 
 NUM_CLASSES = 10
 IMG = 16
@@ -283,27 +283,6 @@ def resnet50_shapes():
     pool = emit("pool", op_kind="global_pool", out_shape=(2048,), inputs=[prev])
     emit("fc", op_kind="fc", weight_shape=(1000, 2048), out_shape=(1000,), inputs=[pool])
     return LayerGraph(nodes, input_bits=8), names
-
-
-def weighted_positions(g: LayerGraph) -> dict:
-    """Map node id -> index among weighted layers in execution order."""
-    out = {}
-    k = 0
-    for nid in g.compute_ids():
-        if g.nodes[nid].op_kind in WEIGHTED_OPS:
-            out[nid] = k
-            k += 1
-    return out
-
-
-def last_weighted_in_prefix(g: LayerGraph, n: int):
-    """Weighted index of the deepest weighted layer within the n-prefix."""
-    wpos = weighted_positions(g)
-    best = None
-    for nid in g.compute_ids()[:n]:
-        if nid in wpos:
-            best = wpos[nid]
-    return best
 
 
 # -- random graphs for oracle corpora -------------------------------------------------

@@ -49,7 +49,10 @@ def tensor_from_bytes(buf: bytes) -> np.ndarray:
     if len(buf) != off + 4 * count:
         raise BlobError("payload length mismatch")
     data = np.frombuffer(buf, dtype="<f4", count=count, offset=off)
-    return data.reshape(dims).copy()
+    try:  # numpy refuses too many dims and oversized empty shapes
+        return data.reshape(dims).copy()
+    except ValueError as e:
+        raise BlobError("cannot build a tensor of shape %s: %s" % (dims, e))
 
 
 def write_tensor(path, x: np.ndarray) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import message_payload_bytes
+from .cost import crossing_bits_map, message_payload_bytes
 from .engine import _check_input, _forward, run_fake_quantized_detailed, run_inference
 from .graph import LayerGraph, boundary_cut
 from .quantize import QuantParams, choose_clip_range, dequantize, quantize_tensor
@@ -91,14 +91,15 @@ def unpack_activations(buf: bytes, bits: int, shape) -> np.ndarray:
     expect = message_payload_bytes(elements, bits)
     if len(buf) != expect:
         raise WireError("payload length %d does not match %d elements at %d bits" % (len(buf), elements, bits))
-    if elements == 0:
-        return np.zeros(shape, dtype=np.int64)
     raw = np.frombuffer(buf, dtype=np.uint8)
     per = 8 // bits
     mask = (1 << bits) - 1
     cols = [(raw >> (bits * j)) & mask for j in range(per)]
     flat = np.stack(cols, axis=1).ravel()[:elements].astype(np.int64)
-    return _channel_first_unflat(flat, tuple(shape))
+    try:  # numpy refuses negative dims, too many dims and oversized empty shapes
+        return np.zeros(shape, dtype=np.int64) if elements == 0 else _channel_first_unflat(flat, tuple(shape))
+    except ValueError as e:
+        raise WireError("cannot build a tensor of shape %s: %s" % (tuple(shape), e))
 
 
 # -- messages ------------------------------------------------------------------
@@ -155,6 +156,8 @@ def decode_message(buf: bytes) -> ActivationMessage:
     if len(buf) < off + 4 * ndim:
         raise TruncatedError("message cut inside dims")
     shape = struct.unpack_from("<%di" % ndim, buf, off)
+    if any(d < 0 for d in shape):
+        raise WireError("negative dimension in shape %s" % (shape,))
     off += 4 * ndim
     if len(buf) < off + 4:
         raise TruncatedError("message cut before payload length")
@@ -209,8 +212,12 @@ class Channel:
             got += len(chunk)
         return b"".join(chunks)
 
-    def recv_frame(self) -> bytes:
+    def recv_frame(self, max_size: int | None = None) -> bytes:
+        """One frame's bytes. A length prefix above `max_size` raises WireError
+        before anything is allocated for the frame."""
         (size,) = struct.unpack("<I", self._recv_exact(4))
+        if max_size is not None and size > max_size:
+            raise WireError("frame of %d bytes exceeds the %d expected" % (size, max_size))
         return self._recv_exact(size)
 
     def close(self):
@@ -268,6 +275,12 @@ def _crossing_payloads(g: LayerGraph, x, solution):
     return out
 
 
+def _message_size(shape, bits: int) -> int:
+    """Encoded size of one message: fixed header, dims, payload length, payload."""
+    elements = 0 if len(shape) == 0 else prod(shape)
+    return _HEAD.size + 4 * len(shape) + 4 + message_payload_bytes(elements, bits)
+
+
 def edge_role(g: LayerGraph, x, solution, chan: Channel):
     for _, msg in _crossing_payloads(g, x, solution):
         chan.send_frame(encode_message(msg))
@@ -277,10 +290,12 @@ def cloud_role(g: LayerGraph, solution, chan: Channel, want_transcript=False):
     """Receive boundary tensors, run the suffix in float, return outputs."""
     n = solution.n
     cut = boundary_cut(g, n)
+    bits = crossing_bits_map(g, cut, solution.assignment)
     vals = {}
     transcript = []
     for expect_id in cut.crossing_tensors:
-        msg = decode_message(chan.recv_frame())
+        cap = _message_size(g.nodes[expect_id].out_shape, bits[expect_id])
+        msg = decode_message(chan.recv_frame(max_size=cap))
         if msg.tensor_id != expect_id:
             raise WireError("expected tensor %d, got %d" % (expect_id, msg.tensor_id))
         node = g.nodes[msg.tensor_id]

@@ -1,8 +1,11 @@
-"""Shared builders for tests: device profiles and bit assignments."""
+"""Shared builders for tests: device profiles, bit assignments, drops for
+every solution and weighted-layer positions."""
 
 import numpy as np
 
 from bitsplit.cost import DeviceProfile, NetworkProfile
+from bitsplit.engine import evaluate_accuracy, float_accuracy
+from bitsplit.graph import WEIGHTED_OPS
 from bitsplit.search import BitAssignment
 from bitsplit.synth import table1_device_config, toy_device_config
 
@@ -58,3 +61,31 @@ def grid_input_covering(rng: np.random.Generator, shape) -> np.ndarray:
     flat[0] = 0
     flat[-1] = 255
     return (x / 256.0).astype(np.float32)
+
+
+def measure_all(S, g, eval_set):
+    """Records the accuracy drop on every solution in S that lacks one, as
+    `select_solution` does for those it reaches; returns S."""
+    base_acc = float_accuracy(g, eval_set)
+    for sol in S:
+        if sol.is_sentinel:
+            sol.accuracy_drop = 0.0
+        elif sol.accuracy_drop is None:
+            sol.accuracy_drop = base_acc - evaluate_accuracy(g, eval_set, sol.n, sol.assignment)
+    return S
+
+
+def weighted_positions(g) -> dict:
+    """Map node id -> index among weighted layers in execution order."""
+    weighted = [nid for nid in g.compute_ids() if g.nodes[nid].op_kind in WEIGHTED_OPS]
+    return {nid: k for k, nid in enumerate(weighted)}
+
+
+def last_weighted_in_prefix(g, n: int):
+    """Weighted index of the deepest weighted layer within the n-prefix."""
+    wpos = weighted_positions(g)
+    best = None
+    for nid in g.compute_ids()[:n]:
+        if nid in wpos:
+            best = wpos[nid]
+    return best

@@ -20,7 +20,6 @@ from bitsplit.cost import (
     message_payload_bytes,
     split_latency,
     transmission_latency,
-    weight_memory_bits,
 )
 from bitsplit.engine import (
     EvalSet,
@@ -40,14 +39,12 @@ from bitsplit.search import (
     SplitSolution,
     allocate_bits_lagrangian,
     enumerate_solutions,
-    measure_all,
     potential_splits,
     select_solution,
     solution_sort_key,
 )
 from bitsplit.synth import (
     TOY_MEMORY_BYTES,
-    last_weighted_in_prefix,
     make_eval_set,
     make_toy_classifier,
     random_dag,
@@ -63,6 +60,8 @@ from bitsplit.wire import (
 )
 from helpers import (
     grid_input_covering,
+    last_weighted_in_prefix,
+    measure_all,
     random_assignment,
     table1_profiles,
     toy_profiles,
@@ -136,7 +135,7 @@ def test_allocator_matches_exhaustive_search_within_hull_gap():
 # -- 2. liveness, cuts, memory vs brute force ------------------------------------------
 
 
-def _check_liveness(g, wb, ab):
+def _check_liveness(g, ab):
     order = topological_order(g)
     compute = g.compute_ids()
     N = len(compute)
@@ -155,9 +154,6 @@ def _check_liveness(g, wb, ab):
         assert cut.cut_elements == sum(
             g.nodes[c].act_elements() for c in cut.crossing_tensors
         )
-        assert weight_memory_bits(g, n, wb) == oracles.weight_bits_brute(
-            g, order, n, wb
-        )
         assert activation_memory_bits(g, n, ab) == oracles.act_peak_bits_brute(
             g, order, n, ab, g.input_bits
         )
@@ -171,12 +167,11 @@ def test_liveness_cuts_and_memory_match_brute_force():
         g = random_dag(rng, max_nodes=10)
         dags += 1
         compute = g.compute_ids()
-        wb = {i: int(rng.choice((2, 4, 8))) for i in compute}
         ab = {i: int(rng.choice((2, 4, 8))) for i in compute}
-        _check_liveness(g, wb, ab)
+        _check_liveness(g, ab)
         # rewritten only after g's cached analysis was read: the new graph
         # must build its own (its compute ids are a subset of g's)
-        _check_liveness(optimize_graph(g), wb, ab)
+        _check_liveness(optimize_graph(g), ab)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     print("PASS graph machinery: %d random DAGs, every split index, %.1fs" % (dags, elapsed))
@@ -231,11 +226,10 @@ def test_selected_latency_bounded_by_baselines(toy_graph):
     for g, eval_set, wtable, atable, M in instances:
         compute = g.compute_ids()
         S, _ = enumerate_solutions(g, topological_order(g), wtable, atable, edge, cloud, net, M, B=(2, 4, 8))
-        cache: dict = {}
-        measured = measure_all(S, g, eval_set, drop_cache=cache)
+        measured = measure_all(S, g, eval_set)
         sentinel_total = next(s.breakdown.total_s for s in S if s.is_sentinel)
         for A in (0.0, 1.0, 5.0, 20.0):
-            chosen = select_solution(S, g, eval_set, A, drop_cache=cache)
+            chosen = select_solution(S, g, eval_set, A)
             checked += 1
             assert chosen.breakdown.total_s <= sentinel_total + 1e-15
             threshold = A / 100.0 + 1e-9
@@ -272,6 +266,8 @@ def test_all_emitted_solutions_fit_edge_memory(toy_graph, toy_tables):
                 g, order, sol.n, sol.assignment.act_bits, g.input_bits
             )
             assert wb + ab <= M * 8
+            assert sol.edge_weight_bytes * 8 == wb
+            assert sol.edge_act_bytes * 8 == ab
 
     wtable, atable = toy_tables
     S, _ = enumerate_solutions(
@@ -410,10 +406,9 @@ def test_accuracy_budget_sweep_is_monotone(toy_graph):
     S, _ = enumerate_solutions(
         toy_graph, topological_order(toy_graph), wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
     )
-    cache: dict = {}
     rows = []
     for A in (0.0, 1.0, 5.0, 10.0, 20.0):
-        chosen = select_solution(S, toy_graph, eval_set, A, drop_cache=cache)
+        chosen = select_solution(S, toy_graph, eval_set, A)
         rows.append((A, chosen.n, chosen.breakdown.total_s, chosen.accuracy_drop))
     totals = [r[2] for r in rows]
     assert all(a >= b - 1e-15 for a, b in zip(totals, totals[1:]))  # non-increasing

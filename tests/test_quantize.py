@@ -220,15 +220,6 @@ def test_table_monotonicity_enforced():
         DistortionTable("w", (2,), {0: 3}, {(0, 2): -1e-9})
 
 
-def test_table_restrict():
-    t = _table()
-    r = t.restrict([0, 2])
-    assert r.layers() == [0, 2]
-    assert r.d(2, 4) == t.d(2, 4)
-    with pytest.raises(KeyError):
-        r.r(1, 2)
-
-
 def test_table_csv_roundtrip(tmp_path):
     t = _table("a")
     path = tmp_path / "table.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from bitsplit import search
 from bitsplit.engine import calibrate_activations
 from bitsplit.graph import LayerGraph, LayerNode, boundary_cut, compute_working_sets, topological_order
 from bitsplit.quantize import DistortionTable, activation_distortion_table, weight_distortion_table
@@ -11,23 +12,19 @@ from bitsplit.search import (
     allocate_bits_lagrangian,
     enumerate_solutions,
     float_baseline,
-    measure_all,
     potential_splits,
     repair_activation_assignment,
     select_solution,
     solution_sort_key,
 )
 from bitsplit.synth import TOY_MEMORY_BYTES, random_dag, random_grid_input
-from helpers import toy_profiles, uniform_assignment
+from helpers import measure_all, toy_profiles, uniform_assignment
 
 
 def test_assignment_helpers():
     a = BitAssignment(weight_bits={1: 2, 2: 8, 3: 2}, act_bits={1: 4, 2: 4, 3: 8})
     assert a.total_bits() == 12 + 16
     assert a.key([1, 3]) == ((2, 4), (2, 8))
-    wh, ah = a.histogram()
-    assert wh == ((2, 2), (8, 1))
-    assert ah == ((4, 2), (8, 1))
 
 
 # -- candidate split filtering ---------------------------------------------------------
@@ -49,23 +46,44 @@ def test_potential_splits_memory_filter(toy_graph):
     assert P8  # huge memory admits the transmission-driven set
 
 
-def test_potential_splits_transmission_rule():
-    # brute recheck of the filter on random graphs
+def test_potential_splits_transmission_rule(toy_graph):
+    # brute-force filter: every crossing tensor is priced as the wire ships
+    # it (the input at input_bits, any other at the smallest packable width
+    # in B), memory at min(B), and a menu without a packable width admits
+    # no split
     rng = np.random.default_rng(31)
     edge, cloud, net = toy_profiles()
-    from bitsplit.cost import transmission_latency
 
-    for _ in range(20):
-        g = random_dag(rng, max_nodes=10)
-        M = 10**9
-        P = potential_splits(g, edge, net, M, B=(2, 4, 8))
+    def tx_s(g, ids, wire_bits):
+        bits = sum(g.nodes[c].act_elements() * (g.input_bits if c == g.input_id else wire_bits) for c in ids)
+        return bits / net.uplink_bits_per_s + net.fixed_rtt_s
+
+    graphs = [toy_graph] + [random_dag(rng, max_nodes=10) for _ in range(20)]
+    input_crossings = 0
+    for g in graphs:
+        order = topological_order(g)
         compute = g.compute_ids()
-        cut0 = boundary_cut(g, 0)
-        T0 = transmission_latency(g, cut0, {g.input_id: g.input_bits}, net)
-        for n in range(1, len(compute) + 1):
-            cut = boundary_cut(g, n)
-            Tn = transmission_latency(g, cut, {c: 2 for c in cut.crossing_tensors}, net)
-            assert (n in P) == (Tn <= T0)
+        N = len(compute)
+        T0 = tx_s(g, [g.input_id], None)
+        w_elems = [sum(g.nodes[i].weight_elements() for i in compute[:n]) for n in range(N + 1)]
+        step = [sum(g.nodes[i].act_elements() for i in oracles.live_ids(g, order, k)) for k in range(1, N + 1)]
+        M_tight = max(1, (w_elems[N] + max(step)) * 3 // 8)
+        input_crossings += sum(g.input_id in oracles.cut_ids(g, order, n) for n in range(1, N + 1))
+        for B in ((2, 4, 8), (3, 8), (2, 4, 8, 16), (3, 16)):
+            packable = [b for b in B if b in (1, 2, 4, 8)]
+            for M in (10**9, M_tight):
+                want = [
+                    n
+                    for n in range(1, N + 1)
+                    if packable
+                    and tx_s(g, oracles.cut_ids(g, order, n), min(packable)) <= T0
+                    and min(B) * (w_elems[n] + max(step[:n])) <= M * 8
+                ]
+                assert potential_splits(g, edge, net, M, B=B) == want
+    assert input_crossings > 0  # the input-at-input_bits rule was exercised
+    # at 8 bits, the only packable width of (3, 8), splits 2 and 4 of the
+    # toy classifier cost more to send than the raw input
+    assert not {2, 4} & set(potential_splits(toy_graph, edge, net, 10**9, B=(3, 8)))
 
 
 # -- Lagrangian allocation vs exhaustive search ------------------------------------------
@@ -336,6 +354,21 @@ def test_enumerate_sentinel_first_and_memory_safe(toy_graph, toy_tables):
         assert sol.n in stats.potential
 
 
+def test_enumerate_rejects_a_weight_table_of_another_graph(toy_graph, toy_tables):
+    # the emitted memory is what the weight allocator measured on the table,
+    # so a table whose sizes are not the graph's could emit a plan that overflows
+    edge, cloud, net = toy_profiles()
+    wtable, atable = toy_tables
+    i = next(i for i in toy_graph.compute_ids() if wtable.sizes[i])
+    for sizes in ({**wtable.sizes, i: wtable.sizes[i] - 1}, {j: s for j, s in wtable.sizes.items() if j != i}):
+        d = {(j, b): wtable.d(j, b) for j in sizes for b in wtable.bits}
+        bad = DistortionTable("w", wtable.bits, sizes, d)
+        with pytest.raises(ValueError, match="weight table size .* layer %d" % i):
+            enumerate_solutions(
+                toy_graph, topological_order(toy_graph), bad, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
+            )
+
+
 def test_enumerate_is_deterministic(toy_graph, toy_tables):
     edge, cloud, net = toy_profiles()
     order = topological_order(toy_graph)
@@ -402,14 +435,14 @@ def test_select_requires_sentinel(toy_graph, toy_eval):
 def test_select_falls_back_to_sentinel_when_nothing_qualifies(toy_graph, toy_eval, toy_tables):
     edge, cloud, net = toy_profiles()
     order = topological_order(toy_graph)
-    compute = toy_graph.compute_ids()
     wtable, atable = toy_tables
     S, _ = enumerate_solutions(
         toy_graph, order, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
     )
-    # pre-seeded measurements say every real split fails the accuracy bar
-    cache = {(s.n, s.assignment.key(compute[: s.n])): 1.0 for s in S if not s.is_sentinel}
-    chosen = select_solution(S, toy_graph, toy_eval, 0.0, drop_cache=cache)
+    # preset measurements say every real split fails the accuracy bar
+    for s in S[1:]:
+        s.accuracy_drop = 1.0
+    chosen = select_solution(S, toy_graph, toy_eval, 0.0)
     assert chosen.is_sentinel
     assert chosen.accuracy_drop == 0.0
 
@@ -422,25 +455,32 @@ def test_select_prefers_fastest_qualifier(toy_graph, toy_eval, toy_tables):
     S, _ = enumerate_solutions(
         toy_graph, order, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
     )
-    cache = {(s.n, s.assignment.key(compute[: s.n])): 0.0 for s in S if not s.is_sentinel}
-    chosen = select_solution(S, toy_graph, toy_eval, 0.0, drop_cache=cache)
+    for s in S[1:]:
+        s.accuracy_drop = 0.0
+    chosen = select_solution(S, toy_graph, toy_eval, 0.0)
     best = min(S, key=lambda s: solution_sort_key(s, compute))
     assert solution_sort_key(chosen, compute)[:2] == solution_sort_key(best, compute)[:2]
 
 
-def test_select_uses_drop_cache(toy_graph, toy_eval, toy_tables):
+def test_select_records_drops_on_solutions(toy_graph, toy_eval, toy_tables, monkeypatch):
     edge, cloud, net = toy_profiles()
     order = topological_order(toy_graph)
     wtable, atable = toy_tables
     S, _ = enumerate_solutions(
         toy_graph, order, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
     )
-    cache = {}
-    a = select_solution(S, toy_graph, toy_eval, 5.0, drop_cache=cache)
-    evaluated = len(cache)
-    b = select_solution(S, toy_graph, toy_eval, 5.0, drop_cache=cache)
-    assert len(cache) == evaluated  # second pass reused every measurement
-    assert (a.n, a.accuracy_drop) == (b.n, b.accuracy_drop)
+    a = select_solution(S, toy_graph, toy_eval, 5.0)
+    assert a in S  # the chosen solution itself, not a copy
+    measured = [s for s in S[1:] if s.accuracy_drop is not None]
+    assert measured and a.accuracy_drop is not None
+
+    def no_eval(*args):
+        raise AssertionError("a recorded drop was measured again")
+
+    monkeypatch.setattr(search, "evaluate_accuracy", no_eval)
+    b = select_solution(S, toy_graph, toy_eval, 5.0)
+    assert b is a
+    assert [s for s in S[1:] if s.accuracy_drop is not None] == measured
 
 
 def test_measure_all_fills_every_drop(toy_graph, toy_eval, toy_tables):

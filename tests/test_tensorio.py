@@ -1,7 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitsplit.tensorio import (
     BlobError,
@@ -82,3 +85,38 @@ def test_file_roundtrip(tmp_path):
     p = tmp_path / "t.astn"
     write_tensor(p, x)
     assert np.array_equal(read_tensor(p), x)
+
+
+@st.composite
+def _blob_bytes(draw):
+    """Raw noise, or a header with arbitrary fields (up to 80 dims, more than
+    numpy holds) whose payload matches its dims or not, then whole, cut short
+    or followed by extra bytes."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+    magic = draw(st.one_of(st.just(b"ASTN"), st.binary(min_size=4, max_size=4)))
+    version = draw(st.one_of(st.just(1), st.integers(0, 2**32 - 1)))
+    dtype = draw(st.one_of(st.just(0), st.integers(0, 255)))
+    dims = draw(st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)), max_size=80))
+    count = math.prod(dims)
+    size = 4 * count if count <= 1024 and draw(st.booleans()) else draw(st.integers(0, 64))
+    buf = (
+        struct.pack("<4sIBB", magic, version, dtype, len(dims))
+        + struct.pack("<%dI" % len(dims), *dims)
+        + draw(st.binary(min_size=size, max_size=size))
+    )
+    end = draw(st.sampled_from(("whole", "cut", "extra")))
+    if end == "cut":
+        return buf[: draw(st.integers(0, len(buf)))]
+    return buf + (draw(st.binary(min_size=1, max_size=4)) if end == "extra" else b"")
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_blob_bytes())
+@example(struct.pack("<4sIBB", b"ASTN", 1, 0, 4) + struct.pack("<4I", 0, 2**32 - 1, 2**32 - 1, 2**32 - 1))
+@example(struct.pack("<4sIBB", b"ASTN", 1, 0, 70) + struct.pack("<70I", *([1] * 70)) + bytes(4))
+def test_reading_arbitrary_bytes_raises_only_blob_errors(buf):
+    try:
+        tensor_from_bytes(buf)
+    except BlobError:
+        pass

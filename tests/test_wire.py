@@ -1,8 +1,12 @@
+import math
+import socket
 import struct
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bitsplit import wire
@@ -182,6 +186,54 @@ def test_decode_rejects_payload_shape_mismatch():
         decode_message(buf)
 
 
+def _raw_message(bits, dims, payload):
+    head = wire._HEAD.pack(wire.MAGIC, wire.VERSION, bits, 5, np.float32(0.5), np.float32(0.0), len(dims))
+    return head + struct.pack("<%di" % len(dims), *dims) + struct.pack("<I", len(payload)) + payload
+
+
+def test_decode_rejects_negative_dims():
+    # (-1, 0) holds zero elements, so the empty payload alone would pass
+    with pytest.raises(WireError, match="negative"):
+        decode_message(_raw_message(8, (-1, 0), b""))
+
+
+_DIM = st.one_of(st.integers(-2, 4), st.integers(-(2**31), 2**31 - 1))
+
+
+@st.composite
+def _message_bytes(draw):
+    """Raw noise, or a header with arbitrary fields (up to 80 dims, more than
+    numpy holds) whose payload length matches its shape or not, then whole,
+    cut short or followed by extra bytes."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+    bits = draw(st.one_of(st.sampled_from(PACKABLE_BITS), st.integers(0, 255)))
+    dims = draw(st.lists(_DIM, max_size=80))
+    elements = math.prod(dims) if dims else 0
+    if bits in PACKABLE_BITS and 0 <= elements <= 4096 and draw(st.booleans()):
+        size = message_payload_bytes(elements, bits)
+    else:
+        size = draw(st.integers(0, 64))
+    buf = _raw_message(bits, dims, draw(st.binary(min_size=size, max_size=size)))
+    end = draw(st.sampled_from(("whole", "cut", "extra")))
+    if end == "cut":
+        return buf[: draw(st.integers(0, len(buf)))]
+    return buf + (draw(st.binary(min_size=1, max_size=4)) if end == "extra" else b"")
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_message_bytes())
+@example(_raw_message(8, (-1, 0), b""))
+@example(_raw_message(8, (0, 2**31 - 1, 2**31 - 1, 2**31 - 1), b""))
+@example(_raw_message(8, (1,) * 70, b"\x07"))
+def test_decoding_arbitrary_bytes_raises_only_wire_errors(buf):
+    try:
+        m = decode_message(buf)
+        unpack_activations(m.payload, m.bits, m.shape)
+    except WireError:
+        pass
+
+
 # -- end-to-end sessions --------------------------------------------------------------
 
 
@@ -294,6 +346,30 @@ def test_tcp_session_fails_promptly_when_edge_cannot_connect(toy_graph, monkeypa
         run_tcp_session(toy_graph, x, sol)
     assert time.monotonic() - t0 < 5.0
     assert isinstance(info.value.__cause__, ChannelClosedError)
+
+
+def test_frame_cap_is_the_exact_message_size(toy_graph):
+    x = grid_input_covering(np.random.default_rng(15), toy_graph.nodes[toy_graph.input_id].out_shape)
+    for n in range(len(toy_graph.compute_ids()) + 1):
+        sol = make_sol(n, uniform_assignment(toy_graph, n, 8, 4))
+        for _, msg in wire._crossing_payloads(toy_graph, x, sol):
+            assert len(encode_message(msg)) == wire._message_size(msg.shape, msg.bits)
+
+
+def test_cloud_rejects_a_forged_frame_length_at_once(toy_graph):
+    sol = make_sol(3, uniform_assignment(toy_graph, 3, 8, 8))
+    edge_sock, cloud_sock = socket.socketpair()
+    cloud_sock.settimeout(2.0)  # without the cap, recv would wait for 4 GiB
+    chan = wire.Channel(cloud_sock)
+    try:
+        edge_sock.sendall(struct.pack("<I", 0xFFFFFFFF))
+        t0 = time.monotonic()
+        with pytest.raises(WireError, match="exceeds"):
+            wire.cloud_role(toy_graph, sol, chan)
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        edge_sock.close()
+        chan.close()
 
 
 def test_sessions_keep_a_cloud_error_that_is_not_a_closed_channel():
