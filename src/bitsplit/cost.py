@@ -15,6 +15,8 @@ import json
 import weakref
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import (
     BoundaryCut,
     GraphError,
@@ -148,6 +150,7 @@ def crossing_bits_map(g: LayerGraph, cut: BoundaryCut, assignment) -> dict:
 
 
 _CLOUD_LATENCIES = weakref.WeakKeyDictionary()  # graph -> {cloud profile: {node id: seconds}}
+_EDGE_LATENCIES = weakref.WeakKeyDictionary()  # graph -> {edge profile: {(node id, w bits, a bits): seconds}}
 
 
 def _cloud_latencies(g: LayerGraph, cloud: DeviceProfile) -> dict:
@@ -157,6 +160,12 @@ def _cloud_latencies(g: LayerGraph, cloud: DeviceProfile) -> dict:
     if cloud not in per_graph:
         per_graph[cloud] = {nid: layer_latency(g.nodes[nid], g, cloud, 16, 16) for nid in g.compute_ids()}
     return per_graph[cloud]
+
+
+def _edge_latencies(g: LayerGraph, edge: DeviceProfile) -> dict:
+    """Memo of edge layer latencies by (node id, w bits, a bits): `split_latency`
+    prices each key once per (graph, profile), on first use."""
+    return _EDGE_LATENCIES.setdefault(g, {}).setdefault(edge, {})
 
 
 def split_latency(
@@ -173,10 +182,14 @@ def split_latency(
     edge_ids, cloud_ids = compute[:n], compute[n:]
 
     cloud16 = _cloud_latencies(g, cloud)
+    edge_memo = _edge_latencies(g, edge)
     edge_s = 0.0
     cloud_of_prefix = 0.0
     for nid in edge_ids:
-        edge_s += layer_latency(g.nodes[nid], g, edge, assignment.weight_bits[nid], assignment.act_bits[nid])
+        key = (nid, assignment.weight_bits[nid], assignment.act_bits[nid])
+        if key not in edge_memo:
+            edge_memo[key] = layer_latency(g.nodes[nid], g, edge, key[1], key[2])
+        edge_s += edge_memo[key]
         cloud_of_prefix += cloud16[nid]
     cloud_s = 0.0
     for nid in cloud_ids:
@@ -199,14 +212,9 @@ def split_latency(
 
 def activation_memory_bits(g: LayerGraph, n: int, act_bits: dict) -> int:
     """Peak bit-weighted working set over the first n compute steps."""
-    peak = 0
-    for ws in g.liveness.working_sets[:n]:
-        step_bits = 0
-        for nid, elems in ws.live_tensors:
-            b = g.input_bits if nid == g.input_id else int(act_bits[nid])
-            step_bits += elems * b
-        peak = max(peak, step_bits)
-    return peak
+    prefix = g.compute_ids()[:n]
+    bits = np.array([g.input_bits] + [int(act_bits[i]) for i in prefix], dtype=np.int64)
+    return int((g.liveness.incidence[:n, : n + 1] @ bits).max(initial=0))
 
 
 # -- profiles from JSON ------------------------------------------------------------

@@ -7,13 +7,13 @@ the edge device. Tensors produced by graph outputs (sink nodes) are treated as
 consumed by the outside world, so an edge-only split still has a boundary
 tensor to ship.
 
-The graph owns its execution order. Order, positions, last uses and
-per-step working sets are derived once per graph and cached on it
-(`LayerGraph.liveness`); a graph is immutable by convention and every rewrite
-returns a new graph, so the cache cannot go stale. Code that needs the
-sequence calls `topological_order(g)` or `g.compute_ids()`. Only three
-functions take an `order`, and they ignore it (`enumerate_solutions`,
-`run_tcp_session`, `reference_outputs`).
+The graph owns its execution order. Order, positions, last uses,
+per-step working sets and their incidence matrix are derived once per
+graph and cached on it (`LayerGraph.liveness`); a graph is immutable by
+convention and every rewrite returns a new graph, so the cache cannot go
+stale. Code that needs the sequence calls `topological_order(g)` or
+`g.compute_ids()`. Only three functions take an `order`, and they ignore
+it (`enumerate_solutions`, `run_tcp_session`, `reference_outputs`).
 """
 
 from __future__ import annotations
@@ -93,12 +93,19 @@ class BoundaryCut:
     cut_elements: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Liveness:
+    """Order and liveness of one graph. `incidence[k - 1, j]` is the element
+    count of the tensor at topological position j (the input at 0) when it is
+    live at compute step k, else 0, so the bit-weighted working set of every
+    step of the n-prefix is `incidence[:n, :n + 1] @ bits`, with `bits` the
+    input's width followed by the prefix layers' widths in order."""
+
     compute_ids: tuple  # topological order without the input node
     pos: dict  # node id -> position in the topological order
     last_use: dict  # node id -> position of its last consumer (inf for outputs)
     working_sets: tuple  # WorkingSet per compute step 1..N
+    incidence: np.ndarray  # int64, steps x positions
 
 
 def _conv_spatial(size: int, k: int, stride: int, pad: int) -> int:
@@ -333,7 +340,11 @@ class LayerGraph:
                 if pos[nid] == k or last_use[nid] >= k
             ]
             sets.append(WorkingSet(step=k, live_tensors=live, total_elements=sum(e for _, e in live)))
-        return Liveness(tuple(order[1:]), pos, last_use, tuple(sets))
+        incidence = np.zeros((len(sets), len(order)), dtype=np.int64)
+        for ws in sets:
+            for nid, elems in ws.live_tensors:
+                incidence[ws.step - 1, pos[nid]] = elems
+        return Liveness(tuple(order[1:]), pos, last_use, tuple(sets), incidence)
 
     def canonical_dump(self) -> str:
         """Deterministic structural dump (weights excluded)."""

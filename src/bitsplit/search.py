@@ -2,21 +2,24 @@
 
 Pipeline: filter feasible split prefixes, then for each one sweep a grid of
 (weight budget, activation budget) pairs anchored at uniform-bit totals. Each
-budget is solved with per-layer Lagrangian rate-distortion allocation; weight
-solves depend only on (n, weight anchor) and activation solves on (n,
-activation anchor), so they are cached and the total number of allocator runs
-stays within |P|*|B|^2 + |B|. The solution list always starts with the
-cloud-only sentinel, so selection under an accuracy threshold cannot fail.
+budget is solved with per-layer Lagrangian rate-distortion allocation. A
+layer's choice at a given multiplier does not depend on the split, so each
+distortion table gets one multiplier path per `enumerate_solutions` call
+(`MultiplierPath`), and every (n, weight anchor) and (n, activation anchor)
+allocation is read from it; the number read stays within |P|*|B|^2 + |B|.
+The solution list always starts with the cloud-only sentinel, so selection
+under an accuracy threshold cannot fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cost import (
     DeviceProfile,
     NetworkProfile,
-    activation_memory_bits,
     boundary_cut,
     split_latency,
     transmission_latency,
@@ -118,87 +121,126 @@ def potential_splits(g: LayerGraph, edge: DeviceProfile, net: NetworkProfile, M_
 # -- Lagrangian allocation ---------------------------------------------------------
 
 
-def _choices_at(points, lam):
-    """Per-layer argmin of d + lam*r; ties to smaller rate, then smaller bits."""
-    out = {}
-    for i, pts in points.items():
-        best = None
-        for b, d, r in pts:  # ascending b, hence ascending r
-            cost = d + lam * r
-            if best is None or cost < best[0]:
-                best = (cost, b, r)
-        out[i] = best[1]
-    return out
+def _probes(d, r):
+    """One multiplier strictly inside each interval between breakpoints.
 
-
-def _table_points(table: DistortionTable, layer_ids):
-    return {
-        i: [(b, table.d(i, b), table.r(i, b)) for b in table.bits]
-        for i in layer_ids
-    }
-
-
-def _sweep(points, measure, budget):
-    """(choices, multiplier, measure(choices)) at the smallest multiplier whose
-    choices measure within the budget, or None.
-
-    Per-layer choices change only where two of a layer's points cost the same,
-    at the breakpoints (d1 - d2) / (r2 - r1) (Shoham & Gersho, IEEE TASSP
-    1988). One probe strictly inside each interval between breakpoints (0
-    below the first, midpoints, twice the last above it) therefore visits
-    every distinct choice, and no probe sits on a breakpoint, where a float
-    tie would decide. Rate and peak memory both fall as the multiplier
-    grows, so the probes are bisected by index.
+    A layer's choice, the argmin of d + lam*r over its widths, changes only
+    where two of its points cost the same, at the breakpoints
+    (d1 - d2) / (r2 - r1) (Shoham & Gersho, IEEE TASSP 1988). The probes are
+    0 below the first breakpoint, the midpoints, and twice the last above
+    it, so they visit every distinct choice of every layer and none sits on
+    a breakpoint, where a float tie would decide. `d` and `r` are
+    layers x widths, widths ascending.
     """
-    cuts = sorted(
-        {
-            (d1 - d2) / (r2 - r1)
-            for pts in points.values()
-            for k, (_, d1, r1) in enumerate(pts)
-            for _, d2, r2 in pts[k + 1 :]
-            if r2 > r1 and d1 > d2
-        }
-    )
-    probes = [0.0] + [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])] + [2.0 * c for c in cuts[-1:]]
-    lo, hi = 0, len(probes) - 1
-    best = _choices_at(points, probes[hi])
-    used = measure(best)
-    if used > budget:
+    k1, k2 = np.triu_indices(d.shape[1], 1)
+    dd = d[:, k1] - d[:, k2]
+    dr = r[:, k2] - r[:, k1]
+    keep = (dr > 0) & (dd > 0)
+    cuts = np.array(sorted(set((dd[keep] / dr[keep]).tolist())), dtype=np.float64)
+    return np.concatenate([[0.0], 0.5 * (cuts[:-1] + cuts[1:]), 2.0 * cuts[-1:]])
+
+
+def _first_fit(measure, count, budget):
+    """Smallest probe index whose measure is within the budget, or None.
+    Rate and peak memory both fall as the multiplier grows, so the probes
+    are bisected."""
+    hi = count - 1
+    if measure(hi) > budget:
         return None
+    lo = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        cand = _choices_at(points, probes[mid])
-        cand_used = measure(cand)
-        if cand_used <= budget:
-            best, used, hi = cand, cand_used, mid
+        if measure(mid) <= budget:
+            hi = mid
         else:
             lo = mid + 1
-    return best, probes[hi], used
+    return hi
+
+
+class MultiplierPath:
+    """One table's per-layer Lagrangian choices at every probe of its
+    multiplier path (`_probes` over the breakpoints of all its layers).
+
+    At a given multiplier each layer's choice does not depend on which
+    other layers are allocated, and the probes of all layers refine the
+    probes of any prefix of them. So the first probe of this path whose
+    choices fit a prefix's budget lies in the same interval of the prefix's
+    own breakpoints as the first fitting probe of the prefix alone: every
+    (prefix, budget) allocation is read from one path with the same bits.
+    A probe's choices tie to the smaller width (numpy's first minimum).
+    Crossing tensors choose among the packable widths only; those widths'
+    breakpoints are a subset of the full menu's.
+    """
+
+    def __init__(self, table: DistortionTable, layer_ids):
+        self.ids = list(layer_ids)
+        shape = (len(self.ids), len(table.bits))
+        self.bits = np.array(table.bits, dtype=np.int64)
+        self.d = np.array([[table.d(i, b) for b in table.bits] for i in self.ids], dtype=np.float64).reshape(shape)
+        self.r = np.array([[table.r(i, b) for b in table.bits] for i in self.ids], dtype=np.int64).reshape(shape)
+        self.probes = _probes(self.d, self.r)
+        cost = self.probes[:, None, None] * self.r  # probes x layers x widths
+        cost += self.d
+        self.choice = cost.argmin(axis=2).astype(np.uint8)  # column indices: a menu holds a few widths
+        packable = np.isin(self.bits, PACKABLE_BITS)
+        cost[:, :, ~packable] = np.inf
+        self.packable_choice = cost.argmin(axis=2).astype(np.uint8) if packable.any() else None
+
+    def weights(self, n: int, budgets) -> list:
+        """For each budget, the first n layers' choices at the first probe
+        whose total rate is within it."""
+        choice = self.choice[:, :n]
+        rate = self.r[np.arange(n), choice].sum(axis=1)
+        return [self._read(choice, rate.__getitem__, b, "budget below minimum rate") for b in budgets]
+
+    def activations(self, g: LayerGraph, n: int, budgets) -> list:
+        """For each budget, the first n layers' choices at the first probe
+        whose peak bit-weighted working set (`g.liveness.incidence`) is within
+        it. A layer whose output crosses the boundary gets only widths the
+        wire can pack (`PACKABLE_BITS`); without one the split is infeasible.
+        The path's layers must be the graph's compute layers, in order."""
+        cut = set(boundary_cut(g, n).crossing_tensors)
+        crossing = [k for k, i in enumerate(self.ids[:n]) if i in cut]
+        choice = self.choice[:, :n].copy()
+        if crossing:
+            if self.packable_choice is None:
+                reason = "no transportable width for tensor %d" % min(self.ids[k] for k in crossing)
+                return [Allocation(feasible=False, bits={}, reason=reason) for _ in budgets]
+            choice[:, crossing] = self.packable_choice[:, crossing]
+        widths = np.empty((len(self.probes), n + 1), dtype=np.int64)
+        widths[:, 0] = g.input_bits
+        widths[:, 1:] = self.bits[choice]
+        incidence = g.liveness.incidence[:n, : n + 1]
+
+        def peak(p):
+            return int((incidence @ widths[p]).max(initial=0))
+
+        return [self._read(choice, peak, b, "infeasible even at minimum bits") for b in budgets]
+
+    def _read(self, choice, measure, budget, reason) -> Allocation:
+        p = _first_fit(measure, len(self.probes), budget)
+        if p is None:
+            return Allocation(feasible=False, bits={}, reason=reason)
+        cols = choice[p]
+        n = len(cols)
+        return Allocation(
+            feasible=True,
+            bits=dict(zip(self.ids[:n], self.bits[cols].tolist())),
+            budget_used_bits=int(measure(p)),
+            total_distortion=sum(self.d[np.arange(n), cols].tolist()),
+            lam=float(self.probes[p]),
+        )
 
 
 def allocate_bits_lagrangian(table: DistortionTable, layer_ids, budget_bits: int) -> Allocation:
     """Largest-rate convex-hull point with total rate within the budget.
 
-    Exact: the multiplier sweep (`_sweep`) visits every lower-hull point of
-    the summed rate/distortion, and each layer's returned choice minimizes
+    Exact: the multiplier path visits every lower-hull point of the summed
+    rate/distortion, and each layer's returned choice minimizes
     d_i(b) + lam*r_i(b) at the returned multiplier.
     """
-    layer_ids = list(layer_ids)
-
-    def rate_of(bits):
-        return sum(table.r(i, bits[i]) for i in layer_ids)
-
-    found = _sweep(_table_points(table, layer_ids), rate_of, budget_bits)
-    if found is None:
-        return Allocation(feasible=False, bits={}, reason="budget below minimum rate")
-    bits, lam, used = found
-    return Allocation(
-        feasible=True,
-        bits=bits,
-        budget_used_bits=used,
-        total_distortion=sum(table.d(i, bits[i]) for i in layer_ids),
-        lam=lam,
-    )
+    path = MultiplierPath(table, layer_ids)
+    return path.weights(len(path.ids), [budget_bits])[0]
 
 
 def repair_activation_assignment(table, g, n, bits, budget_bits):
@@ -239,28 +281,7 @@ def allocate_activation_bits(table: DistortionTable, g: LayerGraph, n: int, budg
     constraint: the peak bit-weighted working set of the edge prefix. A layer
     whose output crosses the boundary gets only widths the wire can pack
     (`PACKABLE_BITS`); without one in the menu the split is infeasible."""
-    layer_ids = g.compute_ids()[:n]
-    points = _table_points(table, layer_ids)
-    for nid in boundary_cut(g, n).crossing_tensors:
-        if nid in points:
-            points[nid] = [p for p in points[nid] if p[0] in PACKABLE_BITS]
-            if not points[nid]:
-                return Allocation(feasible=False, bits={}, reason="no transportable width for tensor %d" % nid)
-
-    def peak_of(bits):
-        return activation_memory_bits(g, n, bits)
-
-    found = _sweep(points, peak_of, budget_bits)
-    if found is None:
-        return Allocation(feasible=False, bits={}, reason="infeasible even at minimum bits")
-    bits, lam, used = found
-    return Allocation(
-        feasible=True,
-        bits=bits,
-        budget_used_bits=used,
-        total_distortion=sum(table.d(i, bits[i]) for i in layer_ids),
-        lam=lam,
-    )
+    return MultiplierPath(table, g.compute_ids()[:n]).activations(g, n, [budget_bits])[0]
 
 
 # -- enumeration -------------------------------------------------------------------
@@ -324,7 +345,10 @@ def enumerate_solutions(
         pairs_kept=0,
     )
 
+    wpath = MultiplierPath(wtable, compute)
+    apath = MultiplierPath(atable, compute)
     working = g.liveness.working_sets
+    room = M_bytes * 8
     seen = set()
     for n in P:
         prefix = compute[:n]
@@ -332,29 +356,26 @@ def enumerate_solutions(
         peak_elems = max(ws.total_elements for ws in working[:n])
         w_anchors = [w_total * b for b in B]
         a_anchors = [peak_elems * b for b in B]
-        w_cache: dict[int, Allocation] = {}
-        a_cache: dict[int, Allocation] = {}
+        # read only the anchors that fit M beside the other kind's smallest
+        w_read = [k for k, W in enumerate(w_anchors) if W + min(a_anchors) <= room]
+        a_read = [k for k, A in enumerate(a_anchors) if min(w_anchors) + A <= room]
+        walloc = dict(zip(w_read, wpath.weights(n, [w_anchors[k] for k in w_read])))
+        aalloc = dict(zip(a_read, apath.activations(g, n, [a_anchors[k] for k in a_read])))
+        stats.solve_count += len(walloc) + len(aalloc)
         for kw, Wk in enumerate(w_anchors):
             for ka, Ak in enumerate(a_anchors):
-                if Wk + Ak > M_bytes * 8:
+                if Wk + Ak > room:
                     continue
                 stats.pairs_tried += 1
-                if kw not in w_cache:
-                    w_cache[kw] = allocate_bits_lagrangian(wtable, prefix, Wk)
-                    stats.solve_count += 1
-                walloc = w_cache[kw]
-                if ka not in a_cache:
-                    a_cache[ka] = allocate_activation_bits(atable, g, n, budget_bits=Ak)
-                    stats.solve_count += 1
-                aalloc = a_cache[ka]
-                if not (walloc.feasible and aalloc.feasible):
+                wa, aa = walloc[kw], aalloc[ka]
+                if not (wa.feasible and aa.feasible):
                     continue
-                assignment = BitAssignment(weight_bits=dict(walloc.bits), act_bits=dict(aalloc.bits))
+                assignment = BitAssignment(weight_bits=dict(wa.bits), act_bits=dict(aa.bits))
                 key = (n, assignment.key(prefix))
                 if key in seen:
                     continue
                 seen.add(key)
-                distortion = walloc.total_distortion + aalloc.total_distortion
+                distortion = wa.total_distortion + aa.total_distortion
                 if distortion_cap is not None and distortion > distortion_cap:
                     continue
                 S.append(
@@ -363,8 +384,8 @@ def enumerate_solutions(
                         assignment=assignment,
                         breakdown=split_latency(g, n, assignment, edge, cloud, net),
                         total_distortion=distortion,
-                        edge_weight_bytes=walloc.budget_used_bits / 8.0,
-                        edge_act_bytes=aalloc.budget_used_bits / 8.0,
+                        edge_weight_bytes=wa.budget_used_bits / 8.0,
+                        edge_act_bytes=aa.budget_used_bits / 8.0,
                     )
                 )
                 stats.pairs_kept += 1

@@ -2,9 +2,10 @@
 
 Message layout (little-endian): magic 0x4153 u16, version u8 = 1, bits u8,
 tensor_id u32, scale f32, zero_point f32, ndim u8, dims i32 x ndim,
-payload_len u32, payload. The fixed fields through ndim span 17 bytes; ndim=0
-denotes an empty tensor. Values pack little-end-first within each byte, with
-the channel axis varying fastest; the final partial byte is zero padded.
+payload_len u32, payload. The fixed fields through ndim span 17 bytes; ndim
+is at least 1, as no graph tensor is 0-d. Values pack little-end-first
+within each byte, with the channel axis varying fastest; the final partial
+byte is zero padded.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ MAGIC = 0x4153
 VERSION = 1
 PACKABLE_BITS = (1, 2, 4, 8)
 CONNECT_TIMEOUT_S = 10.0  # edge connect and cloud accept deadline for TCP sessions
+EDGE_JOIN_TIMEOUT_S = 30.0  # how long a session waits for its edge thread to finish
 _HEAD = struct.Struct("<HBBIffB")
 
 
@@ -87,7 +89,7 @@ def pack_activations(q: np.ndarray, bits: int) -> bytes:
 def unpack_activations(buf: bytes, bits: int, shape) -> np.ndarray:
     if bits not in PACKABLE_BITS:
         raise WireError("cannot unpack %d-bit values" % bits)
-    elements = 0 if len(shape) == 0 else prod(shape)
+    elements = prod(shape)
     expect = message_payload_bytes(elements, bits)
     if len(buf) != expect:
         raise WireError("payload length %d does not match %d elements at %d bits" % (len(buf), elements, bits))
@@ -115,14 +117,14 @@ class ActivationMessage:
     payload: bytes
 
     def elements(self) -> int:
-        return 0 if len(self.shape) == 0 else prod(self.shape)
+        return prod(self.shape)
 
 
 def encode_message(m: ActivationMessage) -> bytes:
     if m.bits not in PACKABLE_BITS:
         raise WireError("bits %d not encodable" % m.bits)
-    if len(m.shape) > 255:
-        raise WireError("too many dims")
+    if not 1 <= len(m.shape) <= 255:
+        raise WireError("a message needs 1 to 255 dims, got %d" % len(m.shape))
     if len(m.payload) != message_payload_bytes(m.elements(), m.bits):
         raise WireError("payload length does not match shape/bits")
     head = _HEAD.pack(
@@ -152,6 +154,8 @@ def decode_message(buf: bytes) -> ActivationMessage:
     if len(buf) < _HEAD.size:
         raise TruncatedError("message cut inside fixed header")
     _, _, bits, tensor_id, scale, zero_point, ndim = _HEAD.unpack_from(buf, 0)
+    if ndim == 0:
+        raise WireError("message has an empty shape")
     off = _HEAD.size
     if len(buf) < off + 4 * ndim:
         raise TruncatedError("message cut inside dims")
@@ -277,8 +281,7 @@ def _crossing_payloads(g: LayerGraph, x, solution):
 
 def _message_size(shape, bits: int) -> int:
     """Encoded size of one message: fixed header, dims, payload length, payload."""
-    elements = 0 if len(shape) == 0 else prod(shape)
-    return _HEAD.size + 4 * len(shape) + 4 + message_payload_bytes(elements, bits)
+    return _HEAD.size + 4 * len(shape) + 4 + message_payload_bytes(prod(shape), bits)
 
 
 def edge_role(g: LayerGraph, x, solution, chan: Channel):
@@ -323,9 +326,10 @@ def cloud_role(g: LayerGraph, solution, chan: Channel, want_transcript=False):
 def _drive(edge, cloud):
     """Run edge() in a thread and cloud() here; return cloud's result.
 
-    The edge thread is joined (for up to 30 s) before this returns or raises,
-    so callers that close their channels afterwards do not cut off an edge
-    that is still sending.
+    The edge thread is joined before this returns or raises, so callers
+    that close their channels afterwards do not cut off an edge that is
+    still sending. An edge still running after `EDGE_JOIN_TIMEOUT_S` raises
+    WireError instead of being passed over in silence.
 
     When the cloud saw its channel close, an error the edge recorded is the
     root cause, so that is raised instead, chained from the cloud's. Any
@@ -345,7 +349,9 @@ def _drive(edge, cloud):
         try:
             result = cloud()
         finally:
-            t.join(timeout=30)
+            t.join(timeout=EDGE_JOIN_TIMEOUT_S)
+            if t.is_alive():
+                raise WireError("edge did not finish within %g s" % EDGE_JOIN_TIMEOUT_S)
     except ChannelClosedError as cloud_error:
         if errors:
             raise errors[0] from cloud_error

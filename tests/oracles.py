@@ -176,6 +176,72 @@ def exhaustive_act_alloc(table, g, order, n, budget_bits):
     return best
 
 
+# -- per-prefix Lagrangian sweep ---------------------------------------------------
+
+
+def table_points(table, layer_ids):
+    """{layer: [(bits, d, r), ...]} in ascending bits."""
+    return {i: [(b, table.d(i, b), table.r(i, b)) for b in table.bits] for i in layer_ids}
+
+
+def choices_at(points, lam):
+    """Per-layer argmin of d + lam*r; ties to smaller rate, then smaller bits."""
+    out = {}
+    for i, pts in points.items():
+        best = None
+        for b, d, r in pts:  # ascending b, hence ascending r
+            cost = d + lam * r
+            if best is None or cost < best[0]:
+                best = (cost, b, r)
+        out[i] = best[1]
+    return out
+
+
+def sweep_alloc(points, measure, budget):
+    """A sweep over one problem's own breakpoints, the reference for
+    `search.MultiplierPath`: one multiplier inside each interval between
+    them, bisected for the smallest whose choices measure within the
+    budget. Returns (choices, measure(choices)), or None."""
+    cuts = sorted(
+        {
+            (d1 - d2) / (r2 - r1)
+            for pts in points.values()
+            for k, (_, d1, r1) in enumerate(pts)
+            for _, d2, r2 in pts[k + 1 :]
+            if r2 > r1 and d1 > d2
+        }
+    )
+    probes = [0.0] + [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])] + [2.0 * c for c in cuts[-1:]]
+    lo, hi = 0, len(probes) - 1
+    best = choices_at(points, probes[hi])
+    used = measure(best)
+    if used > budget:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cand = choices_at(points, probes[mid])
+        cand_used = measure(cand)
+        if cand_used <= budget:
+            best, used, hi = cand, cand_used, mid
+        else:
+            lo = mid + 1
+    return best, used
+
+
+def sized_table(rng, kind, sizes, bits):
+    """Seeded rows decaying geometrically in the bit-width, as `random_table`,
+    for given layer sizes; zero-size layers get flat zero rows."""
+    from bitsplit.quantize import DistortionTable
+
+    d = {}
+    for i in sorted(sizes):
+        a = float(rng.uniform(0.01, 10.0))
+        c = float(rng.uniform(0.5, 1.2))
+        vals = sorted((a * 4.0 ** (-c * b) * (1.0 + float(rng.uniform(-0.15, 0.15))) for b in bits), reverse=True)
+        d.update({(i, b): (v if sizes[i] else 0.0) for b, v in zip(bits, vals)})
+    return DistortionTable(kind, tuple(bits), sizes, d)
+
+
 def aggregate_points(table, layer_ids):
     """Every achievable (total rate, total distortion) pair."""
     layer_ids = list(layer_ids)

@@ -1,8 +1,11 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
-from bitsplit import search
+from bitsplit import cost, search
 from bitsplit.engine import calibrate_activations
 from bitsplit.graph import LayerGraph, LayerNode, boundary_cut, compute_working_sets, topological_order
 from bitsplit.quantize import DistortionTable, activation_distortion_table, weight_distortion_table
@@ -17,8 +20,9 @@ from bitsplit.search import (
     select_solution,
     solution_sort_key,
 )
-from bitsplit.synth import TOY_MEMORY_BYTES, random_dag, random_grid_input
-from helpers import measure_all, toy_profiles, uniform_assignment
+from bitsplit.synth import TOY_MEMORY_BYTES, random_dag, random_grid_input, resnet50_shapes
+from bitsplit.wire import PACKABLE_BITS
+from helpers import measure_all, table1_profiles, toy_profiles, uniform_assignment
 
 
 def test_assignment_helpers():
@@ -408,6 +412,111 @@ def test_enumerate_tiny_memory_leaves_sentinel(toy_graph, toy_tables):
     S, stats = enumerate_solutions(toy_graph, order, wtable, atable, edge, cloud, net, 10, B=(2, 4, 8))
     assert len(S) == 1 and S[0].is_sentinel
     assert stats.potential == []
+
+
+def _graph_tables(rng, g, B):
+    compute = g.compute_ids()
+    wtable = oracles.sized_table(rng, "w", {i: g.nodes[i].weight_elements() for i in compute}, B)
+    atable = oracles.sized_table(rng, "a", {i: g.nodes[i].act_elements() for i in compute}, B)
+    return wtable, atable
+
+
+def _prefix_sweep(kind, table, g, order, steps, n, budget):
+    """The naive reference for one (prefix, budget) allocation: a sweep over
+    the prefix's own breakpoints, with crossing activations restricted to
+    packable widths and the peak summed over the oracle's live sets."""
+    prefix = g.compute_ids()[:n]
+    if kind == "weights":
+        return oracles.sweep_alloc(
+            oracles.table_points(table, prefix), lambda bits: sum(table.r(i, bits[i]) for i in prefix), budget
+        )
+    points = oracles.table_points(table, prefix)
+    for i in set(prefix) & set(oracles.cut_ids(g, order, n)):
+        points[i] = [p for p in points[i] if p[0] in PACKABLE_BITS]
+
+    def peak(bits):
+        return max(
+            sum(g.nodes[j].act_elements() * (g.input_bits if j == g.input_id else bits[j]) for j in live)
+            for live in steps[:n]
+        )
+
+    return oracles.sweep_alloc(points, peak, budget)
+
+
+@pytest.mark.parametrize("B", [(2, 4, 8), (3, 8), (2, 4, 8, 16)])
+def test_every_enumerated_allocation_equals_a_per_prefix_sweep(toy_graph, B, monkeypatch):
+    # (3, 8) leaves crossing tensors a one-point menu; 16 is not packable
+    reads = []
+    for name in ("weights", "activations"):
+        real = getattr(search.MultiplierPath, name)
+
+        def record(self, *args, _real=real, _name=name):
+            out = _real(self, *args)
+            reads.append((_name, self, args[-2], args[-1], out))
+            return out
+
+        monkeypatch.setattr(search.MultiplierPath, name, record)
+    edge, cloud, net = toy_profiles()
+    edge = replace(edge, supported_bits=B)
+    rng = np.random.default_rng(71)
+    graphs = [("toy", toy_graph), ("resnet50", resnet50_shapes()[0])]
+    graphs += [("random", random_dag(rng, max_nodes=12)) for _ in range(24)]
+    checked = 0
+    feasible = Counter()
+    for label, g in graphs:
+        order = topological_order(g)
+        compute = g.compute_ids()
+        steps = [oracles.live_ids(g, order, k) for k in range(1, len(order))]
+        wtable, atable = _graph_tables(rng, g, B)
+        full = sum(g.nodes[i].weight_elements() for i in compute) + max(
+            sum(g.nodes[j].act_elements() for j in live) for live in steps
+        )
+        for M in (full // 2, 4 * full):
+            reads.clear()
+            S, stats = enumerate_solutions(g, order, wtable, atable, edge, cloud, net, M, B=B)
+            assert sum(len(budgets) for *_, budgets, _ in reads) == stats.solve_count
+            for kind, path, n, budgets, allocs in reads:
+                table = wtable if kind == "weights" else atable
+                for budget, alloc in zip(budgets, allocs):
+                    want = _prefix_sweep(kind, table, g, order, steps, n, budget)
+                    checked += 1
+                    assert alloc.feasible == (want is not None)
+                    if want is None:
+                        continue
+                    feasible[label] += 1
+                    assert alloc.bits == want[0]
+                    assert alloc.budget_used_bits == want[1]
+                    assert alloc.total_distortion == sum(table.d(i, alloc.bits[i]) for i in compute[:n])
+                    assert alloc.lam in path.probes
+    assert set(feasible) == {"toy", "resnet50", "random"}
+    assert checked > sum(feasible.values())  # infeasible budgets were read too
+
+
+def test_enumerate_prices_each_edge_layer_once_and_never_rechecks_memory(monkeypatch):
+    g, _ = resnet50_shapes()
+    compute = g.compute_ids()
+    edge, cloud, net = table1_profiles()
+    B = (2, 4, 8)
+    wtable, atable = _graph_tables(np.random.default_rng(0), g, B)
+    priced = Counter()
+    memory_calls = []
+    layer_latency = cost.layer_latency
+
+    def counted_latency(node, g_, d, bw, ba):
+        priced[(d, node.id, bw, ba)] += 1
+        return layer_latency(node, g_, d, bw, ba)
+
+    monkeypatch.setattr(cost, "layer_latency", counted_latency)
+    for module in (cost, search):
+        if hasattr(module, "activation_memory_bits"):
+            monkeypatch.setattr(module, "activation_memory_bits", lambda *a: memory_calls.append(a))
+    for _ in range(2):  # the second call on the same (graph, profile) prices nothing new
+        S, stats = enumerate_solutions(g, topological_order(g), wtable, atable, edge, cloud, net, 32 << 20, B=B)
+        assert len(S) > 100
+        assert stats.solve_count <= stats.solve_bound
+    assert max(priced.values()) == 1
+    assert sum(c for (d, *_), c in priced.items() if d == edge) <= len(compute) * len(B) ** 2
+    assert not memory_calls
 
 
 # -- selection ----------------------------------------------------------------------------

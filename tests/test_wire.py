@@ -1,6 +1,7 @@
 import math
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -209,7 +210,7 @@ def _message_bytes(draw):
         return draw(st.binary(max_size=64))
     bits = draw(st.one_of(st.sampled_from(PACKABLE_BITS), st.integers(0, 255)))
     dims = draw(st.lists(_DIM, max_size=80))
-    elements = math.prod(dims) if dims else 0
+    elements = math.prod(dims)
     if bits in PACKABLE_BITS and 0 <= elements <= 4096 and draw(st.booleans()):
         size = message_payload_bytes(elements, bits)
     else:
@@ -226,12 +227,24 @@ def _message_bytes(draw):
 @example(_raw_message(8, (-1, 0), b""))
 @example(_raw_message(8, (0, 2**31 - 1, 2**31 - 1, 2**31 - 1), b""))
 @example(_raw_message(8, (1,) * 70, b"\x07"))
+@example(_raw_message(8, (), b""))
 def test_decoding_arbitrary_bytes_raises_only_wire_errors(buf):
     try:
         m = decode_message(buf)
-        unpack_activations(m.payload, m.bits, m.shape)
+        out = unpack_activations(m.payload, m.bits, m.shape)
     except WireError:
-        pass
+        return
+    assert out.shape == tuple(m.shape)
+    assert out.size == m.elements()
+
+
+def test_empty_shapes_are_refused_both_ways():
+    # no graph tensor is 0-d, and a 0-d array would hold one element
+    with pytest.raises(WireError, match="empty shape"):
+        decode_message(_raw_message(8, (), b""))
+    for payload in (b"", b"\x07"):
+        with pytest.raises(WireError, match="1 to 255 dims"):
+            encode_message(ActivationMessage(1, 8, 1.0, 0.0, (), payload))
 
 
 # -- end-to-end sessions --------------------------------------------------------------
@@ -381,3 +394,13 @@ def test_sessions_keep_a_cloud_error_that_is_not_a_closed_channel():
 
     with pytest.raises(BadMagicError, match="bad magic"):
         wire._drive(edge, cloud)
+
+
+def test_a_stuck_edge_fails_the_session(monkeypatch):
+    monkeypatch.setattr(wire, "EDGE_JOIN_TIMEOUT_S", 0.05)
+    release = threading.Event()
+    try:
+        with pytest.raises(WireError, match="edge did not finish within 0.05 s"):
+            wire._drive(lambda: release.wait(10), lambda: "cloud done")
+    finally:
+        release.set()  # let the edge thread end
