@@ -16,6 +16,7 @@ import numpy as np
 from .graph import LayerGraph
 
 CLIP_ALPHAS = [1.0 - 0.05 * k for k in range(11)]  # 1.0 down to 0.50
+CLIP_GROUP_ELEMENTS = 1 << 13  # float64 elements per alpha group of the clip search (64 KiB)
 REFERENCE_BITS = 16
 
 
@@ -82,6 +83,13 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
     float32, the MSE a mean over the row, and ties resolve to the larger
     alpha. All-zero rows, and constant rows of an asymmetric search, are
     represented exactly.
+
+    The alphas are tried k at a time, k = CLIP_GROUP_ELEMENTS // (live rows
+    * M) clamped to 1..11: each group runs the elementwise steps of one alpha
+    in the same order on a (k, live rows, M) buffer, so every result is the
+    one alpha-at-a-time search gives. Small stacks (a session's single rows)
+    take one or a few groups; stacks larger than the budget go one alpha at
+    a time.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.shape[1] == 0:
@@ -121,21 +129,27 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
         s, z = step.astype(np.float32), (-lo_a / step).astype(np.float32)
 
     xl = x[live].astype(np.float64)
-    buf = np.empty_like(xl)
+    k = max(1, min(len(CLIP_ALPHAS), CLIP_GROUP_ELEMENTS // xl.size))
+    buf = np.empty((k,) + xl.shape)
     sums = np.empty(s.shape)
-    for s64, z64, row_sums in zip(s.astype(np.float64)[..., None], z.astype(np.float64)[..., None], sums):
+    s64, z64 = s.astype(np.float64)[..., None], z.astype(np.float64)[..., None]
+    for a in range(0, len(CLIP_ALPHAS), k):
+        sa, za = s64[a : a + k], z64[a : a + k]
+        b = buf[: len(sa)]
         # _codes' reconstruction, in place; codes stay float64, which changes
         # at most the sign of a zero and so no squared error
-        np.divide(xl, s64, out=buf)
-        buf += z64
-        np.rint(buf, out=buf)
-        np.clip(buf, qmin, qmax, out=buf)
-        buf -= z64
-        buf *= s64
-        buf[...] = buf.astype(np.float32)
-        np.subtract(xl, buf, out=buf)
-        buf *= buf
-        np.add.reduce(buf, axis=1, out=row_sums)
+        np.divide(xl, sa, out=b)
+        b += za
+        np.rint(b, out=b)
+        np.clip(b, qmin, qmax, out=b)
+        b -= za
+        b *= sa
+        b[...] = b.astype(np.float32)
+        np.subtract(xl, b, out=b)
+        b *= b
+        # over the last, contiguous axis: each row is the pairwise sum of a
+        # one-row search
+        np.add.reduce(b, axis=2, out=sums[a : a + k])
     errs = sums / xl.shape[1]  # np.mean over each row, as the same sum and division
     best = np.argmin(errs, axis=0)  # the first minimum: ties go to the larger alpha
     rows = np.arange(len(xl))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import crossing_bits_map, message_payload_bytes
-from .engine import _check_input, _forward, run_fake_quantized_detailed, run_inference
+from .engine import _check_input, _forward, run_fake_quantized, run_fake_quantized_detailed
 from .graph import LayerGraph, boundary_cut
 from .quantize import QuantParams, choose_clip_range, dequantize, quantize_tensor
 from .util import prod
@@ -28,6 +28,7 @@ VERSION = 1
 PACKABLE_BITS = (1, 2, 4, 8)
 CONNECT_TIMEOUT_S = 10.0  # edge connect and cloud accept deadline for TCP sessions
 EDGE_JOIN_TIMEOUT_S = 30.0  # how long a session waits for its edge thread to finish
+RECV_CHUNK = 1 << 16  # most bytes one recv asks for; socket.recv allocates the full request up front
 _HEAD = struct.Struct("<HBBIffB")
 
 
@@ -207,7 +208,7 @@ class Channel:
         got = 0
         while got < n:
             try:
-                chunk = self._sock.recv(n - got)
+                chunk = self._sock.recv(min(n - got, RECV_CHUNK))
             except OSError as e:
                 raise ChannelClosedError("recv failed: %s" % e)
             if not chunk:
@@ -218,7 +219,8 @@ class Channel:
 
     def recv_frame(self, max_size: int | None = None) -> bytes:
         """One frame's bytes. A length prefix above `max_size` raises WireError
-        before anything is allocated for the frame."""
+        before anything is allocated for the frame; without a cap, memory grows
+        only with the bytes that actually arrive."""
         (size,) = struct.unpack("<I", self._recv_exact(4))
         if max_size is not None and size > max_size:
             raise WireError("frame of %d bytes exceeds the %d expected" % (size, max_size))
@@ -419,7 +421,4 @@ def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=
 def reference_outputs(g: LayerGraph, x, solution, order=None):
     """What a session must reproduce bitwise: the monolithic reference.
     `order` is unused; the benchmark still passes it (ROADMAP 4b)."""
-    x = _check_input(g, x)
-    if solution.n == 0:
-        return run_inference(g, x)
-    return run_fake_quantized_detailed(g, x, solution.n, solution.assignment)[0]
+    return run_fake_quantized(g, _check_input(g, x), solution.n, solution.assignment)

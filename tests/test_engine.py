@@ -8,15 +8,16 @@ from bitsplit.engine import (
     evaluate_accuracy,
     float_accuracy,
     load_eval_dir,
+    quantized_weights,
     run_fake_quantized,
     run_fake_quantized_detailed,
     run_inference,
     save_eval_dir,
 )
-from bitsplit.graph import BN_EPS, GraphError, LayerGraph, LayerNode
+from bitsplit.graph import BN_EPS, GraphError, LayerGraph, LayerNode, optimize_graph
 from bitsplit.quantize import choose_clip_range, quantize_tensor
 from bitsplit.search import BitAssignment
-from bitsplit.synth import make_eval_set, random_dag, random_grid_input
+from bitsplit.synth import make_eval_set, make_toy_classifier, random_dag, random_grid_input
 from helpers import random_assignment, uniform_assignment
 
 
@@ -219,6 +220,58 @@ def test_fake_quant_missing_assignment_raises(toy_graph):
     with pytest.raises(GraphError, match="missing bit assignment"):
         run_fake_quantized(toy_graph, np.zeros((1, 16, 16), dtype=np.float32), 2,
                            BitAssignment({}, {}))
+
+
+# -- the per-graph weight cache ----------------------------------------------------------
+
+
+def _weighted(g):
+    return [i for i in g.compute_ids() if g.nodes[i].weight_elements() and g.nodes[i].weights is not None]
+
+
+def _fresh(w, bits):
+    return quantize_tensor(w, choose_clip_range(w, bits, symmetric=True))[1]
+
+
+def test_cached_weights_equal_a_fresh_quantization():
+    rng = np.random.default_rng(21)
+    graphs = [optimize_graph(make_toy_classifier(0))] + [random_dag(rng, max_nodes=10) for _ in range(6)]
+    for g in graphs:
+        compute = g.compute_ids()
+        for bits in (2, 3, 4, 8):
+            asg = uniform_assignment(g, len(compute), bits, 8)
+            filled = quantized_weights(g, compute, asg)
+            read = quantized_weights(g, compute, asg)
+            assert sorted(filled) == sorted(read) == sorted(_weighted(g))
+            for nid, t in filled.items():
+                want = _fresh(g.nodes[nid].weights, bits)
+                assert t.dtype == want.dtype and t.shape == want.shape
+                assert t.tobytes() == want.tobytes(), (nid, bits)
+                assert read[nid] is t
+        assert quantized_weights(g, compute, uniform_assignment(g, len(compute), 16, 16)) == {}
+
+
+def test_reassigned_weights_miss_the_cache():
+    g = optimize_graph(make_toy_classifier(0))
+    compute = g.compute_ids()
+    asg = uniform_assignment(g, len(compute), 4, 8)
+    nid = _weighted(g)[0]
+    before = quantized_weights(g, compute, asg)[nid]
+    node = g.nodes[nid]
+    node.weights = node.weights * np.float32(0.5)
+    after = quantized_weights(g, compute, asg)[nid]
+    assert after.tobytes() == _fresh(node.weights, 4).tobytes()
+    assert after.tobytes() != before.tobytes()
+
+
+def test_cached_weights_are_read_only(toy_graph):
+    compute = toy_graph.compute_ids()
+    qw = quantized_weights(toy_graph, compute, uniform_assignment(toy_graph, len(compute), 4, 8))
+    assert qw
+    for t in qw.values():
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[...] = 0
 
 
 # -- accuracy and eval-set storage ----------------------------------------------------

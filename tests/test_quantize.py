@@ -5,6 +5,7 @@ import oracles
 from bitsplit.engine import calibrate_activations
 from bitsplit.quantize import (
     CLIP_ALPHAS,
+    CLIP_GROUP_ELEMENTS,
     DistortionTable,
     QuantError,
     QuantParams,
@@ -173,6 +174,36 @@ def test_row_search_matches_scalar_oracle(symmetric):
                 assert err[k] == want_err, (bits, m, k)
                 assert _exact(choose_clip_range(row, bits, symmetric)) == _exact(want)
                 assert quant_mse(row, bits, symmetric) == want_err
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 11])
+def test_grouped_row_search_matches_scalar_oracle_at_group_edges(k, symmetric):
+    """Stacks sized so the 11 alphas run in groups of k: one at a time, 5 x 2
+    + 1, 3 x 3 + 2 (short last groups) and all at once. All-zero rows between
+    the live ones exercise the live-row indexing."""
+    rng = np.random.default_rng(50 + k)
+    live = 6
+    m = CLIP_GROUP_ELEMENTS // live + 1 if k == 1 else CLIP_GROUP_ELEMENTS // (k * live)
+    assert max(1, min(len(CLIP_ALPHAS), CLIP_GROUP_ELEMENTS // (live * m))) == k
+    rows = [
+        rng.standard_normal(m),  # Gaussian rows clip hard at low bit-widths
+        np.zeros(m),
+        rng.standard_normal(m) * 30,
+        np.abs(rng.standard_normal(m)),
+        rng.laplace(size=m),
+        np.zeros(m),
+        rng.integers(0, 16, m) * 0.125,  # on a quantization grid: alphas tie
+        rng.uniform(-1, 3, m),
+    ]
+    stack = np.stack(rows).astype(np.float32)
+    for bits in (2, 3, 4, 8):
+        scale, zero, err = choose_clip_rows(stack, bits, symmetric)
+        for j, row in enumerate(stack):
+            want, want_err = oracles.clip_range_scalar(row, bits, symmetric)
+            got = QuantParams(bits, float(scale[j]), float(zero[j]), symmetric)
+            assert _exact(got) == _exact(want), (bits, j)
+            assert err[j] == want_err, (bits, j)
 
 
 def test_row_search_validates_the_stack():

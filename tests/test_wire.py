@@ -10,15 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bitsplit import wire
+from bitsplit import engine, wire
 from bitsplit.cost import crossing_bits_map, message_payload_bytes
-from bitsplit.graph import GraphError, boundary_cut
+from bitsplit.graph import GraphError, boundary_cut, optimize_graph
 from bitsplit.search import BitAssignment, SplitSolution
-from bitsplit.synth import random_dag
+from bitsplit.synth import make_toy_classifier, random_dag
 from bitsplit.wire import (
     ActivationMessage,
     BadMagicError,
     BadVersionError,
+    Channel,
     ChannelClosedError,
     PACKABLE_BITS,
     TruncatedError,
@@ -247,6 +248,59 @@ def test_empty_shapes_are_refused_both_ways():
             encode_message(ActivationMessage(1, 8, 1.0, 0.0, (), payload))
 
 
+@st.composite
+def _frame_stream(draw):
+    """(stream, frames): length-prefixed frames, some with a forged length up
+    to 4 GiB, then whole, cut at a random byte or followed by random bytes.
+    frames is what an honest whole stream carries, else None."""
+    frames = draw(st.lists(st.binary(max_size=48), max_size=4))
+    honest = True
+    stream = b""
+    for payload in frames:
+        size = len(payload)
+        if draw(st.integers(0, 4)) == 0:
+            size = draw(st.integers(0, 2**32 - 1))
+            honest = honest and size == len(payload)
+        stream += struct.pack("<I", size) + payload
+    end = draw(st.sampled_from(("whole", "cut", "extra")))
+    if end == "cut":
+        return stream[: draw(st.integers(0, len(stream)))], None
+    if end == "extra":
+        return stream + draw(st.binary(min_size=1, max_size=8)), None
+    return stream, frames if honest else None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_frame_stream(), st.one_of(st.none(), st.integers(0, 64)))
+@example((struct.pack("<I", 2**32 - 1) + b"abc", None), None)
+@example((struct.pack("<I", 2**32 - 1) + b"abc", None), 64)
+def test_recv_frame_returns_frames_or_raises_wire_errors(case, max_size):
+    stream, frames = case
+    writer, reader = socket.socketpair()
+    reader.settimeout(5.0)  # a read that waited for bytes that never come would fail, not hang
+    writer.sendall(stream)
+    writer.close()
+    chan = Channel(reader)
+    got = []
+    try:
+        # a call that returns or rejects a length consumes at least its 4-byte
+        # prefix, so the stream runs out within this many calls
+        for _ in range(len(stream) // 4 + 1):
+            try:
+                got.append(chan.recv_frame(max_size=max_size))
+            except ChannelClosedError as e:
+                assert "timed out" not in str(e)
+                break
+            except WireError:
+                continue
+        else:
+            pytest.fail("recv_frame kept returning after the stream ran out")
+    finally:
+        chan.close()
+    if frames is not None and (max_size is None or all(len(f) <= max_size for f in frames)):
+        assert got == frames
+
+
 # -- end-to-end sessions --------------------------------------------------------------
 
 
@@ -316,6 +370,28 @@ def test_sessions_take_one_input_not_a_stack(toy_graph, n):
         reference_outputs(toy_graph, x[None], sol)
     with pytest.raises(GraphError, match="input shape"):
         run_split_session(toy_graph, x[None], sol)
+
+
+def test_sessions_quantize_each_edge_weight_once(monkeypatch):
+    g = optimize_graph(make_toy_classifier(0))  # a graph no other test has quantized
+    searched = []
+    search = engine.choose_clip_range
+
+    def counting(w, bits, symmetric):
+        searched.append(id(w))
+        return search(w, bits, symmetric)
+
+    monkeypatch.setattr(engine, "choose_clip_range", counting)
+    compute = g.compute_ids()
+    sol = make_sol(len(compute), uniform_assignment(g, len(compute), 4, 8))
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        x = grid_input_covering(rng, g.nodes[g.input_id].out_shape)
+        assert [a.tobytes() for a in run_split_session(g, x, sol)] == [
+            b.tobytes() for b in reference_outputs(g, x, sol)
+        ]
+    weighted = [id(g.nodes[i].weights) for i in compute if g.nodes[i].weight_elements()]
+    assert sorted(searched) == sorted(weighted)
 
 
 def _sixteen_bit_boundary_plan(g, n):
