@@ -40,7 +40,6 @@ from .graph import (
     WEIGHTED_OPS,
     GraphError,
     boundary_cut,
-    compute_working_sets,
     load_graph,
     optimize_graph,
     save_graph,
@@ -294,7 +293,7 @@ def _summary_text(g, edge, cloud, net, M, B, eval_set, base_acc, stats, S, chose
     compute = g.compute_ids()
     weighted = [i for i in compute if g.nodes[i].op_kind in WEIGHTED_OPS]
     w_elems = sum(g.nodes[i].weight_elements() for i in compute)
-    peak = max(ws.total_elements for ws in compute_working_sets(g))
+    peak = g.liveness.peaks[-1]
     fb_n, fb_br = float_baseline(g, edge, cloud, net)
     br = chosen.breakdown
     lines = [
@@ -415,8 +414,7 @@ def cmd_simulate(args) -> int:
 def cmd_inspect(args) -> int:
     g = optimize_graph(load_graph(args.graph))
     compute = g.compute_ids()
-    working = compute_working_sets(g)
-    peak = max(ws.total_elements for ws in working) if working else 0
+    peak = g.liveness.peaks[-1]
 
     node_rows = []
     for nid in topological_order(g):

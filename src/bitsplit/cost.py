@@ -131,6 +131,9 @@ def transmission_latency(g: LayerGraph, cut: BoundaryCut, bits_map: dict, net: N
     return total_bits / net.uplink_bits_per_s + net.fixed_rtt_s
 
 
+PACKABLE_BITS = (1, 2, 4, 8)  # the widths the wire layer can pack
+
+
 def message_payload_bytes(elements: int, bits: int) -> int:
     """Exact packed payload size; what the wire layer actually ships."""
     return ceil_div(elements * bits, 8)
@@ -139,14 +142,10 @@ def message_payload_bytes(elements: int, bits: int) -> int:
 # -- split-level model -----------------------------------------------------------
 
 
-def crossing_bits_map(g: LayerGraph, cut: BoundaryCut, assignment) -> dict:
-    bits = {}
-    for nid in cut.crossing_tensors:
-        if nid == g.input_id:
-            bits[nid] = g.input_bits
-        else:
-            bits[nid] = assignment.act_bits[nid]
-    return bits
+def crossing_bits_map(g: LayerGraph, cut: BoundaryCut, act_bits) -> dict:
+    """The width each crossing tensor ships at: the input at `input_bits`,
+    every other tensor at its activation width in `act_bits`."""
+    return {c: g.input_bits if c == g.input_id else act_bits[c] for c in cut.crossing_tensors}
 
 
 _CLOUD_LATENCIES = weakref.WeakKeyDictionary()  # graph -> {cloud profile: {node id: seconds}}
@@ -196,7 +195,7 @@ def split_latency(
         cloud_s += cloud16[nid]
 
     cut = boundary_cut(g, n)
-    transmit_s = transmission_latency(g, cut, crossing_bits_map(g, cut, assignment), net)
+    transmit_s = transmission_latency(g, cut, crossing_bits_map(g, cut, assignment.act_bits), net)
 
     return LatencyBreakdown(
         edge_s=edge_s,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
+from .cost import ConfigError
 from .graph import BN_EPS, GraphError, LayerGraph, WEIGHTED_OPS, topological_order
 from .quantize import QuantParams, choose_clip_range, quantize_rows, quantize_tensor
 
@@ -349,10 +350,13 @@ def save_eval_dir(eval_set: EvalSet, dirpath):
 
 def load_eval_dir(dirpath) -> EvalSet:
     labels_path = os.path.join(dirpath, "labels.csv")
-    rows = []
-    with open(labels_path, "r", newline="") as f:
-        for row in csv.DictReader(f):
-            rows.append((int(row["index"]), int(row["label"])))
+    try:
+        with open(labels_path, "r", newline="") as f:
+            rows = [(int(row["index"]), int(row["label"])) for row in csv.DictReader(f)]
+    except OSError as e:
+        raise ConfigError("cannot read %s: %s" % (labels_path, e))
+    except (KeyError, TypeError, ValueError, csv.Error) as e:
+        raise ConfigError("malformed row in %s: %s" % (labels_path, e))
     rows.sort()
     inputs, labels = [], []
     for k, lab in rows:

@@ -7,12 +7,13 @@ the edge device. Tensors produced by graph outputs (sink nodes) are treated as
 consumed by the outside world, so an edge-only split still has a boundary
 tensor to ship.
 
-The graph owns its execution order. Order, positions, last uses,
-per-step working sets and their incidence matrix are derived once per
-graph and cached on it (`LayerGraph.liveness`); a graph is immutable by
-convention and every rewrite returns a new graph, so the cache cannot go
-stale. Code that needs the sequence calls `topological_order(g)` or
-`g.compute_ids()`. Only three functions take an `order`, and they ignore
+The graph owns its execution order. Order, per-step working sets, their
+incidence matrix, the boundary cut of every split and the peak working set
+of every prefix are derived in one pass, once per graph, and cached on it
+(`LayerGraph.liveness`); positions and last uses are not kept. A graph is
+immutable by convention and every rewrite returns a new graph, so the cache
+cannot go stale. Code that needs the sequence calls `topological_order(g)`
+or `g.compute_ids()`. Only three functions take an `order`, and they ignore
 it (`enumerate_solutions`, `run_tcp_session`, `reference_outputs`).
 """
 
@@ -86,9 +87,10 @@ class WorkingSet:
     total_elements: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryCut:
-    split_index: int
+    """Cached per graph and read-only by convention, like the graph."""
+
     crossing_tensors: list  # producer ids, ascending
     cut_elements: int
 
@@ -102,10 +104,10 @@ class Liveness:
     input's width followed by the prefix layers' widths in order."""
 
     compute_ids: tuple  # topological order without the input node
-    pos: dict  # node id -> position in the topological order
-    last_use: dict  # node id -> position of its last consumer (inf for outputs)
     working_sets: tuple  # WorkingSet per compute step 1..N
     incidence: np.ndarray  # int64, steps x positions
+    cuts: tuple  # BoundaryCut per split 0..N
+    peaks: tuple  # largest working set, in elements, of steps 1..n per split n (0 at n = 0)
 
 
 def _conv_spatial(size: int, k: int, stride: int, pad: int) -> int:
@@ -327,24 +329,26 @@ class LayerGraph:
         produced at a position <= k and either it was produced at k or some
         consumer sits at a position >= k (graph outputs are consumed by the
         outside world, position +inf). The running node's input and output
-        are both live.
+        are both live. A tensor crosses split n iff it was produced at a
+        position <= n and some consumer sits at a position > n.
         """
         order = self._order
         pos = {nid: k for k, nid in enumerate(order)}
         last_use = {nid: max((pos[c] for c in self.consumers[nid]), default=math.inf) for nid in order}
-        sets = []
-        for k in range(1, len(order)):
-            live = [
-                (nid, self.nodes[nid].act_elements())
-                for nid in order[: k + 1]
-                if pos[nid] == k or last_use[nid] >= k
-            ]
-            sets.append(WorkingSet(step=k, live_tensors=live, total_elements=sum(e for _, e in live)))
+        elems = {nid: self.nodes[nid].act_elements() for nid in order}
+        sets, cuts, peaks = [], [], [0]
+        for k in range(len(order)):
+            if k:
+                live = [(nid, elems[nid]) for nid in order[: k + 1] if pos[nid] == k or last_use[nid] >= k]
+                sets.append(WorkingSet(step=k, live_tensors=live, total_elements=sum(e for _, e in live)))
+                peaks.append(max(peaks[-1], sets[-1].total_elements))
+            crossing = sorted(nid for nid in order[: k + 1] if last_use[nid] > k)
+            cuts.append(BoundaryCut(crossing_tensors=crossing, cut_elements=sum(elems[c] for c in crossing)))
         incidence = np.zeros((len(sets), len(order)), dtype=np.int64)
         for ws in sets:
-            for nid, elems in ws.live_tensors:
-                incidence[ws.step - 1, pos[nid]] = elems
-        return Liveness(tuple(order[1:]), pos, last_use, tuple(sets), incidence)
+            for nid, e in ws.live_tensors:
+                incidence[ws.step - 1, pos[nid]] = e
+        return Liveness(tuple(order[1:]), tuple(sets), incidence, tuple(cuts), tuple(peaks))
 
     def canonical_dump(self) -> str:
         """Deterministic structural dump (weights excluded)."""
@@ -550,10 +554,7 @@ def compute_working_sets(g: LayerGraph) -> list:
 
 def boundary_cut(g: LayerGraph, n: int) -> BoundaryCut:
     """Tensors produced in the n-prefix that someone after the prefix still needs."""
-    lv = g.liveness
-    N = len(lv.compute_ids)
-    if not 0 <= n <= N:
-        raise GraphError("split index %d out of range [0, %d]" % (n, N))
-    crossing = sorted(nid for nid, p in lv.pos.items() if p <= n and lv.last_use[nid] > n)
-    cut = sum(g.nodes[c].act_elements() for c in crossing)
-    return BoundaryCut(split_index=n, crossing_tensors=crossing, cut_elements=cut)
+    cuts = g.liveness.cuts
+    if not 0 <= n < len(cuts):
+        raise GraphError("split index %d out of range [0, %d]" % (n, len(cuts) - 1))
+    return cuts[n]

@@ -18,16 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import (
+    PACKABLE_BITS,
     DeviceProfile,
     NetworkProfile,
     boundary_cut,
+    crossing_bits_map,
     split_latency,
     transmission_latency,
 )
 from .engine import evaluate_accuracy, float_accuracy
 from .graph import LayerGraph
 from .quantize import DistortionTable
-from .wire import PACKABLE_BITS
 
 
 @dataclass(frozen=True)
@@ -78,41 +79,35 @@ class Allocation:
 
 def min_wire_bits(g: LayerGraph, cut, B):
     """Bits per crossing tensor at the cheapest width the wire can ship it:
-    the input at `input_bits`, every other tensor at the smallest width in B
+    `crossing_bits_map` with every activation at the smallest width in B
     that is also in `PACKABLE_BITS`. None when B holds no packable width."""
-    packable = [b for b in B if b in PACKABLE_BITS]
-    if not packable:
-        return None
-    return {c: g.input_bits if c == g.input_id else min(packable) for c in cut.crossing_tensors}
+    b = min((b for b in B if b in PACKABLE_BITS), default=None)
+    return None if b is None else crossing_bits_map(g, cut, dict.fromkeys(cut.crossing_tensors, b))
 
 
 def potential_splits(g: LayerGraph, edge: DeviceProfile, net: NetworkProfile, M_bytes: int, B=None):
     """Split prefixes whose boundary, at the cheapest widths the wire can ship
     (`min_wire_bits`), beats raw-input transmission, and that fit memory at
-    min(B). Without a packable width in B no split is admitted."""
+    min(B). Without a packable width in B no split is admitted: cut 0 crosses
+    only the input, so its `min_wire_bits` is the raw-input map, or None."""
     B = tuple(B) if B else edge.supported_bits
-    if not any(b in PACKABLE_BITS for b in B):
+    cut0 = boundary_cut(g, 0)
+    bits0 = min_wire_bits(g, cut0, B)
+    if bits0 is None:
         return []
+    T0 = transmission_latency(g, cut0, bits0, net)
     b_min = min(B)
     compute = g.compute_ids()
-    N = len(compute)
-
-    cut0 = boundary_cut(g, 0)
-    T0 = transmission_latency(g, cut0, {g.input_id: g.input_bits}, net)
+    peaks = g.liveness.peaks
 
     weights_prefix = 0
-    peak_elems = 0
-    working = g.liveness.working_sets
     out = []
-    for n in range(1, N + 1):
-        node = g.nodes[compute[n - 1]]
-        weights_prefix += node.weight_elements()
-        peak_elems = max(peak_elems, working[n - 1].total_elements)
+    for n in range(1, len(compute) + 1):
+        weights_prefix += g.nodes[compute[n - 1]].weight_elements()
         cut = boundary_cut(g, n)
-        Tn = transmission_latency(g, cut, min_wire_bits(g, cut, B), net)
-        if Tn > T0:
+        if transmission_latency(g, cut, min_wire_bits(g, cut, B), net) > T0:
             continue
-        if b_min * (weights_prefix + peak_elems) > M_bytes * 8:
+        if b_min * (weights_prefix + peaks[n]) > M_bytes * 8:
             continue
         out.append(n)
     return out
@@ -347,15 +342,14 @@ def enumerate_solutions(
 
     wpath = MultiplierPath(wtable, compute)
     apath = MultiplierPath(atable, compute)
-    working = g.liveness.working_sets
+    peaks = g.liveness.peaks
     room = M_bytes * 8
     seen = set()
     for n in P:
         prefix = compute[:n]
         w_total = sum(g.nodes[i].weight_elements() for i in prefix)
-        peak_elems = max(ws.total_elements for ws in working[:n])
         w_anchors = [w_total * b for b in B]
-        a_anchors = [peak_elems * b for b in B]
+        a_anchors = [peaks[n] * b for b in B]
         # read only the anchors that fit M beside the other kind's smallest
         w_read = [k for k, W in enumerate(w_anchors) if W + min(a_anchors) <= room]
         a_read = [k for k, A in enumerate(a_anchors) if min(w_anchors) + A <= room]

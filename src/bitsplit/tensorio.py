@@ -61,5 +61,9 @@ def write_tensor(path, x: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        return tensor_from_bytes(f.read())
+    try:
+        with open(path, "rb") as f:
+            buf = f.read()
+    except OSError as e:
+        raise BlobError("cannot read %s: %s" % (path, e))
+    return tensor_from_bytes(buf)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import crossing_bits_map, message_payload_bytes
+from .cost import PACKABLE_BITS, crossing_bits_map, message_payload_bytes
 from .engine import _check_input, _forward, run_fake_quantized, run_fake_quantized_detailed
 from .graph import LayerGraph, boundary_cut
 from .quantize import QuantParams, choose_clip_range, dequantize, quantize_tensor
@@ -25,9 +25,8 @@ from .util import prod
 
 MAGIC = 0x4153
 VERSION = 1
-PACKABLE_BITS = (1, 2, 4, 8)
 CONNECT_TIMEOUT_S = 10.0  # edge connect and cloud accept deadline for TCP sessions
-EDGE_JOIN_TIMEOUT_S = 30.0  # how long a session waits for its edge thread to finish
+EDGE_JOIN_TIMEOUT_S = 30.0  # how long a session waits for its edge thread, and the cloud for each recv
 RECV_CHUNK = 1 << 16  # most bytes one recv asks for; socket.recv allocates the full request up front
 _HEAD = struct.Struct("<HBBIffB")
 
@@ -226,6 +225,16 @@ class Channel:
             raise WireError("frame of %d bytes exceeds the %d expected" % (size, max_size))
         return self._recv_exact(size)
 
+    def expect_end(self):
+        """Return once the peer has closed its end; a byte sent instead
+        raises WireError."""
+        try:
+            extra = self._sock.recv(1)
+        except OSError as e:
+            raise ChannelClosedError("recv failed: %s" % e)
+        if extra:
+            raise WireError("data after the last expected frame")
+
     def close(self):
         try:
             self._sock.close()
@@ -235,6 +244,8 @@ class Channel:
 
 def make_channel_pair():
     a, b = socket.socketpair()
+    for sock in (a, b):
+        sock.settimeout(EDGE_JOIN_TIMEOUT_S)
     return Channel(a), Channel(b)
 
 
@@ -292,33 +303,37 @@ def edge_role(g: LayerGraph, x, solution, chan: Channel):
 
 
 def cloud_role(g: LayerGraph, solution, chan: Channel, want_transcript=False):
-    """Receive boundary tensors, run the suffix in float, return outputs."""
+    """Receive boundary tensors, each at the width the plan ships it
+    (`crossing_bits_map`), require the stream to end, run the suffix in
+    float, return outputs."""
     n = solution.n
     cut = boundary_cut(g, n)
-    bits = crossing_bits_map(g, cut, solution.assignment)
+    bits = crossing_bits_map(g, cut, solution.assignment.act_bits)
     vals = {}
     transcript = []
     for expect_id in cut.crossing_tensors:
-        cap = _message_size(g.nodes[expect_id].out_shape, bits[expect_id])
-        msg = decode_message(chan.recv_frame(max_size=cap))
+        shape = tuple(g.nodes[expect_id].out_shape)
+        msg = decode_message(chan.recv_frame(max_size=_message_size(shape, bits[expect_id])))
         if msg.tensor_id != expect_id:
             raise WireError("expected tensor %d, got %d" % (expect_id, msg.tensor_id))
-        node = g.nodes[msg.tensor_id]
-        if tuple(msg.shape) != tuple(node.out_shape):
-            raise WireError("tensor %d shape mismatch" % msg.tensor_id)
+        if tuple(msg.shape) != shape:
+            raise WireError("tensor %d shape mismatch" % expect_id)
+        if msg.bits != bits[expect_id]:
+            raise WireError("tensor %d sent at %d bits, the plan ships %d" % (expect_id, msg.bits, bits[expect_id]))
         q = unpack_activations(msg.payload, msg.bits, msg.shape)
         p = QuantParams(msg.bits, msg.scale, msg.zero_point, symmetric=False)
-        vals[msg.tensor_id] = dequantize(q, p)[None]
+        vals[expect_id] = dequantize(q, p)[None]
         if want_transcript:
             transcript.append(
                 {
-                    "tensor_id": msg.tensor_id,
+                    "tensor_id": expect_id,
                     "bits": msg.bits,
                     "elements": msg.elements(),
                     "payload_bytes": len(msg.payload),
-                    "expected_payload_bytes": message_payload_bytes(msg.elements(), msg.bits),
+                    "expected_payload_bytes": message_payload_bytes(prod(shape), bits[expect_id]),
                 }
             )
+    chan.expect_end()
 
     _forward(g, vals, g.compute_ids()[n:])  # a stack of one, as in reference_outputs
     outputs = [vals[i][0] for i in g.output_ids]
@@ -363,14 +378,14 @@ def _drive(edge, cloud):
     return result
 
 
-def run_split_session(g: LayerGraph, x, solution, channels=None, want_transcript=False):
+def run_split_session(g: LayerGraph, x, solution, want_transcript=False):
     """Drive edge and cloud roles over a byte channel; returns cloud outputs.
 
     Output is bit-identical to the monolithic fake-quantized run for any input
     whose raw tensor is exactly representable at input_bits (needed only when
     the input itself crosses the boundary).
     """
-    edge_chan, cloud_chan = channels or make_channel_pair()
+    edge_chan, cloud_chan = make_channel_pair()
 
     def edge():
         try:
@@ -407,6 +422,7 @@ def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=
             conn, _ = server.accept()
         except socket.timeout:
             raise ChannelClosedError("edge did not connect within %g s" % CONNECT_TIMEOUT_S)
+        conn.settimeout(EDGE_JOIN_TIMEOUT_S)
         conns.append(Channel(conn))
         return cloud_role(g, solution, conns[0], want_transcript=want_transcript)
 

@@ -459,7 +459,7 @@ def test_transport_round_trip_is_bit_exact(toy_graph):
         for a, b in zip(outs, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         cut = boundary_cut(g, n)
-        bits_map = crossing_bits_map(g, cut, sol.assignment)
+        bits_map = crossing_bits_map(g, cut, sol.assignment.act_bits)
         assert [m["tensor_id"] for m in transcript] == list(cut.crossing_tensors)
         for m in transcript:
             assert m["payload_bytes"] == message_payload_bytes(

@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import shutil
 
 import pytest
 
@@ -204,3 +205,42 @@ def test_plan_from_a_sixteen_bit_menu_simulates(tmp_path):
     rc = main(["simulate", "--graph", str(demo / "graph.json"), "--selected", str(report / "selected.json"),
                "--eval-dir", str(demo / "eval"), "--limit", "2"])
     assert rc == 0
+
+
+def _demo_copy(demo_dir, tmp_path):
+    copy = tmp_path / "demo"
+    shutil.copytree(demo_dir, copy)
+    return copy
+
+
+def _solve_args(demo):
+    return ["solve", "--graph", str(demo / "graph.json"), "--devices", str(demo / "devices.json"),
+            "--memory-bytes", "2500", "--eval-dir", str(demo / "eval"), "--out", str(demo / "report")]
+
+
+def test_missing_weight_blob_exits_2(demo_dir, tmp_path):
+    demo = _demo_copy(demo_dir, tmp_path)
+    os.remove(sorted(glob.glob(str(demo / "weights" / "*.astn")))[0])
+    assert main(_solve_args(demo)) == 2
+    assert main(["inspect", "--graph", str(demo / "graph.json")]) == 2
+    assert main(["profile", "--graph", str(demo / "graph.json"), "--out", str(tmp_path / "prof")]) == 2
+
+
+def test_missing_eval_input_blob_exits_2(demo_dir, tmp_path):
+    demo = _demo_copy(demo_dir, tmp_path)
+    os.remove(demo / "eval" / "input_00000.astn")
+    assert main(_solve_args(demo)) == 2
+    assert main(["profile", "--graph", str(demo / "graph.json"), "--eval-dir", str(demo / "eval"),
+                 "--out", str(tmp_path / "prof")]) == 2
+
+
+def test_missing_eval_dir_exits_2(demo_dir, tmp_path):
+    demo = _demo_copy(demo_dir, tmp_path)
+    shutil.rmtree(demo / "eval")
+    assert main(_solve_args(demo)) == 2
+
+
+def test_non_integer_label_exits_2(demo_dir, tmp_path):
+    demo = _demo_copy(demo_dir, tmp_path)
+    (demo / "eval" / "labels.csv").write_text("index,label\n0,cat\n")
+    assert main(_solve_args(demo)) == 2

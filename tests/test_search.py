@@ -6,8 +6,15 @@ import pytest
 
 import oracles
 from bitsplit import cost, search
-from bitsplit.engine import calibrate_activations
-from bitsplit.graph import LayerGraph, LayerNode, boundary_cut, compute_working_sets, topological_order
+from bitsplit.engine import EvalSet, calibrate_activations
+from bitsplit.graph import (
+    LayerGraph,
+    LayerNode,
+    boundary_cut,
+    compute_working_sets,
+    optimize_graph,
+    topological_order,
+)
 from bitsplit.quantize import DistortionTable, activation_distortion_table, weight_distortion_table
 from bitsplit.search import (
     BitAssignment,
@@ -21,8 +28,8 @@ from bitsplit.search import (
     solution_sort_key,
 )
 from bitsplit.synth import TOY_MEMORY_BYTES, random_dag, random_grid_input, resnet50_shapes
-from bitsplit.wire import PACKABLE_BITS
-from helpers import measure_all, table1_profiles, toy_profiles, uniform_assignment
+from bitsplit.wire import PACKABLE_BITS, reference_outputs, run_split_session
+from helpers import grid_input_covering, measure_all, table1_profiles, toy_profiles, uniform_assignment
 
 
 def test_assignment_helpers():
@@ -443,9 +450,8 @@ def _prefix_sweep(kind, table, g, order, steps, n, budget):
     return oracles.sweep_alloc(points, peak, budget)
 
 
-@pytest.mark.parametrize("B", [(2, 4, 8), (3, 8), (2, 4, 8, 16)])
-def test_every_enumerated_allocation_equals_a_per_prefix_sweep(toy_graph, B, monkeypatch):
-    # (3, 8) leaves crossing tensors a one-point menu; 16 is not packable
+def _record_reads(monkeypatch):
+    """Every (kind, path, n, budgets, allocations) the multiplier paths return."""
     reads = []
     for name in ("weights", "activations"):
         real = getattr(search.MultiplierPath, name)
@@ -456,6 +462,31 @@ def test_every_enumerated_allocation_equals_a_per_prefix_sweep(toy_graph, B, mon
             return out
 
         monkeypatch.setattr(search.MultiplierPath, name, record)
+    return reads
+
+
+def _check_reads(reads, wtable, atable, g, order, steps):
+    """Each read equals the per-prefix sweep; returns how many were feasible."""
+    feasible = 0
+    for kind, path, n, budgets, allocs in reads:
+        table = wtable if kind == "weights" else atable
+        for budget, alloc in zip(budgets, allocs):
+            want = _prefix_sweep(kind, table, g, order, steps, n, budget)
+            assert alloc.feasible == (want is not None)
+            if want is None:
+                continue
+            feasible += 1
+            assert alloc.bits == want[0]
+            assert alloc.budget_used_bits == want[1]
+            assert alloc.total_distortion == sum(table.d(i, alloc.bits[i]) for i in g.compute_ids()[:n])
+            assert alloc.lam in path.probes
+    return feasible
+
+
+@pytest.mark.parametrize("B", [(2, 4, 8), (3, 8), (2, 4, 8, 16)])
+def test_every_enumerated_allocation_equals_a_per_prefix_sweep(toy_graph, B, monkeypatch):
+    # (3, 8) leaves crossing tensors a one-point menu; 16 is not packable
+    reads = _record_reads(monkeypatch)
     edge, cloud, net = toy_profiles()
     edge = replace(edge, supported_bits=B)
     rng = np.random.default_rng(71)
@@ -475,21 +506,56 @@ def test_every_enumerated_allocation_equals_a_per_prefix_sweep(toy_graph, B, mon
             reads.clear()
             S, stats = enumerate_solutions(g, order, wtable, atable, edge, cloud, net, M, B=B)
             assert sum(len(budgets) for *_, budgets, _ in reads) == stats.solve_count
-            for kind, path, n, budgets, allocs in reads:
-                table = wtable if kind == "weights" else atable
-                for budget, alloc in zip(budgets, allocs):
-                    want = _prefix_sweep(kind, table, g, order, steps, n, budget)
-                    checked += 1
-                    assert alloc.feasible == (want is not None)
-                    if want is None:
-                        continue
-                    feasible[label] += 1
-                    assert alloc.bits == want[0]
-                    assert alloc.budget_used_bits == want[1]
-                    assert alloc.total_distortion == sum(table.d(i, alloc.bits[i]) for i in compute[:n])
-                    assert alloc.lam in path.probes
+            checked += stats.solve_count
+            feasible[label] += _check_reads(reads, wtable, atable, g, order, steps)
     assert set(feasible) == {"toy", "resnet50", "random"}
     assert checked > sum(feasible.values())  # infeasible budgets were read too
+
+
+def _widen_worse(table, layer):
+    """`table` with `layer`'s 8-bit distortion above its 4-bit one."""
+    d = {(i, b): table.d(i, b) for i in table.layers() for b in table.bits}
+    d[(layer, 8)] = 2.0 * d[(layer, 4)]
+    return DistortionTable(table.kind, table.bits, table.sizes, d)
+
+
+def test_tables_whose_distortion_rises_with_width_are_solved_exactly(toy_graph, monkeypatch):
+    edge, cloud, net = toy_profiles()
+    B = (2, 4, 8)
+    # the 4th draw holds a 1x1 conv with one input channel whose weights
+    # quantize closer at 4 bits than at 8; its table once refused the graph
+    rng = np.random.default_rng(2)
+    g = optimize_graph([random_dag(rng, max_nodes=12) for _ in range(4)][-1])
+    wtable = weight_distortion_table(g, B)
+    assert any(wtable.d(i, 8) > wtable.d(i, 4) for i in wtable.layers())
+    x = grid_input_covering(rng, g.nodes[g.input_id].out_shape)
+    atable = activation_distortion_table(g, calibrate_activations(g, [x]), B)
+    S, _ = enumerate_solutions(g, topological_order(g), wtable, atable, edge, cloud, net, 10**9, B=B)
+    plan = select_solution(S, g, EvalSet(inputs=[x], labels=[0]), 1.0)
+    # every cut ships more than the raw input, so the plan is cloud-only
+    in_elems = g.nodes[g.input_id].act_elements()
+    assert all(boundary_cut(g, n).cut_elements > in_elems for n in range(1, len(g.compute_ids()) + 1))
+    assert plan.is_sentinel
+    plans = [(g, x, plan)]
+
+    # on the toy graph, layer 4 (a conv whose output crosses splits 2 and 3)
+    # pays more distortion at 8 bits than at 4 in both tables
+    order = topological_order(toy_graph)
+    steps = [oracles.live_ids(toy_graph, order, k) for k in range(1, len(order))]
+    wtable, atable = (_widen_worse(t, 4) for t in _graph_tables(np.random.default_rng(72), toy_graph, B))
+    reads = _record_reads(monkeypatch)
+    S, _ = enumerate_solutions(toy_graph, order, wtable, atable, edge, cloud, net, 10**6, B=B)
+    assert _check_reads(reads, wtable, atable, toy_graph, order, steps) > 0
+    assert len(S) > 1
+    for sol in S[1:]:
+        assert 8 not in (sol.assignment.weight_bits.get(4), sol.assignment.act_bits.get(4))
+    assert any(8 in sol.assignment.weight_bits.values() for sol in S)  # other layers still get 8
+    x = grid_input_covering(rng, toy_graph.nodes[toy_graph.input_id].out_shape)
+    plans += [(toy_graph, x, sol) for sol in S]
+
+    for g, x, sol in plans:
+        got = run_split_session(g, x, sol)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in reference_outputs(g, x, sol)]
 
 
 def test_enumerate_prices_each_edge_layer_once_and_never_rechecks_memory(monkeypatch):

@@ -335,7 +335,7 @@ def test_transcript_matches_cost_accounting(toy_graph):
         sol = make_sol(n, uniform_assignment(toy_graph, n, 8, 4))
         _, transcript = run_split_session(toy_graph, x, sol, want_transcript=True)
         cut = boundary_cut(toy_graph, n)
-        bits_map = crossing_bits_map(toy_graph, cut, sol.assignment)
+        bits_map = crossing_bits_map(toy_graph, cut, sol.assignment.act_bits)
         assert [row["tensor_id"] for row in transcript] == list(cut.crossing_tensors)
         for row in transcript:
             nid = row["tensor_id"]
@@ -478,5 +478,56 @@ def test_a_stuck_edge_fails_the_session(monkeypatch):
     try:
         with pytest.raises(WireError, match="edge did not finish within 0.05 s"):
             wire._drive(lambda: release.wait(10), lambda: "cloud done")
+    finally:
+        release.set()  # let the edge thread end
+
+
+def _feed_cloud(g, sol, frames):
+    """cloud_role over a socketpair whose far end sends `frames` and stays open."""
+    edge_sock, cloud_sock = socket.socketpair()
+    cloud_sock.settimeout(2.0)
+    chan = wire.Channel(cloud_sock)
+    try:
+        for frame in frames:
+            edge_sock.sendall(struct.pack("<I", len(frame)) + frame)
+        return wire.cloud_role(g, sol, chan)
+    finally:
+        edge_sock.close()
+        chan.close()
+
+
+def test_cloud_rejects_a_message_narrower_than_the_plan(toy_graph):
+    x = grid_input_covering(np.random.default_rng(18), toy_graph.nodes[toy_graph.input_id].out_shape)
+    plan = make_sol(3, uniform_assignment(toy_graph, 3, 8, 8))
+    narrow = make_sol(3, uniform_assignment(toy_graph, 3, 8, 4))
+    msgs = [msg for _, msg in wire._crossing_payloads(toy_graph, x, narrow)]
+    frames = [encode_message(msg) for msg in msgs]
+    assert len(frames[0]) < wire._message_size(msgs[0].shape, 8)  # it fits under the frame cap
+    with pytest.raises(WireError, match="sent at 4 bits, the plan ships 8"):
+        _feed_cloud(toy_graph, plan, frames)
+
+
+def test_cloud_rejects_a_frame_after_the_expected_ones(toy_graph):
+    x = grid_input_covering(np.random.default_rng(19), toy_graph.nodes[toy_graph.input_id].out_shape)
+    plan = make_sol(3, uniform_assignment(toy_graph, 3, 8, 8))
+    frames = [encode_message(msg) for _, msg in wire._crossing_payloads(toy_graph, x, plan)]
+    with pytest.raises(WireError, match="after the last expected frame"):
+        _feed_cloud(toy_graph, plan, frames + frames[-1:])
+
+
+@pytest.mark.parametrize("runner", [run_split_session, run_tcp_session])
+def test_a_silent_edge_fails_the_session(toy_graph, runner, monkeypatch):
+    # the edge connects, sends nothing and keeps its end open: the cloud's
+    # recv deadline ends the session instead of waiting on the edge
+    monkeypatch.setattr(wire, "EDGE_JOIN_TIMEOUT_S", 0.2)
+    release = threading.Event()
+    monkeypatch.setattr(wire, "edge_role", lambda *args: release.wait(10))
+    x = grid_input_covering(np.random.default_rng(20), toy_graph.nodes[toy_graph.input_id].out_shape)
+    sol = make_sol(3, uniform_assignment(toy_graph, 3, 8, 8))
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(WireError):
+            runner(toy_graph, x, sol)
+        assert time.monotonic() - t0 < 5.0
     finally:
         release.set()  # let the edge thread end
