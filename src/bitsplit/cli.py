@@ -153,6 +153,18 @@ _SOLVE_KEYS = (
 )
 
 
+def _load_labelled_eval(dirpath, g):
+    """`load_eval_dir`, refusing a label the graph's single output cannot
+    predict: one at or above its class count."""
+    eval_set = load_eval_dir(dirpath)
+    if len(g.output_ids) == 1:
+        classes = g.nodes[g.output_ids[0]].act_elements()
+        for lab in eval_set.labels:
+            if lab >= classes:
+                raise ConfigError("eval label %d is not below the output's %d classes" % (lab, classes))
+    return eval_set
+
+
 def cmd_solve(args) -> int:
     cfg = _merge_config(args, _SOLVE_KEYS)
     _require(cfg, ["graph", "devices", "memory_bytes", "eval_dir"])
@@ -171,7 +183,7 @@ def cmd_solve(args) -> int:
         print("note: %s" % w, file=sys.stderr)
     compute = g.compute_ids()
 
-    eval_set = load_eval_dir(cfg["eval_dir"])
+    eval_set = _load_labelled_eval(cfg["eval_dir"], g)
     calib = calibrate_activations(g, eval_set.inputs, max_samples=calib_n)
     wtable = weight_distortion_table(g, B)
     atable = activation_distortion_table(g, calib, B)
@@ -502,7 +514,7 @@ def cmd_profile(args) -> int:
     print("wrote %s (%d layers x %d widths)" % (wpath, len(wtable.sizes), len(wtable.bits)))
 
     if args.eval_dir:
-        eval_set = load_eval_dir(args.eval_dir)
+        eval_set = _load_labelled_eval(args.eval_dir, g)
         calib_n = 8 if args.calib is None else int(args.calib)
         calib = calibrate_activations(g, eval_set.inputs, max_samples=calib_n)
         atable = activation_distortion_table(g, calib, B)

@@ -7,6 +7,12 @@ compute proportionally. Data movement scales linearly with operand bit-widths.
 Transmission is pure bandwidth (optional fixed RTT), charged on every tensor
 that crosses the split boundary; graph outputs count as crossing so an
 edge-only split still ships its result.
+
+Plans are priced by `split_latencies`, many at one split at once, from one
+`LatencyTable` per (graph, profile): the edge latency of every (layer,
+weight width, activation width) priced once on first use, the cloud's
+16-bit prefix and suffix sums, and the elements each split ships.
+`split_latency` prices one plan given as width dicts through the same code.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .graph import (
     GraphError,
     LayerGraph,
     WEIGHTED_OPS,
-    boundary_cut,
 )
 from .util import ceil_div, prod
 
@@ -148,23 +153,126 @@ def crossing_bits_map(g: LayerGraph, cut: BoundaryCut, act_bits) -> dict:
     return {c: g.input_bits if c == g.input_id else act_bits[c] for c in cut.crossing_tensors}
 
 
-_CLOUD_LATENCIES = weakref.WeakKeyDictionary()  # graph -> {cloud profile: {node id: seconds}}
-_EDGE_LATENCIES = weakref.WeakKeyDictionary()  # graph -> {edge profile: {(node id, w bits, a bits): seconds}}
+class LatencyTable:
+    """One device's latencies for one graph's compute layers, read by
+    `split_latencies`. Built once per (graph, profile), since graphs are
+    immutable by convention and profiles frozen.
+
+    `edge[k, w, a]` is the latency of compute layer k at the w-th and a-th
+    width of `widths` (the device's widths and 16), priced through
+    `layer_latency` on first use. `crossing[n, j]` is the element count of
+    the tensor at topological position j (the input at 0) when it crosses
+    split n, else 0. The cloud sums are the 16-bit latencies summed left to
+    right: `prefix[n]` over the first n layers, `suffix[n]` from layer n to
+    the end, each from 0.0, so they equal a loop over the layers.
+    """
+
+    def __init__(self, g: LayerGraph, d: DeviceProfile):
+        live = g.liveness
+        self.device = d
+        self.widths = np.array(sorted(set(d.supported_bits) | {16}), dtype=np.int64)
+        self.edge = np.full((len(live.compute_ids), len(self.widths), len(self.widths)), np.nan)
+        pos = {nid: j for j, nid in enumerate((g.input_id,) + live.compute_ids)}
+        self.crossing = np.zeros((len(live.cuts), len(pos)), dtype=np.int64)
+        for n, cut in enumerate(live.cuts):
+            for c in cut.crossing_tensors:
+                self.crossing[n, pos[c]] = g.nodes[c].act_elements()
+        self._cloud = None
+
+    def edge_latencies(self, g: LayerGraph, wbits, abits) -> np.ndarray:
+        """Latency of each first-n layer at the widths in the k x n arrays
+        `wbits` and `abits`; a width the device cannot run raises ConfigError."""
+        wcol, wok = self._columns(wbits)
+        acol, aok = self._columns(abits)
+        if not (wok & aok).all():
+            r, k = np.argwhere(~(wok & aok))[0]
+            _check_bits(self.device, int(wbits[r, k]))
+            _check_bits(self.device, int(abits[r, k]))
+        layers = np.arange(wbits.shape[1])
+        lat = self.edge[layers, wcol, acol]
+        missing = np.isnan(lat)
+        if missing.any():
+            compute = g.liveness.compute_ids
+            for r, k in zip(*np.nonzero(missing)):
+                at = (k, wcol[r, k], acol[r, k])
+                if np.isnan(self.edge[at]):
+                    self.edge[at] = layer_latency(g.nodes[compute[k]], g, self.device, int(wbits[r, k]), int(abits[r, k]))
+            lat = self.edge[layers, wcol, acol]
+        return lat
+
+    def cloud_sums(self, g: LayerGraph):
+        """(prefix, suffix) sums of the 16-bit latencies, per split 0..N."""
+        if self._cloud is None:
+            N = len(g.liveness.compute_ids)
+            full = np.full((1, N), 16, dtype=np.int64)
+            c = self.edge_latencies(g, full, full)[0]
+            prefix = np.add.accumulate(np.concatenate([[0.0], c]))
+            tails = np.where(np.arange(N + 1)[:, None] <= np.arange(N)[None, :], c, 0.0)
+            suffix = np.add.accumulate(np.hstack([np.zeros((N + 1, 1)), tails]), axis=1)[:, -1]
+            self._cloud = (prefix, suffix)
+        return self._cloud
+
+    def _columns(self, bits):
+        col = np.minimum(np.searchsorted(self.widths, bits), len(self.widths) - 1)
+        return col, self.widths[col] == bits
 
 
-def _cloud_latencies(g: LayerGraph, cloud: DeviceProfile) -> dict:
-    """16-bit latency of every compute layer on the cloud, computed once per
-    (graph, profile): graphs are immutable by convention, profiles frozen."""
-    per_graph = _CLOUD_LATENCIES.setdefault(g, {})
-    if cloud not in per_graph:
-        per_graph[cloud] = {nid: layer_latency(g.nodes[nid], g, cloud, 16, 16) for nid in g.compute_ids()}
-    return per_graph[cloud]
+_LATENCY_TABLES = weakref.WeakKeyDictionary()  # graph -> {profile: LatencyTable}
 
 
-def _edge_latencies(g: LayerGraph, edge: DeviceProfile) -> dict:
-    """Memo of edge layer latencies by (node id, w bits, a bits): `split_latency`
-    prices each key once per (graph, profile), on first use."""
-    return _EDGE_LATENCIES.setdefault(g, {}).setdefault(edge, {})
+def _latency_table(g: LayerGraph, d: DeviceProfile) -> LatencyTable:
+    per_graph = _LATENCY_TABLES.setdefault(g, {})
+    if d not in per_graph:
+        per_graph[d] = LatencyTable(g, d)
+    return per_graph[d]
+
+
+def _edge_ids(g: LayerGraph, n: int) -> tuple:
+    compute = g.liveness.compute_ids
+    if not 0 <= n <= len(compute):
+        raise GraphError("split index %d out of range" % n)
+    return compute[:n]
+
+
+def split_latencies(
+    g: LayerGraph,
+    n: int,
+    wbits,
+    abits,
+    edge: DeviceProfile,
+    cloud: DeviceProfile,
+    net: NetworkProfile,
+) -> list:
+    """Breakdowns of k plans at split n, one per row of the k x n width
+    arrays `wbits` and `abits` (the first n compute layers, in order).
+
+    Edge latencies are summed left to right from 0.0 in compute order, the
+    cloud's from layer n to the end (never a total minus a prefix), and the
+    crossing tensors' bits stay integers until the one division, so each
+    breakdown equals the scalar per-layer loop to the last bit. Crossing
+    tensors ship at the widths `crossing_bits_map` gives: the input at
+    `input_bits`, every other at its activation width.
+    """
+    _edge_ids(g, n)
+    wbits = np.asarray(wbits, dtype=np.int64)
+    abits = np.asarray(abits, dtype=np.int64)
+    et = _latency_table(g, edge)
+    lat = et.edge_latencies(g, wbits, abits)
+    edge_s = np.add.accumulate(lat, axis=1)[:, -1] if n else np.zeros(len(lat))
+    prefix, suffix = _latency_table(g, cloud).cloud_sums(g)
+    crossing = et.crossing[n]
+    tx_bits = abits @ crossing[1 : n + 1] + int(crossing[0]) * g.input_bits
+    transmit_s = tx_bits / net.uplink_bits_per_s + net.fixed_rtt_s
+    cloud_s = float(suffix[n])
+    return [
+        LatencyBreakdown(edge_s=e, transmit_s=t, cloud_s=cloud_s, total_s=tot, relative_s=rel)
+        for e, t, tot, rel in zip(
+            edge_s.tolist(),
+            transmit_s.tolist(),
+            (edge_s + transmit_s + cloud_s).tolist(),
+            (edge_s + transmit_s - prefix[n]).tolist(),
+        )
+    ]
 
 
 def split_latency(
@@ -175,35 +283,11 @@ def split_latency(
     cloud: DeviceProfile,
     net: NetworkProfile,
 ) -> LatencyBreakdown:
-    compute = g.compute_ids()
-    if not 0 <= n <= len(compute):
-        raise GraphError("split index %d out of range" % n)
-    edge_ids, cloud_ids = compute[:n], compute[n:]
-
-    cloud16 = _cloud_latencies(g, cloud)
-    edge_memo = _edge_latencies(g, edge)
-    edge_s = 0.0
-    cloud_of_prefix = 0.0
-    for nid in edge_ids:
-        key = (nid, assignment.weight_bits[nid], assignment.act_bits[nid])
-        if key not in edge_memo:
-            edge_memo[key] = layer_latency(g.nodes[nid], g, edge, key[1], key[2])
-        edge_s += edge_memo[key]
-        cloud_of_prefix += cloud16[nid]
-    cloud_s = 0.0
-    for nid in cloud_ids:
-        cloud_s += cloud16[nid]
-
-    cut = boundary_cut(g, n)
-    transmit_s = transmission_latency(g, cut, crossing_bits_map(g, cut, assignment.act_bits), net)
-
-    return LatencyBreakdown(
-        edge_s=edge_s,
-        transmit_s=transmit_s,
-        cloud_s=cloud_s,
-        total_s=edge_s + transmit_s + cloud_s,
-        relative_s=edge_s + transmit_s - cloud_of_prefix,
-    )
+    """`split_latencies` of one plan given as width dicts."""
+    edge_ids = _edge_ids(g, n)
+    wbits = [[assignment.weight_bits[i] for i in edge_ids]]
+    abits = [[assignment.act_bits[i] for i in edge_ids]]
+    return split_latencies(g, n, wbits, abits, edge, cloud, net)[0]
 
 
 # -- memory ----------------------------------------------------------------------

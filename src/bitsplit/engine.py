@@ -59,12 +59,21 @@ class FakeQuantRecord:
 # Each kernel maps stacks to stacks; axis 0 indexes the inputs.
 
 
+def _padded(x, pad):
+    """x as float64 with `pad` zeros around each plane: one zero buffer with
+    x written into its interior, much cheaper than `np.pad` on small tensors."""
+    N, c, H, W = x.shape
+    xp = np.zeros((N, c, H + 2 * pad, W + 2 * pad), dtype=np.float64)
+    xp[:, :, pad : pad + H, pad : pad + W] = x
+    return xp
+
+
 def _conv2d(x, w, bias, stride, pad):
     """One matmul per kernel tap; per stacked item it is the C-contiguous
     (cout, cin) x (cin, ho*wo) product a single input makes."""
     N, cin, H, W = x.shape
     cout, _, kh, kw = w.shape
-    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = _padded(x, pad)
     ho = (H + 2 * pad - kh) // stride + 1
     wo = (W + 2 * pad - kw) // stride + 1
     out = np.zeros((N, cout, ho * wo), dtype=np.float64)
@@ -81,7 +90,7 @@ def _conv2d(x, w, bias, stride, pad):
 def _depthwise2d(x, w, bias, stride, pad):
     N, c, H, W = x.shape
     _, kh, kw = w.shape
-    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = _padded(x, pad)
     ho = (H + 2 * pad - kh) // stride + 1
     wo = (W + 2 * pad - kw) // stride + 1
     out = np.zeros((N, c, ho, wo), dtype=np.float64)
@@ -358,6 +367,11 @@ def load_eval_dir(dirpath) -> EvalSet:
     except (KeyError, TypeError, ValueError, csv.Error) as e:
         raise ConfigError("malformed row in %s: %s" % (labels_path, e))
     rows.sort()
+    for j, (k, lab) in enumerate(rows):
+        if j and rows[j - 1][0] == k:
+            raise ConfigError("%s lists input %d twice" % (labels_path, k))
+        if lab < 0:
+            raise ConfigError("%s: input %d has negative label %d" % (labels_path, k, lab))
     inputs, labels = [], []
     for k, lab in rows:
         inputs.append(tensorio.read_tensor(os.path.join(dirpath, "input_%05d.astn" % k)))

@@ -7,7 +7,11 @@ layer's choice at a given multiplier does not depend on the split, so each
 distortion table gets one multiplier path per `enumerate_solutions` call
 (`MultiplierPath`), and every (n, weight anchor) and (n, activation anchor)
 allocation is read from it; the number read stays within |P|*|B|^2 + |B|.
-The solution list always starts with the cloud-only sentinel, so selection
+No bisection runs: each read takes the first probe whose measure, from
+arrays the path builds once, fits the budget. The kept candidates of each
+split are deduplicated on their width arrays and priced together by
+`split_latencies`, from one latency table per (graph, profile). The
+solution list always starts with the cloud-only sentinel, so selection
 under an accuracy threshold cannot fail.
 """
 
@@ -21,13 +25,13 @@ from .cost import (
     PACKABLE_BITS,
     DeviceProfile,
     NetworkProfile,
-    boundary_cut,
     crossing_bits_map,
+    split_latencies,
     split_latency,
     transmission_latency,
 )
 from .engine import evaluate_accuracy, float_accuracy
-from .graph import LayerGraph
+from .graph import LayerGraph, boundary_cut
 from .quantize import DistortionTable
 
 
@@ -72,6 +76,7 @@ class Allocation:
     total_distortion: float = 0.0
     lam: float = 0.0
     reason: str = ""
+    widths: np.ndarray | None = None  # the layers' widths in order, as `bits` holds them
 
 
 # -- potential splits -----------------------------------------------------------
@@ -135,23 +140,6 @@ def _probes(d, r):
     return np.concatenate([[0.0], 0.5 * (cuts[:-1] + cuts[1:]), 2.0 * cuts[-1:]])
 
 
-def _first_fit(measure, count, budget):
-    """Smallest probe index whose measure is within the budget, or None.
-    Rate and peak memory both fall as the multiplier grows, so the probes
-    are bisected."""
-    hi = count - 1
-    if measure(hi) > budget:
-        return None
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if measure(mid) <= budget:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
 class MultiplierPath:
     """One table's per-layer Lagrangian choices at every probe of its
     multiplier path (`_probes` over the breakpoints of all its layers).
@@ -165,6 +153,13 @@ class MultiplierPath:
     A probe's choices tie to the smaller width (numpy's first minimum).
     Crossing tensors choose among the packable widths only; those widths'
     breakpoints are a subset of the full menu's.
+
+    The measures are read from arrays built once per path: `rate[p, n]` is
+    the n-prefix's rate at probe p, and the activation step bits (built on
+    the first `activations` read) hold every compute step's bit-weighted
+    working set at each probe. Both only fall as the probe grows, since a
+    layer's choice only gets narrower as the multiplier grows, so the first
+    fit is the first probe whose measure is within the budget.
     """
 
     def __init__(self, table: DistortionTable, layer_ids):
@@ -178,53 +173,85 @@ class MultiplierPath:
         cost += self.d
         self.choice = cost.argmin(axis=2).astype(np.uint8)  # column indices: a menu holds a few widths
         packable = np.isin(self.bits, PACKABLE_BITS)
-        cost[:, :, ~packable] = np.inf
-        self.packable_choice = cost.argmin(axis=2).astype(np.uint8) if packable.any() else None
+        if packable.all():
+            self.packable_choice = self.choice
+        else:
+            cost[:, :, ~packable] = np.inf
+            self.packable_choice = cost.argmin(axis=2).astype(np.uint8) if packable.any() else None
+        layers = np.arange(len(self.ids))
+        self.rate = np.zeros((len(self.probes), len(self.ids) + 1), dtype=np.int64)
+        np.cumsum(self.r[layers, self.choice], axis=1, out=self.rate[:, 1:])
+        self._position = {i: k for k, i in enumerate(self.ids)}
+        self._step_bits = None
 
     def weights(self, n: int, budgets) -> list:
         """For each budget, the first n layers' choices at the first probe
         whose total rate is within it."""
-        choice = self.choice[:, :n]
-        rate = self.r[np.arange(n), choice].sum(axis=1)
-        return [self._read(choice, rate.__getitem__, b, "budget below minimum rate") for b in budgets]
+        return self._read(self.choice[:, :n], self.rate[:, n], budgets, "budget below minimum rate")
 
     def activations(self, g: LayerGraph, n: int, budgets) -> list:
         """For each budget, the first n layers' choices at the first probe
-        whose peak bit-weighted working set (`g.liveness.incidence`) is within
-        it. A layer whose output crosses the boundary gets only widths the
-        wire can pack (`PACKABLE_BITS`); without one the split is infeasible.
-        The path's layers must be the graph's compute layers, in order."""
-        cut = set(boundary_cut(g, n).crossing_tensors)
-        crossing = [k for k, i in enumerate(self.ids[:n]) if i in cut]
-        choice = self.choice[:, :n].copy()
-        if crossing:
-            if self.packable_choice is None:
-                reason = "no transportable width for tensor %d" % min(self.ids[k] for k in crossing)
-                return [Allocation(feasible=False, bits={}, reason=reason) for _ in budgets]
-            choice[:, crossing] = self.packable_choice[:, crossing]
-        widths = np.empty((len(self.probes), n + 1), dtype=np.int64)
-        widths[:, 0] = g.input_bits
-        widths[:, 1:] = self.bits[choice]
-        incidence = g.liveness.incidence[:n, : n + 1]
+        whose peak bit-weighted working set (`peak`) is within it. Without a
+        packable width for a crossing tensor the split is infeasible."""
+        read = self.peak(g, n)
+        if read is None:
+            tensor = min(c for c in g.liveness.cuts[n].crossing_tensors if c != g.input_id)
+            return [Allocation(feasible=False, bits={}, reason="no transportable width for tensor %d" % tensor)
+                    for _ in budgets]
+        return self._read(*read, budgets, "infeasible even at minimum bits")
 
-        def peak(p):
-            return int((incidence @ widths[p]).max(initial=0))
+    def peak(self, g: LayerGraph, n: int):
+        """(choices, peak) of the n-prefix at every probe: the peak bit-weighted
+        working set (`g.liveness.incidence`) of its first n steps. A layer
+        whose output crosses the boundary gets only widths the wire can pack
+        (`PACKABLE_BITS`), which changes only those layers' columns; without
+        one in the menu this returns None. The path's layers must be the
+        graph's compute layers, in order."""
+        if self._step_bits is None:
+            widths = np.empty((len(self.probes), len(self.ids) + 1), dtype=np.int64)
+            widths[:, 0] = g.input_bits
+            widths[:, 1:] = self.bits[self.choice]
+            self._step_bits = widths @ g.liveness.incidence[: len(self.ids), : len(self.ids) + 1].T
+        choice = self.choice[:, :n]
+        steps = self._step_bits[:, :n]
+        if self.packable_choice is not self.choice:
+            crossing = [self._position[c] for c in g.liveness.cuts[n].crossing_tensors if c != g.input_id]
+            if crossing:
+                if self.packable_choice is None:
+                    return None
+                choice = choice.copy()
+                choice[:, crossing] = self.packable_choice[:, crossing]
+                delta = self.bits[choice[:, crossing]] - self.bits[self.choice[:, crossing]]
+                columns = [k + 1 for k in crossing]
+                steps = steps + delta @ g.liveness.incidence[:n, columns].T
+        return choice, steps.max(axis=1, initial=0)
 
-        return [self._read(choice, peak, b, "infeasible even at minimum bits") for b in budgets]
-
-    def _read(self, choice, measure, budget, reason) -> Allocation:
-        p = _first_fit(measure, len(self.probes), budget)
-        if p is None:
-            return Allocation(feasible=False, bits={}, reason=reason)
-        cols = choice[p]
-        n = len(cols)
-        return Allocation(
-            feasible=True,
-            bits=dict(zip(self.ids[:n], self.bits[cols].tolist())),
-            budget_used_bits=int(measure(p)),
-            total_distortion=sum(self.d[np.arange(n), cols].tolist()),
-            lam=float(self.probes[p]),
-        )
+    def _read(self, choice, measure, budgets, reason) -> list:
+        """The allocation at the first probe whose measure is within each
+        budget. The measure only falls along the path, so none fits unless
+        the last probe does."""
+        out = []
+        n = choice.shape[1]
+        for budget in budgets:
+            fits = measure <= budget
+            if not fits[-1]:
+                out.append(Allocation(feasible=False, bits={}, reason=reason))
+                continue
+            p = int(fits.argmax())
+            widths = self.bits[choice[p]]
+            # left to right from 0.0: builtin sum compensates on Python 3.12+
+            distortion = np.add.accumulate(self.d[np.arange(n), choice[p]])
+            out.append(
+                Allocation(
+                    feasible=True,
+                    bits=dict(zip(self.ids, widths.tolist())),
+                    budget_used_bits=int(measure[p]),
+                    total_distortion=float(distortion[-1]) if n else 0.0,
+                    lam=float(self.probes[p]),
+                    widths=widths,
+                )
+            )
+        return out
 
 
 def allocate_bits_lagrangian(table: DistortionTable, layer_ids, budget_bits: int) -> Allocation:
@@ -343,11 +370,11 @@ def enumerate_solutions(
     wpath = MultiplierPath(wtable, compute)
     apath = MultiplierPath(atable, compute)
     peaks = g.liveness.peaks
+    w_cum = np.cumsum([0] + [g.nodes[i].weight_elements() for i in compute])
     room = M_bytes * 8
     seen = set()
     for n in P:
-        prefix = compute[:n]
-        w_total = sum(g.nodes[i].weight_elements() for i in prefix)
+        w_total = int(w_cum[n])
         w_anchors = [w_total * b for b in B]
         a_anchors = [peaks[n] * b for b in B]
         # read only the anchors that fit M beside the other kind's smallest
@@ -356,6 +383,7 @@ def enumerate_solutions(
         walloc = dict(zip(w_read, wpath.weights(n, [w_anchors[k] for k in w_read])))
         aalloc = dict(zip(a_read, apath.activations(g, n, [a_anchors[k] for k in a_read])))
         stats.solve_count += len(walloc) + len(aalloc)
+        kept = []
         for kw, Wk in enumerate(w_anchors):
             for ka, Ak in enumerate(a_anchors):
                 if Wk + Ak > room:
@@ -364,25 +392,30 @@ def enumerate_solutions(
                 wa, aa = walloc[kw], aalloc[ka]
                 if not (wa.feasible and aa.feasible):
                     continue
-                assignment = BitAssignment(weight_bits=dict(wa.bits), act_bits=dict(aa.bits))
-                key = (n, assignment.key(prefix))
+                key = (n, wa.widths.tobytes(), aa.widths.tobytes())
                 if key in seen:
                     continue
                 seen.add(key)
                 distortion = wa.total_distortion + aa.total_distortion
                 if distortion_cap is not None and distortion > distortion_cap:
                     continue
-                S.append(
-                    SplitSolution(
-                        n=n,
-                        assignment=assignment,
-                        breakdown=split_latency(g, n, assignment, edge, cloud, net),
-                        total_distortion=distortion,
-                        edge_weight_bytes=wa.budget_used_bits / 8.0,
-                        edge_act_bytes=aa.budget_used_bits / 8.0,
-                    )
+                kept.append((wa, aa, distortion))
+        if not kept:
+            continue
+        wbits = np.array([wa.widths for wa, _, _ in kept])
+        abits = np.array([aa.widths for _, aa, _ in kept])
+        for (wa, aa, distortion), breakdown in zip(kept, split_latencies(g, n, wbits, abits, edge, cloud, net)):
+            S.append(
+                SplitSolution(
+                    n=n,
+                    assignment=BitAssignment(weight_bits=dict(wa.bits), act_bits=dict(aa.bits)),
+                    breakdown=breakdown,
+                    total_distortion=distortion,
+                    edge_weight_bytes=wa.budget_used_bits / 8.0,
+                    edge_act_bytes=aa.budget_used_bits / 8.0,
                 )
-                stats.pairs_kept += 1
+            )
+        stats.pairs_kept += len(kept)
     if len(B) >= 2:
         assert stats.solve_count <= stats.solve_bound, "allocator call budget exceeded"
     return S, stats

@@ -141,6 +141,34 @@ def act_peak_bits_brute(g, order, n, act_bits, input_bits):
     return peak
 
 
+# -- latency model -----------------------------------------------------------------
+
+
+def split_latency_naive(g, order, n, assignment, edge, cloud, net):
+    """The five `LatencyBreakdown` fields, the slow way: each edge layer's
+    `layer_latency` added left to right from 0.0, the 16-bit cloud latencies
+    added from layer n to the end (and, for the relative term, over the
+    prefix), and the crossing tensors' bits summed as integers before the
+    one division."""
+    from bitsplit.cost import layer_latency
+
+    compute = order[1:]
+    edge_s = 0.0
+    for i in compute[:n]:
+        edge_s += layer_latency(g.nodes[i], g, edge, assignment.weight_bits[i], assignment.act_bits[i])
+    cloud_s = 0.0
+    for i in compute[n:]:
+        cloud_s += layer_latency(g.nodes[i], g, cloud, 16, 16)
+    prefix_s = 0.0
+    for i in compute[:n]:
+        prefix_s += layer_latency(g.nodes[i], g, cloud, 16, 16)
+    bits = 0
+    for i in cut_ids(g, order, n):
+        bits += g.nodes[i].act_elements() * (g.input_bits if i == order[0] else assignment.act_bits[i])
+    transmit_s = bits / net.uplink_bits_per_s + net.fixed_rtt_s
+    return (edge_s, transmit_s, cloud_s, edge_s + transmit_s + cloud_s, edge_s + transmit_s - prefix_s)
+
+
 # -- exhaustive bit allocation ------------------------------------------------------
 
 

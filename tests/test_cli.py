@@ -244,3 +244,19 @@ def test_non_integer_label_exits_2(demo_dir, tmp_path):
     demo = _demo_copy(demo_dir, tmp_path)
     (demo / "eval" / "labels.csv").write_text("index,label\n0,cat\n")
     assert main(_solve_args(demo)) == 2
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "0,3\n0,7\n",  # one input listed twice
+        "0,-1\n",  # a negative label
+        "0,3\n1,42\n",  # a label the 10-class output cannot predict
+    ],
+)
+def test_bad_labels_exit_2(demo_dir, tmp_path, rows):
+    demo = _demo_copy(demo_dir, tmp_path)
+    (demo / "eval" / "labels.csv").write_text("index,label\n" + rows)
+    assert main(_solve_args(demo)) == 2
+    assert main(["profile", "--graph", str(demo / "graph.json"), "--eval-dir", str(demo / "eval"),
+                 "--out", str(tmp_path / "prof")]) == 2

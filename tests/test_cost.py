@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from bitsplit.cost import (
     transmission_latency,
 )
 from bitsplit.graph import LayerGraph, LayerNode, boundary_cut, topological_order
-from bitsplit.synth import random_dag
+from bitsplit.synth import random_dag, resnet50_shapes
 from helpers import random_assignment, table1_profiles, uniform_assignment
 
 
@@ -225,6 +225,31 @@ def test_cloud_latencies_exact_per_profile(toy_graph):
                 prefix_s += layer_latency(toy_graph.nodes[i], toy_graph, c, 16, 16)
             assert br.cloud_s == cloud_s
             assert br.relative_s == br.edge_s + br.transmit_s - prefix_s
+
+
+def test_split_latency_equals_naive_oracle(toy_graph):
+    # exact, not approximate: one edge or cloud profile, 16-bit widths and a
+    # round trip all go through the same left-to-right sums as the oracle
+    edge, cloud, net = table1_profiles()
+    rtt = replace(net, fixed_rtt_s=1e-3)
+    rng = np.random.default_rng(23)
+    graphs = [toy_graph, resnet50_shapes()[0]] + [random_dag(rng, max_nodes=12) for _ in range(8)]
+    for g in graphs:
+        order = topological_order(g)
+        N = len(g.compute_ids())
+        for n in sorted({0, 1, N // 2, N - 1, N}):
+            asg = random_assignment(g, n, rng, choices=(2, 4, 8, 16))
+            for e, c, w in ((edge, cloud, net), (cloud, edge, rtt), (edge, edge, net)):
+                br = split_latency(g, n, asg, e, c, w)
+                assert astuple(br) == oracles.split_latency_naive(g, order, n, asg, e, c, w)
+
+
+def test_split_latency_rejects_a_width_the_edge_cannot_run(toy_graph):
+    edge, cloud, net = table1_profiles()
+    asg = uniform_assignment(toy_graph, 3, 8, 8)
+    asg.act_bits[toy_graph.compute_ids()[1]] = 3
+    with pytest.raises(ConfigError, match="unsupported bit-width 3"):
+        split_latency(toy_graph, 3, asg, edge, cloud, net)
 
 
 def test_split_index_range_checked(toy_graph):

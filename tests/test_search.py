@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -478,7 +478,10 @@ def _check_reads(reads, wtable, atable, g, order, steps):
             feasible += 1
             assert alloc.bits == want[0]
             assert alloc.budget_used_bits == want[1]
-            assert alloc.total_distortion == sum(table.d(i, alloc.bits[i]) for i in g.compute_ids()[:n])
+            distortion = 0.0  # left to right: builtin sum compensates on Python 3.12+
+            for i in g.compute_ids()[:n]:
+                distortion += table.d(i, alloc.bits[i])
+            assert alloc.total_distortion == distortion
             assert alloc.lam in path.probes
     return feasible
 
@@ -510,6 +513,37 @@ def test_every_enumerated_allocation_equals_a_per_prefix_sweep(toy_graph, B, mon
             feasible[label] += _check_reads(reads, wtable, atable, g, order, steps)
     assert set(feasible) == {"toy", "resnet50", "random"}
     assert checked > sum(feasible.values())  # infeasible budgets were read too
+
+
+@pytest.mark.parametrize("B", [(2, 4, 8), (3, 8), (2, 4, 8, 16)])
+def test_enumerated_prices_and_paths_match_oracles(toy_graph, B, monkeypatch):
+    # every breakdown equals the naive left-to-right pricing, and every
+    # path's measures fall as the probe grows: the premise that makes the
+    # first probe within a budget the bisection's answer
+    reads = _record_reads(monkeypatch)
+    edge, cloud, net = toy_profiles()
+    edge = replace(edge, supported_bits=B)
+    rng = np.random.default_rng(73)
+    graphs = [toy_graph, resnet50_shapes()[0]] + [random_dag(rng, max_nodes=12) for _ in range(12)]
+    priced = 0
+    for g in graphs:
+        order = topological_order(g)
+        wtable, atable = _graph_tables(rng, g, B)
+        reads.clear()
+        S, _ = enumerate_solutions(g, order, wtable, atable, edge, cloud, net, 10**9, B=B)
+        for sol in S:
+            want = oracles.split_latency_naive(g, order, sol.n, sol.assignment, edge, cloud, net)
+            assert astuple(sol.breakdown) == want
+        priced += len(S) - 1
+        paths = {id(path): (kind, path) for kind, path, *_ in reads}
+        for kind, path in paths.values():
+            assert (np.diff(path.rate, axis=0) <= 0).all()
+            if kind == "activations":
+                for n in range(len(path.ids) + 1):
+                    read = path.peak(g, n)
+                    if read is not None:
+                        assert (np.diff(read[1]) <= 0).all()
+    assert priced > 0
 
 
 def _widen_worse(table, layer):
