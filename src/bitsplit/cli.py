@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -49,6 +50,7 @@ from .quantize import QuantError, activation_distortion_table, weight_distortion
 from .search import (
     BitAssignment,
     SplitSolution,
+    Widths,
     float_baseline,
     min_wire_bits,
     potential_splits,
@@ -82,18 +84,6 @@ def _hist(bits_map: dict) -> str:
 
 def _shape(s) -> str:
     return "x".join(str(d) for d in s) if s else "-"
-
-
-def _parse_bits(text):
-    if text is None:
-        return None
-    try:
-        bits = tuple(sorted({int(t) for t in str(text).split(",") if t.strip()}))
-    except ValueError:
-        raise ConfigError("cannot parse bit list %r" % text)
-    if not bits or any(b < 1 for b in bits):
-        raise ConfigError("bit candidates must be positive integers")
-    return bits
 
 
 def _graph_digest(g) -> str:
@@ -136,6 +126,58 @@ def _require(cfg, names):
         raise ConfigError("missing required option(s): %s" % ", ".join("--" + n.replace("_", "-") for n in missing))
 
 
+def _to_int(value) -> int:
+    """An int from a config value: an int, an integral float or a numeric
+    string; a bool or anything else raises ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _to_float(value) -> float:
+    """A finite float from a config value; a bool or anything else raises ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(value)
+    return out
+
+
+def _option(cfg, key, convert, default=None, minimum=None):
+    """cfg[key] converted, or `default` when unset; a value that does not
+    convert, or falls below `minimum`, raises ConfigError naming the option."""
+    value = cfg[key]
+    if value is None:
+        return default
+    try:
+        out = convert(value)
+        if minimum is None or out >= minimum:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError("--%s: %r is not %s%s" % (
+        key.replace("_", "-"), value, "an integer" if convert is _to_int else "a finite number",
+        "" if minimum is None else " of at least %s" % minimum,
+    ))
+
+
+def _parse_bits(value):
+    """Bit candidates from a comma-separated string or a list of integers."""
+    if value is None:
+        return None
+    try:
+        if isinstance(value, list):
+            bits = {_to_int(b) for b in value}
+        else:
+            bits = {int(t) for t in str(value).split(",") if t.strip()}
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("cannot parse bit list %r" % (value,))
+    if not bits or any(b < 1 for b in bits):
+        raise ConfigError("bit candidates must be positive integers")
+    return tuple(sorted(bits))
+
+
 # -- solve --------------------------------------------------------------------
 
 _SOLVE_KEYS = (
@@ -169,12 +211,11 @@ def cmd_solve(args) -> int:
     cfg = _merge_config(args, _SOLVE_KEYS)
     _require(cfg, ["graph", "devices", "memory_bytes", "eval_dir"])
     out_dir = cfg["out"] or "bitsplit_out"
-    A = 1.0 if cfg["accuracy_drop"] is None else float(cfg["accuracy_drop"])
-    calib_n = 8 if cfg["calib"] is None else int(cfg["calib"])
-    seed = 0 if cfg["seed"] is None else int(cfg["seed"])
-    M = int(cfg["memory_bytes"])
-    if M <= 0:
-        raise ConfigError("--memory-bytes must be positive")
+    A = _option(cfg, "accuracy_drop", _to_float, default=1.0, minimum=0.0)
+    calib_n = _option(cfg, "calib", _to_int, default=8, minimum=1)
+    seed = _option(cfg, "seed", _to_int, default=0)
+    M = _option(cfg, "memory_bytes", _to_int, minimum=1)
+    distortion_cap = _option(cfg, "distortion_cap", _to_float)
 
     edge, cloud, net = load_device_config(cfg["devices"])
     B = _parse_bits(cfg["bits"]) or edge.supported_bits
@@ -189,8 +230,7 @@ def cmd_solve(args) -> int:
     atable = activation_distortion_table(g, calib, B)
 
     S, stats = enumerate_solutions(
-        g, topological_order(g), wtable, atable, edge, cloud, net, M, B=B,
-        distortion_cap=cfg["distortion_cap"],
+        g, topological_order(g), wtable, atable, edge, cloud, net, M, B=B, distortion_cap=distortion_cap,
     )
     if cfg["require_split"] and len(S) <= 1:
         raise InfeasibleError("no feasible split found under %d bytes" % M)
@@ -345,6 +385,8 @@ def _summary_text(g, edge, cloud, net, M, B, eval_set, base_acc, stats, S, chose
 
 
 def _load_selected(path, g):
+    """The plan in a `selected.json`, checked against the graph: its split
+    is one of g's, and its widths cover exactly the edge layers."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -352,13 +394,18 @@ def _load_selected(path, g):
         raise ConfigError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise ConfigError("corrupt selected file %s: %s" % (path, e))
+    compute = g.liveness.compute_ids
     try:
+        n = doc["split_index"]
+        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= len(compute):
+            raise ConfigError("selected file %s: split_index %r is not a split of 0..%d" % (path, n, len(compute)))
+        position = {nid: k for k, nid in enumerate(compute)}
         latency, memory = doc["latency"], doc["memory"]
         plan = SplitSolution(
-            n=int(doc["split_index"]),
+            n=n,
             assignment=BitAssignment(
-                weight_bits={int(k): int(v) for k, v in doc["weight_bits"].items()},
-                act_bits={int(k): int(v) for k, v in doc["act_bits"].items()},
+                weight_bits=Widths(position, _plan_widths(doc["weight_bits"], compute[:n], "weight_bits")),
+                act_bits=Widths(position, _plan_widths(doc["act_bits"], compute[:n], "act_bits")),
             ),
             breakdown=LatencyBreakdown(
                 **{k: float(latency[k]) for k in ("edge_s", "transmit_s", "cloud_s", "total_s", "relative_s")}
@@ -369,11 +416,36 @@ def _load_selected(path, g):
             accuracy_drop=float(doc["accuracy_drop_percent"]) / 100.0,
         )
         digest = doc["graph_sha256"]
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ConfigError("selected file %s is missing fields: %s" % (path, e))
     if digest != _graph_digest(g):
         raise ConfigError("selected file %s was solved against a different graph" % path)
     return plan
+
+
+def _plan_widths(bits, ids, name) -> np.ndarray:
+    """A plan file's `name` object, which must map exactly `ids` (as
+    strings) to positive integer widths, as a read-only width array."""
+    if not isinstance(bits, dict):
+        raise ConfigError("%s must be an object" % name)
+    widths = {}
+    for k, v in bits.items():
+        try:
+            nid = int(k)
+        except ValueError:
+            nid = None
+        if nid is None or nid in widths:
+            raise ConfigError("%s: %r is not a distinct layer id" % (name, k))
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ConfigError("%s: width %r of layer %s is not a positive integer" % (name, v, k))
+        widths[nid] = v
+    if set(widths) != set(ids):
+        raise ConfigError("%s must cover exactly the %d edge layers %s, not %s" % (name, len(ids), list(ids), sorted(widths)))
+    array = np.array([widths[i] for i in ids], dtype=np.int64)
+    array.flags.writeable = False
+    return array
 
 
 def cmd_simulate(args) -> int:
@@ -515,7 +587,7 @@ def cmd_profile(args) -> int:
 
     if args.eval_dir:
         eval_set = _load_labelled_eval(args.eval_dir, g)
-        calib_n = 8 if args.calib is None else int(args.calib)
+        calib_n = _option(vars(args), "calib", _to_int, default=8, minimum=1)
         calib = calibrate_activations(g, eval_set.inputs, max_samples=calib_n)
         atable = activation_distortion_table(g, calib, B)
         apath = os.path.join(out_dir, "act_distortion.csv")

@@ -8,11 +8,12 @@ Transmission is pure bandwidth (optional fixed RTT), charged on every tensor
 that crosses the split boundary; graph outputs count as crossing so an
 edge-only split still ships its result.
 
-Plans are priced by `split_latencies`, many at one split at once, from one
-`LatencyTable` per (graph, profile): the edge latency of every (layer,
-weight width, activation width) priced once on first use, the cloud's
-16-bit prefix and suffix sums, and the elements each split ships.
-`split_latency` prices one plan given as width dicts through the same code.
+Plans are priced by `split_latencies`, any number at any splits at once,
+from one `LatencyTable` per (graph, profile): the edge latency of every
+(layer, weight width, activation width) priced once on first use, the
+cloud's 16-bit prefix and suffix sums, and the elements each split ships.
+`split_latency` prices one plan given as node id -> width mappings through
+the same code.
 """
 
 from __future__ import annotations
@@ -179,25 +180,31 @@ class LatencyTable:
                 self.crossing[n, pos[c]] = g.nodes[c].act_elements()
         self._cloud = None
 
-    def edge_latencies(self, g: LayerGraph, wbits, abits) -> np.ndarray:
-        """Latency of each first-n layer at the widths in the k x n arrays
-        `wbits` and `abits`; a width the device cannot run raises ConfigError."""
+    def edge_latencies(self, g: LayerGraph, wbits, abits, live=None) -> np.ndarray:
+        """Latency of each layer at the widths in the k x n arrays `wbits`
+        and `abits`; a width the device cannot run raises ConfigError. Where
+        the boolean `live` is False the latency is 0.0 and the widths are
+        neither checked nor priced."""
         wcol, wok = self._columns(wbits)
         acol, aok = self._columns(abits)
-        if not (wok & aok).all():
-            r, k = np.argwhere(~(wok & aok))[0]
+        bad = ~(wok & aok) if live is None else ~(wok & aok) & live
+        if bad.any():
+            r, k = np.argwhere(bad)[0]
             _check_bits(self.device, int(wbits[r, k]))
             _check_bits(self.device, int(abits[r, k]))
         layers = np.arange(wbits.shape[1])
         lat = self.edge[layers, wcol, acol]
-        missing = np.isnan(lat)
+        missing = np.isnan(lat) if live is None else np.isnan(lat) & live
         if missing.any():
             compute = g.liveness.compute_ids
-            for r, k in zip(*np.nonzero(missing)):
-                at = (k, wcol[r, k], acol[r, k])
-                if np.isnan(self.edge[at]):
-                    self.edge[at] = layer_latency(g.nodes[compute[k]], g, self.device, int(wbits[r, k]), int(abits[r, k]))
+            need = np.zeros(self.edge.shape, dtype=bool)
+            need[np.nonzero(missing)[1], wcol[missing], acol[missing]] = True
+            for k, w, a in np.argwhere(need).tolist():
+                node = g.nodes[compute[k]]
+                self.edge[k, w, a] = layer_latency(node, g, self.device, int(self.widths[w]), int(self.widths[a]))
             lat = self.edge[layers, wcol, acol]
+        if live is not None:
+            lat[~live] = 0.0
         return lat
 
     def cloud_sums(self, g: LayerGraph):
@@ -227,24 +234,24 @@ def _latency_table(g: LayerGraph, d: DeviceProfile) -> LatencyTable:
     return per_graph[d]
 
 
-def _edge_ids(g: LayerGraph, n: int) -> tuple:
-    compute = g.liveness.compute_ids
-    if not 0 <= n <= len(compute):
+def _split(g: LayerGraph, n: int) -> int:
+    if not 0 <= n <= len(g.liveness.compute_ids):
         raise GraphError("split index %d out of range" % n)
-    return compute[:n]
+    return n
 
 
 def split_latencies(
     g: LayerGraph,
-    n: int,
+    n,
     wbits,
     abits,
     edge: DeviceProfile,
     cloud: DeviceProfile,
     net: NetworkProfile,
 ) -> list:
-    """Breakdowns of k plans at split n, one per row of the k x n width
-    arrays `wbits` and `abits` (the first n compute layers, in order).
+    """Breakdowns of k plans, one per row of the width arrays `wbits` and
+    `abits` (compute layers in order). Plan r splits at `n[r]`, or at `n`
+    for all of them, and only its first n[r] widths are read.
 
     Edge latencies are summed left to right from 0.0 in compute order, the
     cloud's from layer n to the end (never a total minus a prefix), and the
@@ -253,26 +260,34 @@ def split_latencies(
     tensors ship at the widths `crossing_bits_map` gives: the input at
     `input_bits`, every other at its activation width.
     """
-    _edge_ids(g, n)
     wbits = np.asarray(wbits, dtype=np.int64)
     abits = np.asarray(abits, dtype=np.int64)
+    k, width = wbits.shape
+    n = np.asarray(n, dtype=np.intp)
+    if n.size:
+        _split(g, int(n.min()))
+        _split(g, int(n.max()))
+    n = np.broadcast_to(n, (k,))
     et = _latency_table(g, edge)
-    lat = et.edge_latencies(g, wbits, abits)
-    edge_s = np.add.accumulate(lat, axis=1)[:, -1] if n else np.zeros(len(lat))
     prefix, suffix = _latency_table(g, cloud).cloud_sums(g)
-    crossing = et.crossing[n]
-    tx_bits = abits @ crossing[1 : n + 1] + int(crossing[0]) * g.input_bits
+    lat = et.edge_latencies(g, wbits, abits, np.arange(width) < n[:, None])
+    acc = np.zeros((k, width + 1))
+    np.add.accumulate(lat, axis=1, out=acc[:, 1:])
+    edge_s = acc[np.arange(k), n]
+    crossing = et.crossing[n]  # a split's crossing tensors all sit in its prefix
+    tx_bits = (abits * crossing[:, 1 : width + 1]).sum(axis=1) + crossing[:, 0] * g.input_bits
     transmit_s = tx_bits / net.uplink_bits_per_s + net.fixed_rtt_s
-    cloud_s = float(suffix[n])
-    return [
-        LatencyBreakdown(edge_s=e, transmit_s=t, cloud_s=cloud_s, total_s=tot, relative_s=rel)
-        for e, t, tot, rel in zip(
+    cloud_s = suffix[n]
+    return list(
+        map(
+            LatencyBreakdown,
             edge_s.tolist(),
             transmit_s.tolist(),
+            cloud_s.tolist(),
             (edge_s + transmit_s + cloud_s).tolist(),
             (edge_s + transmit_s - prefix[n]).tolist(),
         )
-    ]
+    )
 
 
 def split_latency(
@@ -283,8 +298,8 @@ def split_latency(
     cloud: DeviceProfile,
     net: NetworkProfile,
 ) -> LatencyBreakdown:
-    """`split_latencies` of one plan given as width dicts."""
-    edge_ids = _edge_ids(g, n)
+    """`split_latencies` of one plan given as node id -> width mappings."""
+    edge_ids = g.liveness.compute_ids[: _split(g, n)]
     wbits = [[assignment.weight_bits[i] for i in edge_ids]]
     abits = [[assignment.act_bits[i] for i in edge_ids]]
     return split_latencies(g, n, wbits, abits, edge, cloud, net)[0]
@@ -328,9 +343,13 @@ def load_device_config(path):
         raise ConfigError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise ConfigError("parse error in %s: %s" % (path, e))
+    if not isinstance(doc, dict):
+        raise ConfigError("config %s must hold a JSON object" % path)
     for key in ("edge", "cloud", "network"):
         if key not in doc:
             raise ConfigError("config %s: missing section %r" % (path, key))
+        if not isinstance(doc[key], dict):
+            raise ConfigError("config %s: section %r must be an object" % (path, key))
     net = doc["network"]
     try:
         network = NetworkProfile(
@@ -339,6 +358,8 @@ def load_device_config(path):
         )
     except KeyError as e:
         raise ConfigError("network section: missing field %s" % e)
+    except (TypeError, ValueError) as e:
+        raise ConfigError("network section: %s" % e)
     return (
         _device_from_dict(doc["edge"], "edge"),
         _device_from_dict(doc["cloud"], "cloud"),

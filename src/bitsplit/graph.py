@@ -111,6 +111,10 @@ class Liveness:
 
 
 def _conv_spatial(size: int, k: int, stride: int, pad: int) -> int:
+    if stride < 1:
+        raise ValueError("stride %d is below 1" % stride)
+    if pad < 0:
+        raise ValueError("pad %d is negative" % pad)
     out = (size + 2 * pad - k) // stride + 1
     if out < 1:
         raise ValueError("kernel larger than padded input")

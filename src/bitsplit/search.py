@@ -7,16 +7,20 @@ layer's choice at a given multiplier does not depend on the split, so each
 distortion table gets one multiplier path per `enumerate_solutions` call
 (`MultiplierPath`), and every (n, weight anchor) and (n, activation anchor)
 allocation is read from it; the number read stays within |P|*|B|^2 + |B|.
-No bisection runs: each read takes the first probe whose measure, from
-arrays the path builds once, fits the budget. The kept candidates of each
-split are deduplicated on their width arrays and priced together by
-`split_latencies`, from one latency table per (graph, profile). The
-solution list always starts with the cloud-only sentinel, so selection
-under an accuracy threshold cannot fail.
+No bisection runs and no split is read on its own: one `MultiplierPath.read`
+per table takes, for every (split, anchor) at once, the first probe whose
+prefix measure fits, from arrays the path builds once. The kept candidates
+of all splits are deduplicated on their width arrays and priced in one
+`split_latencies` pass, from one latency table per (graph, profile). Each
+plan holds its widths as read-only arrays behind node-id mappings
+(`Widths`). The solution list always starts with the cloud-only sentinel,
+so selection under an accuracy threshold cannot fail.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +39,52 @@ from .graph import LayerGraph, boundary_cut
 from .quantize import DistortionTable
 
 
+class Widths(Mapping):
+    """Read-only node id -> width mapping over a plan's width array.
+
+    `array[k]` is the width of the k-th id of `position` (a dict from id to
+    its index, shared by many plans, in index order); the mapping holds the
+    first len(array) of them. Nothing is copied: indexing reads the array.
+    """
+
+    __slots__ = ("position", "array")
+
+    def __init__(self, position: dict, array: np.ndarray):
+        self.position = position
+        self.array = array
+
+    def __getitem__(self, nid) -> int:
+        k = self.position[nid]
+        if k >= len(self.array):
+            raise KeyError(nid)
+        return self.array.item(k)
+
+    def __contains__(self, nid) -> bool:
+        return self.position.get(nid, len(self.array)) < len(self.array)
+
+    def __iter__(self):
+        return itertools.islice(self.position, len(self.array))
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def values(self) -> list:
+        return self.array.tolist()
+
+    def items(self) -> list:
+        return list(zip(self, self.array.tolist()))
+
+    def __repr__(self) -> str:
+        return "Widths(%r)" % self.items()
+
+
 @dataclass(frozen=True)
 class BitAssignment:
-    weight_bits: dict
-    act_bits: dict
+    """Each edge layer's weight and activation width, keyed by node id.
+    Enumerated plans hold `Widths` views; dicts work as well."""
+
+    weight_bits: Mapping
+    act_bits: Mapping
 
     def total_bits(self) -> int:
         return sum(self.weight_bits.values()) + sum(self.act_bits.values())
@@ -71,12 +117,11 @@ class SplitSolution:
 @dataclass
 class Allocation:
     feasible: bool
-    bits: dict
+    bits: Mapping  # the layers' widths in order, as `Widths`
     budget_used_bits: int = 0
     total_distortion: float = 0.0
     lam: float = 0.0
     reason: str = ""
-    widths: np.ndarray | None = None  # the layers' widths in order, as `bits` holds them
 
 
 # -- potential splits -----------------------------------------------------------
@@ -154,12 +199,16 @@ class MultiplierPath:
     Crossing tensors choose among the packable widths only; those widths'
     breakpoints are a subset of the full menu's.
 
-    The measures are read from arrays built once per path: `rate[p, n]` is
-    the n-prefix's rate at probe p, and the activation step bits (built on
-    the first `activations` read) hold every compute step's bit-weighted
-    working set at each probe. Both only fall as the probe grows, since a
-    layer's choice only gets narrower as the multiplier grows, so the first
-    fit is the first probe whose measure is within the budget.
+    Every measure is a prefix array built once per path, probes x splits:
+    `rate[p, n]` and `dist[p, n]` are the n-prefix's rate and distortion
+    (summed left to right from 0.0) at probe p, and the activation peaks
+    (`prefix_peaks`, built on the first activation read) the largest
+    bit-weighted working set of its first n steps. Rate and peak only fall
+    as the probe grows, since a layer's choice only gets narrower as the
+    multiplier grows, so the first fit is the first probe whose measure is
+    within the budget. `read` takes it for any number of (split, budget)
+    pairs in one array pass; `weights` and `activations` are its one-split
+    forms.
     """
 
     def __init__(self, table: DistortionTable, layer_ids):
@@ -181,77 +230,148 @@ class MultiplierPath:
         layers = np.arange(len(self.ids))
         self.rate = np.zeros((len(self.probes), len(self.ids) + 1), dtype=np.int64)
         np.cumsum(self.r[layers, self.choice], axis=1, out=self.rate[:, 1:])
-        self._position = {i: k for k, i in enumerate(self.ids)}
-        self._step_bits = None
+        # accumulate adds left to right; builtin sum compensates on Python 3.12+
+        self.dist = np.zeros((len(self.probes), len(self.ids) + 1), dtype=np.float64)
+        np.add.accumulate(self.d[layers, self.choice], axis=1, out=self.dist[:, 1:])
+        self.position = {i: k for k, i in enumerate(self.ids)}
+        self._steps = None
+        self._peaks = None
+        self._crossing = {}
 
     def weights(self, n: int, budgets) -> list:
         """For each budget, the first n layers' choices at the first probe
         whose total rate is within it."""
-        return self._read(self.choice[:, :n], self.rate[:, n], budgets, "budget below minimum rate")
+        return self.read(None, [n] * len(budgets), budgets).allocations()
 
     def activations(self, g: LayerGraph, n: int, budgets) -> list:
         """For each budget, the first n layers' choices at the first probe
-        whose peak bit-weighted working set (`peak`) is within it. Without a
-        packable width for a crossing tensor the split is infeasible."""
-        read = self.peak(g, n)
-        if read is None:
-            tensor = min(c for c in g.liveness.cuts[n].crossing_tensors if c != g.input_id)
-            return [Allocation(feasible=False, bits={}, reason="no transportable width for tensor %d" % tensor)
-                    for _ in budgets]
-        return self._read(*read, budgets, "infeasible even at minimum bits")
+        whose peak bit-weighted working set is within it. Without a packable
+        width for a crossing tensor the split is infeasible."""
+        return self.read(g, [n] * len(budgets), budgets).allocations()
 
-    def peak(self, g: LayerGraph, n: int):
-        """(choices, peak) of the n-prefix at every probe: the peak bit-weighted
-        working set (`g.liveness.incidence`) of its first n steps. A layer
-        whose output crosses the boundary gets only widths the wire can pack
-        (`PACKABLE_BITS`), which changes only those layers' columns; without
-        one in the menu this returns None. The path's layers must be the
-        graph's compute layers, in order."""
-        if self._step_bits is None:
-            widths = np.empty((len(self.probes), len(self.ids) + 1), dtype=np.int64)
-            widths[:, 0] = g.input_bits
-            widths[:, 1:] = self.bits[self.choice]
-            self._step_bits = widths @ g.liveness.incidence[: len(self.ids), : len(self.ids) + 1].T
-        choice = self.choice[:, :n]
-        steps = self._step_bits[:, :n]
-        if self.packable_choice is not self.choice:
-            crossing = [self._position[c] for c in g.liveness.cuts[n].crossing_tensors if c != g.input_id]
-            if crossing:
-                if self.packable_choice is None:
-                    return None
-                choice = choice.copy()
+    def read(self, g: LayerGraph | None, splits, budgets) -> "PathReads":
+        """The first fit at each of m (split, budget) pairs, in one pass:
+        by rate when `g` is None, else by the peak working set of g's steps
+        (the path's layers must then be g's compute layers, in order)."""
+        splits = np.asarray(splits, dtype=np.intp).reshape(-1)
+        budgets = np.asarray(budgets).reshape(-1)
+        measure = self.rate if g is None else self.prefix_peaks(g)
+        measure, dist = measure[:, splits], self.dist[:, splits]
+        blocked, patched = {}, []
+        if g is not None and self.packable_choice is not self.choice:
+            for r, n in enumerate(splits.tolist()):
+                fix = self._packable_crossing(g, n)
+                if isinstance(fix, str):
+                    blocked[r] = fix
+                elif fix is not None:
+                    columns, measure[:, r], dist[:, r] = fix
+                    patched.append((r, columns))
+        fits = measure <= budgets
+        probe = fits.argmax(axis=0)
+        feasible = fits[-1]
+        feasible[list(blocked)] = False
+        at = np.arange(len(splits))
+        choice = self.choice[probe]
+        for r, columns in patched:
+            choice[r, columns] = self.packable_choice[probe[r], columns]
+        widths = self.bits[choice]
+        widths.flags.writeable = False
+        return PathReads(
+            path=self,
+            splits=splits,
+            budgets=budgets,
+            feasible=feasible,
+            probe=probe,
+            used=measure[probe, at],
+            distortion=dist[probe, at],
+            widths=widths,
+            reasons=blocked,
+            reason="budget below minimum rate" if g is None else "infeasible even at minimum bits",
+        )
+
+    def step_bits(self, g: LayerGraph) -> np.ndarray:
+        """`steps[p, s]`: the bit-weighted working set (`g.liveness.incidence`)
+        of compute step s at probe p."""
+        if self._steps is None:
+            n = len(self.ids)
+            widths = np.empty((n + 1, len(self.probes)), dtype=np.int64)  # positions x probes
+            widths[0] = g.input_bits
+            widths[1:] = self.bits[self.choice.T]
+            # each working set summed over its live tensors only: a step
+            # holds a few, and its own output keeps it non-empty
+            incidence = g.liveness.incidence[:n, : n + 1]
+            live = incidence != 0
+            live[np.arange(n), np.arange(1, n + 1)] = True
+            step, tensor = np.nonzero(live)
+            terms = widths[tensor] * incidence[step, tensor][:, None]
+            steps = np.add.reduceat(terms, np.searchsorted(step, np.arange(n)), axis=0) if n else terms
+            self._steps = steps.T
+        return self._steps
+
+    def prefix_peaks(self, g: LayerGraph) -> np.ndarray:
+        """`peaks[p, n]`: the largest of the first n `step_bits` at probe p,
+        0 at n = 0."""
+        if self._peaks is None:
+            self._peaks = np.zeros((len(self.probes), len(self.ids) + 1), dtype=np.int64)
+            np.maximum.accumulate(self.step_bits(g), axis=1, out=self._peaks[:, 1:])
+        return self._peaks
+
+    def _packable_crossing(self, g: LayerGraph, n: int):
+        """Split n with the layers whose outputs cross its boundary held to
+        the widths the wire can pack (`PACKABLE_BITS`): None when that
+        changes nothing, the reason when the menu has no such width, else
+        (their columns, peak, distortion) at every probe."""
+        if n not in self._crossing:
+            tensors = [c for c in g.liveness.cuts[n].crossing_tensors if c != g.input_id]
+            crossing = [self.position[c] for c in tensors]
+            if not crossing:
+                fix = None
+            elif self.packable_choice is None:
+                fix = "no transportable width for tensor %d" % min(tensors)
+            else:
+                choice = self.choice[:, :n].copy()
                 choice[:, crossing] = self.packable_choice[:, crossing]
                 delta = self.bits[choice[:, crossing]] - self.bits[self.choice[:, crossing]]
                 columns = [k + 1 for k in crossing]
-                steps = steps + delta @ g.liveness.incidence[:n, columns].T
-        return choice, steps.max(axis=1, initial=0)
+                steps = self.step_bits(g)[:, :n] + delta @ g.liveness.incidence[:n, columns].T
+                dist = np.add.accumulate(self.d[np.arange(n), choice], axis=1)[:, -1]
+                fix = (crossing, steps.max(axis=1, initial=0), dist)
+            self._crossing[n] = fix
+        return self._crossing[n]
 
-    def _read(self, choice, measure, budgets, reason) -> list:
-        """The allocation at the first probe whose measure is within each
-        budget. The measure only falls along the path, so none fits unless
-        the last probe does."""
-        out = []
-        n = choice.shape[1]
-        for budget in budgets:
-            fits = measure <= budget
-            if not fits[-1]:
-                out.append(Allocation(feasible=False, bits={}, reason=reason))
-                continue
-            p = int(fits.argmax())
-            widths = self.bits[choice[p]]
-            # left to right from 0.0: builtin sum compensates on Python 3.12+
-            distortion = np.add.accumulate(self.d[np.arange(n), choice[p]])
-            out.append(
-                Allocation(
-                    feasible=True,
-                    bits=dict(zip(self.ids, widths.tolist())),
-                    budget_used_bits=int(measure[p]),
-                    total_distortion=float(distortion[-1]) if n else 0.0,
-                    lam=float(self.probes[p]),
-                    widths=widths,
-                )
-            )
-        return out
+
+@dataclass(frozen=True)
+class PathReads:
+    """`MultiplierPath.read`'s first fits, one entry per (split, budget)
+    pair: whether any probe fits, the first that does, its measure and
+    distortion, and the path's widths there (the first `splits[r]` count)."""
+
+    path: MultiplierPath
+    splits: np.ndarray
+    budgets: np.ndarray
+    feasible: np.ndarray
+    probe: np.ndarray
+    used: np.ndarray
+    distortion: np.ndarray
+    widths: np.ndarray  # reads x layers, read-only
+    reasons: dict  # read -> why its split cannot be allocated at all
+    reason: str  # why any other infeasible read is
+
+    def allocation(self, r: int) -> Allocation:
+        n = int(self.splits[r])
+        if not self.feasible[r]:
+            return Allocation(feasible=False, bits=Widths(self.path.position, self.widths[r, :0]),
+                              reason=self.reasons.get(r, self.reason))
+        return Allocation(
+            feasible=True,
+            bits=Widths(self.path.position, self.widths[r, :n]),
+            budget_used_bits=int(self.used[r]),
+            total_distortion=float(self.distortion[r]),
+            lam=float(self.path.probes[self.probe[r]]),
+        )
+
+    def allocations(self) -> list:
+        return [self.allocation(r) for r in range(len(self.splits))]
 
 
 def allocate_bits_lagrangian(table: DistortionTable, layer_ids, budget_bits: int) -> Allocation:
@@ -271,7 +391,7 @@ def repair_activation_assignment(table, g, n, bits, budget_bits):
     At the first violating step, the live tensor with the largest current rate
     (ties to smaller id) that can still go lower is dropped one width. Returns
     the repaired bits dict or None when stuck. Unused: the allocator's sweep
-    only returns choices that fit; the benchmark's tracer wraps it (ROADMAP 4b).
+    only returns choices that fit; the benchmark's tracer wraps it (ROADMAP item 1).
     """
     bits = dict(bits)
     working = g.liveness.working_sets[:n]
@@ -369,56 +489,76 @@ def enumerate_solutions(
 
     wpath = MultiplierPath(wtable, compute)
     apath = MultiplierPath(atable, compute)
-    peaks = g.liveness.peaks
+    splits = np.array(P, dtype=np.intp)
+    widths = np.array(B, dtype=np.int64)
     w_cum = np.cumsum([0] + [g.nodes[i].weight_elements() for i in compute])
+    W = w_cum[splits, None] * widths  # splits x anchors
+    A = np.array(g.liveness.peaks, dtype=np.int64)[splits, None] * widths
     room = M_bytes * 8
-    seen = set()
-    for n in P:
-        w_total = int(w_cum[n])
-        w_anchors = [w_total * b for b in B]
-        a_anchors = [peaks[n] * b for b in B]
-        # read only the anchors that fit M beside the other kind's smallest
-        w_read = [k for k, W in enumerate(w_anchors) if W + min(a_anchors) <= room]
-        a_read = [k for k, A in enumerate(a_anchors) if min(w_anchors) + A <= room]
-        walloc = dict(zip(w_read, wpath.weights(n, [w_anchors[k] for k in w_read])))
-        aalloc = dict(zip(a_read, apath.activations(g, n, [a_anchors[k] for k in a_read])))
-        stats.solve_count += len(walloc) + len(aalloc)
-        kept = []
-        for kw, Wk in enumerate(w_anchors):
-            for ka, Ak in enumerate(a_anchors):
-                if Wk + Ak > room:
-                    continue
-                stats.pairs_tried += 1
-                wa, aa = walloc[kw], aalloc[ka]
-                if not (wa.feasible and aa.feasible):
-                    continue
-                key = (n, wa.widths.tobytes(), aa.widths.tobytes())
-                if key in seen:
-                    continue
-                seen.add(key)
-                distortion = wa.total_distortion + aa.total_distortion
-                if distortion_cap is not None and distortion > distortion_cap:
-                    continue
-                kept.append((wa, aa, distortion))
-        if not kept:
-            continue
-        wbits = np.array([wa.widths for wa, _, _ in kept])
-        abits = np.array([aa.widths for _, aa, _ in kept])
-        for (wa, aa, distortion), breakdown in zip(kept, split_latencies(g, n, wbits, abits, edge, cloud, net)):
-            S.append(
-                SplitSolution(
-                    n=n,
-                    assignment=BitAssignment(weight_bits=dict(wa.bits), act_bits=dict(aa.bits)),
-                    breakdown=breakdown,
-                    total_distortion=distortion,
-                    edge_weight_bytes=wa.budget_used_bits / 8.0,
-                    edge_act_bytes=aa.budget_used_bits / 8.0,
-                )
+    pairs = W[:, :, None] + A[:, None, :] <= room  # splits x weight anchors x activation anchors
+    # read only the anchors that fit M beside the other kind's smallest
+    w_at = np.nonzero(W + A.min(axis=1, keepdims=True) <= room)
+    a_at = np.nonzero(W.min(axis=1, keepdims=True) + A <= room)
+    wr = wpath.read(None, splits[w_at[0]], W[w_at])
+    ar = apath.read(g, splits[a_at[0]], A[a_at])
+    stats.solve_count = len(wr.splits) + len(ar.splits)
+    stats.pairs_tried = int(pairs.sum())
+
+    # every pair within M reads both anchors; keep the feasible ones, each
+    # (split, weight widths, activation widths) once, in pair order
+    w_read = np.full(W.shape, -1)
+    w_read[w_at] = np.arange(len(wr.splits))
+    a_read = np.full(A.shape, -1)
+    a_read[a_at] = np.arange(len(ar.splits))
+    j, kw, ka = np.nonzero(pairs)
+    rw, ra = w_read[j, kw], a_read[j, ka]
+    ok = wr.feasible[rw] & ar.feasible[ra]
+    rw, ra = rw[ok], ra[ok]
+    w_keys, a_keys = _width_keys(wr), _width_keys(ar)
+    seen, kept = set(), []
+    for t, (n, r, s) in enumerate(zip(wr.splits[rw].tolist(), rw.tolist(), ra.tolist())):
+        key = (n, w_keys[r], a_keys[s])
+        if key not in seen:
+            seen.add(key)
+            kept.append(t)
+    rw, ra = rw[kept], ra[kept]
+    distortion = wr.distortion[rw] + ar.distortion[ra]
+    if distortion_cap is not None:
+        under = ~(distortion > distortion_cap)
+        rw, ra, distortion = rw[under], ra[under], distortion[under]
+    stats.pairs_kept = len(rw)
+
+    # one pricing pass; each plan's widths are row views of these two arrays
+    ns = wr.splits[rw]
+    wbits, abits = wr.widths[rw], ar.widths[ra]
+    wbits.flags.writeable = abits.flags.writeable = False
+    breakdowns = split_latencies(g, ns, wbits, abits, edge, cloud, net)
+    position = wpath.position
+    for n, w, a, br, dist, wu, au in zip(
+        ns.tolist(), wbits, abits, breakdowns, distortion.tolist(), wr.used[rw].tolist(), ar.used[ra].tolist()
+    ):
+        S.append(
+            SplitSolution(
+                n=n,
+                assignment=BitAssignment(weight_bits=Widths(position, w[:n]), act_bits=Widths(position, a[:n])),
+                breakdown=br,
+                total_distortion=dist,
+                edge_weight_bytes=wu / 8.0,
+                edge_act_bytes=au / 8.0,
             )
-        stats.pairs_kept += len(kept)
+        )
     if len(B) >= 2:
         assert stats.solve_count <= stats.solve_bound, "allocator call budget exceeded"
     return S, stats
+
+
+def _width_keys(reads: PathReads) -> list:
+    """Each feasible read's widths over its split as bytes, the dedup key
+    (None when infeasible)."""
+    return [
+        row[:n].tobytes() if ok else None
+        for row, n, ok in zip(reads.widths, reads.splits.tolist(), reads.feasible.tolist())
+    ]
 
 
 # -- selection ---------------------------------------------------------------------

@@ -260,3 +260,135 @@ def test_bad_labels_exit_2(demo_dir, tmp_path, rows):
     assert main(_solve_args(demo)) == 2
     assert main(["profile", "--graph", str(demo / "graph.json"), "--eval-dir", str(demo / "eval"),
                  "--out", str(tmp_path / "prof")]) == 2
+
+
+# -- malformed plans, run configs, graphs and device files ---------------------------
+
+
+def _simulate_edited(demo_dir, solved, tmp_path, **fields):
+    """simulate one input under solved's selected.json with `fields` replaced."""
+    doc = json.loads((solved / "selected.json").read_text())
+    assert doc["split_index"] >= 2  # the edits below need edge layers to cover
+    doc.update(fields)
+    path = tmp_path / "selected.json"
+    path.write_text(json.dumps(doc))
+    return main(["simulate", "--graph", str(demo_dir / "graph.json"), "--selected", str(path),
+                 "--eval-dir", str(demo_dir / "eval"), "--limit", "1", "--out", str(tmp_path)])
+
+
+def test_simulate_refuses_a_split_index_outside_the_graph(demo_dir, solved, tmp_path):
+    assert _simulate_edited(demo_dir, solved, tmp_path) == 0
+    for n in (-1, 7, "5", True, None, 5.0):  # the demo has 6 compute layers
+        assert _simulate_edited(demo_dir, solved, tmp_path, split_index=n) == 2, n
+
+
+def test_simulate_refuses_widths_that_do_not_cover_the_edge_layers(demo_dir, solved, tmp_path):
+    doc = json.loads((solved / "selected.json").read_text())
+    wbits, abits = doc["weight_bits"], doc["act_bits"]
+    first = sorted(abits, key=int)[0]
+    missing_one = {k: v for k, v in abits.items() if k != first}
+    for act_bits in ({}, missing_one, dict(abits, **{"10": 8}), dict(missing_one, x=8), [8] * len(abits), None):
+        assert _simulate_edited(demo_dir, solved, tmp_path, act_bits=act_bits) == 2, act_bits
+    assert _simulate_edited(demo_dir, solved, tmp_path, weight_bits={k: v for k, v in wbits.items() if k != first}) == 2
+    # a split that moves without its widths
+    assert _simulate_edited(demo_dir, solved, tmp_path, split_index=doc["split_index"] - 1) == 2
+
+
+def test_simulate_refuses_a_width_that_is_not_a_positive_integer(demo_dir, solved, tmp_path):
+    doc = json.loads((solved / "selected.json").read_text())
+    first = sorted(doc["act_bits"], key=int)[0]
+    for width in (0, -4, "8", 8.0, True, None):
+        for key in ("weight_bits", "act_bits"):
+            bits = dict(doc[key], **{first: width})
+            assert _simulate_edited(demo_dir, solved, tmp_path, **{key: bits}) == 2, (key, width)
+
+
+def _solve_with_config(demo_dir, tmp_path, **fields):
+    cfg = json.loads((demo_dir / "run.json").read_text())
+    cfg.update(fields, out=str(tmp_path / "report"))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    return main(["solve", "--config", str(path)])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("calib", 0),
+        ("calib", 2.5),
+        ("calib", "x"),
+        ("memory_bytes", "x"),
+        ("memory_bytes", 0),
+        ("memory_bytes", True),
+        ("accuracy_drop", "x"),
+        ("accuracy_drop", -1),
+        ("accuracy_drop", "nan"),
+        ("distortion_cap", "x"),
+        ("distortion_cap", [1]),
+        ("seed", "x"),
+        ("bits", [2, "x"]),
+        ("bits", [2, 0]),
+        ("bits", []),
+    ],
+)
+def test_solve_rejects_bad_run_config_values(demo_dir, tmp_path, key, value):
+    assert _solve_with_config(demo_dir, tmp_path, **{key: value}) == 2
+
+
+def test_solve_accepts_bits_as_a_json_list(demo_dir, tmp_path):
+    assert _solve_with_config(demo_dir, tmp_path, bits=[4, 2]) == 0
+    listed = {name: (tmp_path / "report" / name).read_bytes() for name in ("solutions.csv", "selected.json")}
+    assert json.loads(listed["selected.json"])["bits_candidates"] == [2, 4]
+    flagged = tmp_path / "flagged"
+    assert main(["solve", "--config", str(demo_dir / "run.json"), "--bits", "2,4", "--out", str(flagged)]) == 0
+    assert listed == {name: (flagged / name).read_bytes() for name in listed}
+
+
+def _edit_conv_attr(demo_dir, tmp_path, attr, value):
+    demo = _demo_copy(demo_dir, tmp_path)
+    doc = json.loads((demo / "graph.json").read_text())
+    conv = next(n for n in doc["nodes"] if n["op"] == "conv")
+    conv["attrs"][attr] = value
+    (demo / "graph.json").write_text(json.dumps(doc))
+    return demo
+
+
+def test_conv_stride_below_one_exits_3(demo_dir, tmp_path, capsys):
+    demo = _edit_conv_attr(demo_dir, tmp_path, "stride", 0)
+    assert main(["inspect", "--graph", str(demo / "graph.json")]) == 3
+    assert main(_solve_args(demo)) == 3
+    assert "stride 0 is below 1" in capsys.readouterr().err
+
+
+def test_negative_conv_pad_exits_3(demo_dir, tmp_path, capsys):
+    demo = _edit_conv_attr(demo_dir, tmp_path, "pad", -1)
+    assert main(["inspect", "--graph", str(demo / "graph.json")]) == 3
+    assert main(_solve_args(demo)) == 3
+    assert "pad -1 is negative" in capsys.readouterr().err
+
+
+def _edit_devices(demo_dir, tmp_path, **sections):
+    demo = _demo_copy(demo_dir, tmp_path)
+    doc = json.loads((demo / "devices.json").read_text())
+    doc.update(sections)
+    (demo / "devices.json").write_text(json.dumps(doc))
+    return demo
+
+
+def test_null_network_section_exits_2(demo_dir, tmp_path):
+    demo = _edit_devices(demo_dir, tmp_path, network=None)
+    assert main(_solve_args(demo)) == 2
+    assert main(["inspect", "--graph", str(demo / "graph.json"), "--devices", str(demo / "devices.json")]) == 2
+
+
+@pytest.mark.parametrize("section", ["edge", "cloud"])
+@pytest.mark.parametrize("value", [None, [], "npu"])
+def test_non_object_device_section_exits_2(demo_dir, tmp_path, section, value):
+    demo = _edit_devices(demo_dir, tmp_path, **{section: value})
+    assert main(_solve_args(demo)) == 2
+
+
+def test_malformed_uplink_rate_exits_2(demo_dir, tmp_path):
+    for uplink in ("x", None, [1]):
+        demo = _edit_devices(demo_dir, tmp_path / str(uplink), network={"uplink_bps": uplink})
+        assert main(_solve_args(demo)) == 2, uplink

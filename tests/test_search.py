@@ -18,6 +18,7 @@ from bitsplit.graph import (
 from bitsplit.quantize import DistortionTable, activation_distortion_table, weight_distortion_table
 from bitsplit.search import (
     BitAssignment,
+    Widths,
     allocate_activation_bits,
     allocate_bits_lagrangian,
     enumerate_solutions,
@@ -36,6 +37,22 @@ def test_assignment_helpers():
     a = BitAssignment(weight_bits={1: 2, 2: 8, 3: 2}, act_bits={1: 4, 2: 4, 3: 8})
     assert a.total_bits() == 12 + 16
     assert a.key([1, 3]) == ((2, 4), (2, 8))
+    # the same plan as width arrays behind node-id views over layers 1..4
+    position = {1: 0, 2: 1, 3: 2, 4: 3}
+    v = BitAssignment(
+        weight_bits=Widths(position, np.array([2, 8, 2])),
+        act_bits=Widths(position, np.array([4, 4, 8])),
+    )
+    assert v == a and v.weight_bits == a.weight_bits and a.act_bits == v.act_bits
+    assert v.total_bits() == 12 + 16
+    assert v.key([1, 3]) == ((2, 4), (2, 8)) and v.key([1, 2, 3]) == a.key([1, 2, 3])
+    assert type(v.weight_bits[2]) is int and list(v.act_bits.items()) == [(1, 4), (2, 4), (3, 8)]
+    assert 3 in v.act_bits and 4 not in v.act_bits and v.act_bits.get(4) is None
+    for missing in (4, 5):
+        with pytest.raises(KeyError):
+            v.weight_bits[missing]
+        with pytest.raises(KeyError):
+            v.key([1, missing])
 
 
 # -- candidate split filtering ---------------------------------------------------------
@@ -451,26 +468,27 @@ def _prefix_sweep(kind, table, g, order, steps, n, budget):
 
 
 def _record_reads(monkeypatch):
-    """Every (kind, path, n, budgets, allocations) the multiplier paths return."""
+    """Every (kind, path, reads) `MultiplierPath.read` returns: all first
+    fits go through it, the one-split reads included."""
     reads = []
-    for name in ("weights", "activations"):
-        real = getattr(search.MultiplierPath, name)
+    real = search.MultiplierPath.read
 
-        def record(self, *args, _real=real, _name=name):
-            out = _real(self, *args)
-            reads.append((_name, self, args[-2], args[-1], out))
-            return out
+    def record(self, g, splits, budgets):
+        out = real(self, g, splits, budgets)
+        reads.append(("weights" if g is None else "activations", self, out))
+        return out
 
-        monkeypatch.setattr(search.MultiplierPath, name, record)
+    monkeypatch.setattr(search.MultiplierPath, "read", record)
     return reads
 
 
 def _check_reads(reads, wtable, atable, g, order, steps):
     """Each read equals the per-prefix sweep; returns how many were feasible."""
     feasible = 0
-    for kind, path, n, budgets, allocs in reads:
+    for kind, path, out in reads:
         table = wtable if kind == "weights" else atable
-        for budget, alloc in zip(budgets, allocs):
+        for r, (n, budget) in enumerate(zip(out.splits.tolist(), out.budgets.tolist())):
+            alloc = out.allocation(r)
             want = _prefix_sweep(kind, table, g, order, steps, n, budget)
             assert alloc.feasible == (want is not None)
             if want is None:
@@ -508,7 +526,7 @@ def test_every_enumerated_allocation_equals_a_per_prefix_sweep(toy_graph, B, mon
         for M in (full // 2, 4 * full):
             reads.clear()
             S, stats = enumerate_solutions(g, order, wtable, atable, edge, cloud, net, M, B=B)
-            assert sum(len(budgets) for *_, budgets, _ in reads) == stats.solve_count
+            assert sum(len(out.splits) for *_, out in reads) == stats.solve_count
             checked += stats.solve_count
             feasible[label] += _check_reads(reads, wtable, atable, g, order, steps)
     assert set(feasible) == {"toy", "resnet50", "random"}
@@ -519,7 +537,8 @@ def test_every_enumerated_allocation_equals_a_per_prefix_sweep(toy_graph, B, mon
 def test_enumerated_prices_and_paths_match_oracles(toy_graph, B, monkeypatch):
     # every breakdown equals the naive left-to-right pricing, and every
     # path's measures fall as the probe grows: the premise that makes the
-    # first probe within a budget the bisection's answer
+    # first probe within a budget the bisection's answer. Its distortion
+    # only grows, since a layer's choice only narrows.
     reads = _record_reads(monkeypatch)
     edge, cloud, net = toy_profiles()
     edge = replace(edge, supported_bits=B)
@@ -535,14 +554,21 @@ def test_enumerated_prices_and_paths_match_oracles(toy_graph, B, monkeypatch):
             want = oracles.split_latency_naive(g, order, sol.n, sol.assignment, edge, cloud, net)
             assert astuple(sol.breakdown) == want
         priced += len(S) - 1
-        paths = {id(path): (kind, path) for kind, path, *_ in reads}
+        paths = {id(path): (kind, path) for kind, path, _ in reads}
         for kind, path in paths.values():
             assert (np.diff(path.rate, axis=0) <= 0).all()
+            assert (np.diff(path.dist, axis=0) >= 0).all()
             if kind == "activations":
-                for n in range(len(path.ids) + 1):
-                    read = path.peak(g, n)
-                    if read is not None:
-                        assert (np.diff(read[1]) <= 0).all()
+                assert (np.diff(path.prefix_peaks(g), axis=0) <= 0).all()
+                fresh = search.MultiplierPath(atable, path.ids)  # read nothing yet
+                for n in range(len(path.ids) + 1):  # crossing layers held to packable widths
+                    fix = path._packable_crossing(g, n)
+                    again = fresh._packable_crossing(g, n)
+                    if fix is None or isinstance(fix, str):
+                        assert again == fix
+                    else:
+                        assert (np.diff(fix[1]) <= 0).all() and (np.diff(fix[2]) >= 0).all()
+                        assert again[0] == fix[0] and np.array_equal(again[1], fix[1]) and np.array_equal(again[2], fix[2])
     assert priced > 0
 
 
