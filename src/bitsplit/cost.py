@@ -227,7 +227,7 @@ class LatencyTable:
 _LATENCY_TABLES = weakref.WeakKeyDictionary()  # graph -> {profile: LatencyTable}
 
 
-def _latency_table(g: LayerGraph, d: DeviceProfile) -> LatencyTable:
+def latency_table(g: LayerGraph, d: DeviceProfile) -> LatencyTable:
     per_graph = _LATENCY_TABLES.setdefault(g, {})
     if d not in per_graph:
         per_graph[d] = LatencyTable(g, d)
@@ -268,8 +268,8 @@ def split_latencies(
         _split(g, int(n.min()))
         _split(g, int(n.max()))
     n = np.broadcast_to(n, (k,))
-    et = _latency_table(g, edge)
-    prefix, suffix = _latency_table(g, cloud).cloud_sums(g)
+    et = latency_table(g, edge)
+    prefix, suffix = latency_table(g, cloud).cloud_sums(g)
     lat = et.edge_latencies(g, wbits, abits, np.arange(width) < n[:, None])
     acc = np.zeros((k, width + 1))
     np.add.accumulate(lat, axis=1, out=acc[:, 1:])

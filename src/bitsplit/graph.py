@@ -377,9 +377,22 @@ class LayerGraph:
 # -- loading ----------------------------------------------------------------
 
 
+def _ints(value, what):
+    """[int(v) for v in value] of a JSON list, or GraphError naming `what`."""
+    try:
+        if not isinstance(value, list):
+            raise TypeError
+        return [int(v) for v in value]
+    except (TypeError, ValueError, OverflowError):
+        raise GraphError("%s must be a list of integers, not %r" % (what, value))
+
+
 def graph_from_dict(doc: dict, base_dir: str = ".") -> LayerGraph:
-    if not isinstance(doc, dict) or "nodes" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise GraphError("graph document must be an object with a 'nodes' list")
+    bits = doc.get("input_bits", 8)
+    if type(bits) is not int or not 1 <= bits <= 32:
+        raise GraphError("input_bits must be an integer from 1 to 32, not %r" % (bits,))
     nodes = []
     for row in doc["nodes"]:
         try:
@@ -387,21 +400,26 @@ def graph_from_dict(doc: dict, base_dir: str = ".") -> LayerGraph:
             op = str(row["op"])
         except (KeyError, TypeError, ValueError) as e:
             raise GraphError("malformed node entry: %s" % e)
+        attrs = row.get("attrs", {})
+        if not isinstance(attrs, dict):
+            raise GraphError("node %d: attrs must be an object, not %r" % (nid, attrs))
         n = LayerNode(
             id=nid,
             op_kind=op,
-            attrs={str(k): int(v) for k, v in row.get("attrs", {}).items()},
-            weight_shape=tuple(int(d) for d in row.get("weight_shape", [])),
-            out_shape=tuple(int(d) for d in row.get("out_shape", [])),
-            inputs=[int(i) for i in row.get("inputs", [])],
+            attrs=dict(zip(map(str, attrs), _ints(list(attrs.values()), "node %d: attrs" % nid))),
+            weight_shape=tuple(_ints(row.get("weight_shape", []), "node %d: weight_shape" % nid)),
+            out_shape=tuple(_ints(row.get("out_shape", []), "node %d: out_shape" % nid)),
+            inputs=_ints(row.get("inputs", []), "node %d: inputs" % nid),
             fused_relu=bool(row.get("fused_relu", False)),
         )
         for key, slot in (("weights_file", "weights"), ("bias_file", "bias")):
             rel = row.get(key)
+            if not isinstance(rel, (str, type(None))):
+                raise GraphError("node %d: %s must be a path string, not %r" % (nid, key, rel))
             if rel:
                 setattr(n, slot, read_tensor(os.path.join(base_dir, rel)))
         nodes.append(n)
-    return LayerGraph(nodes, input_bits=int(doc.get("input_bits", 8)))
+    return LayerGraph(nodes, input_bits=bits)
 
 
 def load_graph(path) -> LayerGraph:

@@ -74,6 +74,92 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(d * d)) if d.size else 0.0
 
 
+def _clip_pass(x, s, z, qmin, qmax, b, out):
+    """The squared-error sums of one group of alphas: s and z are the
+    group's (k, rows, 1) float64 params, out its (k, rows) sums and b a
+    float64 buffer of at least k such stacks. Each group runs the elementwise
+    steps of one alpha in the same order, so every sum is the one an
+    alpha-at-a-time search gives.
+    """
+    b = b[: len(s)]
+    # _codes' reconstruction, in place; codes stay float64, which changes at
+    # most the sign of a zero and so no squared error
+    np.divide(x, s, out=b)
+    b += z
+    np.rint(b, out=b)
+    np.clip(b, qmin, qmax, out=b)
+    b -= z
+    b *= s
+    b[...] = b.astype(np.float32)
+    np.subtract(x, b, out=b)
+    b *= b
+    # over the last, contiguous axis: each row is the pairwise sum of a
+    # one-row search
+    np.add.reduce(b, axis=-1, out=out)
+
+
+def _tail_sums(x, rec, ext, above, scratch):
+    """Per (alpha, row) of rec: the sum of fl(x - rec)^2 over the row's values
+    above rec (or below it), each squared difference rounded as _clip_pass
+    rounds it. ext holds each row's max (or min); only values beyond the
+    row's nearest rec are gathered, and scratch, of at least x.size float64s,
+    holds their terms."""
+    sums = np.zeros(rec.shape)
+    cut = rec.min(axis=0) if above else rec.max(axis=0)
+    if not (ext > cut if above else ext < cut).any():
+        return sums
+    # rec holds float32 values, so comparing in float32 is exact
+    cut = cut.astype(np.float32)[:, None]
+    mask = x > cut if above else x < cut
+    counts = np.count_nonzero(mask, axis=1)
+    rows = np.flatnonzero(counts)
+    vals = x[mask].astype(np.float64)
+    owner = np.repeat(np.arange(len(x)), counts)
+    starts = (np.cumsum(counts) - counts)[rows]
+    n = len(vals)
+    g = scratch.size // n
+    for a in range(0, len(rec), g):
+        d = scratch.reshape(-1)[: min(g, len(rec) - a) * n].reshape(-1, n)
+        np.take(rec[a : a + g], owner, axis=1, out=d, mode="clip")
+        if above:
+            np.minimum(d, vals, out=d)
+            np.subtract(vals, d, out=d)
+        else:
+            np.maximum(d, vals, out=d)
+            np.subtract(d, vals, out=d)
+        d *= d
+        sums[a : a + len(d), rows] = np.add.reduceat(d, starts, axis=1)
+    return sums
+
+
+def _clip_bounds(x, lo, hi, s64, z64, qmin, qmax, scratch):
+    """A lower bound on each (alpha, row) sum that _clip_pass computes, from
+    the values the alpha clips alone; lo and hi are the rows' min and max,
+    s64 and z64 are (alphas, rows, 1).
+
+    Proof, for 0 < s < inf (the caller runs any other alpha). A pass clips
+    each code to [qmin, qmax] and reconstructs it as
+    float32(fl(fl(q - z) * s)), which never falls as q grows, since each
+    rounding is monotone. So every reconstruction lies in [lo_rec, hi_rec],
+    computed here the same way. For a value x above hi_rec,
+    x - rec >= x - hi_rec > 0 and rounding keeps that order, so the pass's
+    term fl(fl(x - rec)^2) is at least the term fl(fl(x - hi_rec)^2) summed
+    here; below lo_rec the same holds for lo_rec - x, and a value in range
+    adds a pass term >= 0 and none here. A float sum of n non-negative
+    terms, in any order, is within a factor 1 +- g(n) of the exact sum,
+    g(n) = n*u / (1 - n*u) with u = eps / 2. The pass sums M terms and the
+    tails at most 2M (a value gathered by both tails adds to one per alpha),
+    so pass >= (1 - g(M)) / (1 + g(2M)) * tails >= (1 - 3.02*M*u) * tails
+    while M*u < 1e-3. The product returned, its factor 1 - 4*(M + 1)*u and
+    both roundings included, is at most (1 - 4*M*u - 2*u) * tails, so never
+    above the pass's sum.
+    """
+    lo_rec = ((qmin - z64[..., 0]) * s64[..., 0]).astype(np.float32).astype(np.float64)
+    hi_rec = ((qmax - z64[..., 0]) * s64[..., 0]).astype(np.float32).astype(np.float64)
+    tails = _tail_sums(x, hi_rec, hi, True, scratch) + _tail_sums(x, lo_rec, lo, False, scratch)
+    return tails * (1.0 - 2 * (x.shape[1] + 1) * np.finfo(np.float64).eps)
+
+
 def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
     """MSE-optimal clip for each row of a stack (N, M), over a fixed alpha grid.
 
@@ -84,17 +170,25 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
     alpha. All-zero rows, and constant rows of an asymmetric search, are
     represented exactly.
 
-    The alphas are tried k at a time, k = CLIP_GROUP_ELEMENTS // (live rows
-    * M) clamped to 1..11: each group runs the elementwise steps of one alpha
-    in the same order on a (k, live rows, M) buffer, so every result is the
-    one alpha-at-a-time search gives. Small stacks (a session's single rows)
-    take one or a few groups; stacks larger than the budget go one alpha at
-    a time.
+    The alphas run k at a time, k = CLIP_GROUP_ELEMENTS // (live rows * M)
+    clamped to 1..11, each group one _clip_pass over a (k, live rows, M)
+    buffer. Small stacks (a session's single rows, weight tensors, small
+    layers' blocks) run every group. Stacks larger than the budget (k = 1)
+    run alpha 1.0 first and then only the alphas that can still win: for
+    each other (alpha, row), _clip_bounds bounds the error from the values
+    the alpha clips alone, and an alpha whose bound is at least alpha 1.0's
+    error for every row is not run. Its entries read +inf, and where it runs
+    for some rows, the others read errors at least alpha 1.0's. A skipped
+    alpha thus never is the first minimum, and scale, zero point and MSE are
+    those of the full search, ties included.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.shape[1] == 0:
         raise QuantError("empty tensor")
-    if not np.isfinite(x).all():
+    lo = np.min(x, axis=1).astype(np.float64)
+    hi = np.max(x, axis=1).astype(np.float64)
+    # min and max propagate NaN, so finite extremes mean a finite row
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise QuantError("non-finite values")
     if bits < 1 or (symmetric and bits < 2):
         raise QuantError("bad bit-width %d" % bits)
@@ -103,12 +197,10 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
     zero = np.zeros(len(x), dtype=np.float32)
     err = np.zeros(len(x))
 
-    amax = np.max(np.abs(x), axis=1).astype(np.float64)
+    amax = np.maximum(hi, -lo)  # max |x|
     if symmetric:
         live = amax != 0.0
     else:
-        lo = np.min(x, axis=1).astype(np.float64)
-        hi = np.max(x, axis=1).astype(np.float64)
         # constant row: code 0 with zero_point -c reconstructs exactly
         const = (lo == hi) & (amax != 0.0)
         zero[const] = -lo[const]
@@ -128,29 +220,27 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
         step = (hi_a - lo_a) / qmax
         s, z = step.astype(np.float32), (-lo_a / step).astype(np.float32)
 
-    xl = x[live].astype(np.float64)
-    k = max(1, min(len(CLIP_ALPHAS), CLIP_GROUP_ELEMENTS // xl.size))
-    buf = np.empty((k,) + xl.shape)
-    sums = np.empty(s.shape)
     s64, z64 = s.astype(np.float64)[..., None], z.astype(np.float64)[..., None]
-    for a in range(0, len(CLIP_ALPHAS), k):
-        sa, za = s64[a : a + k], z64[a : a + k]
-        b = buf[: len(sa)]
-        # _codes' reconstruction, in place; codes stay float64, which changes
-        # at most the sign of a zero and so no squared error
-        np.divide(xl, sa, out=b)
-        b += za
-        np.rint(b, out=b)
-        np.clip(b, qmin, qmax, out=b)
-        b -= za
-        b *= sa
-        b[...] = b.astype(np.float32)
-        np.subtract(xl, b, out=b)
-        b *= b
-        # over the last, contiguous axis: each row is the pairwise sum of a
-        # one-row search
-        np.add.reduce(b, axis=2, out=sums[a : a + k])
-    errs = sums / xl.shape[1]  # np.mean over each row, as the same sum and division
+    n_live = int(np.count_nonzero(live))
+    k = max(1, min(len(CLIP_ALPHAS), CLIP_GROUP_ELEMENTS // (n_live * x.shape[1])))
+    if k > 1:
+        xl = x[live].astype(np.float64)
+        buf = np.empty((k,) + xl.shape)
+        sums = np.empty(s.shape)
+        for a in range(0, len(CLIP_ALPHAS), k):
+            _clip_pass(xl, s64[a : a + k], z64[a : a + k], qmin, qmax, buf, sums[a : a + k])
+    else:
+        # float32 values go into float64 ufuncs exactly, so no float64 copy
+        xl = x if n_live == len(x) else x[live]
+        buf = np.empty((1,) + xl.shape)
+        sums = np.full(s.shape, np.inf)
+        _clip_pass(xl, s64[:1], z64[:1], qmin, qmax, buf, sums[:1])
+        lower = _clip_bounds(xl, lo[live], hi[live], s64[1:], z64[1:], qmin, qmax, buf)
+        # the bound holds for 0 < s < inf; a float32 scale can round to 0 or inf
+        skip = (lower >= sums[0]) & (s[1:] > 0) & (s[1:] < np.inf)
+        for a in np.flatnonzero(~skip.all(axis=1)) + 1:
+            _clip_pass(xl, s64[a : a + 1], z64[a : a + 1], qmin, qmax, buf, sums[a : a + 1])
+    errs = sums / x.shape[1]  # np.mean over each row, as the same sum and division
     best = np.argmin(errs, axis=0)  # the first minimum: ties go to the larger alpha
     rows = np.arange(len(xl))
     scale[live], zero[live], err[live] = s[best, rows], z[best, rows], errs[best, rows]

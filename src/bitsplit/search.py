@@ -30,12 +30,12 @@ from .cost import (
     DeviceProfile,
     NetworkProfile,
     crossing_bits_map,
+    latency_table,
     split_latencies,
     split_latency,
-    transmission_latency,
 )
 from .engine import evaluate_accuracy, float_accuracy
-from .graph import LayerGraph, boundary_cut
+from .graph import LayerGraph
 from .quantize import DistortionTable
 
 
@@ -131,21 +131,33 @@ def min_wire_bits(g: LayerGraph, cut, B):
     """Bits per crossing tensor at the cheapest width the wire can ship it:
     `crossing_bits_map` with every activation at the smallest width in B
     that is also in `PACKABLE_BITS`. None when B holds no packable width."""
-    b = min((b for b in B if b in PACKABLE_BITS), default=None)
+    b = _min_packable(B)
     return None if b is None else crossing_bits_map(g, cut, dict.fromkeys(cut.crossing_tensors, b))
+
+
+def _min_packable(B):
+    """The smallest width in B that the wire can pack, or None."""
+    return min((b for b in B if b in PACKABLE_BITS), default=None)
 
 
 def potential_splits(g: LayerGraph, edge: DeviceProfile, net: NetworkProfile, M_bytes: int, B=None):
     """Split prefixes whose boundary, at the cheapest widths the wire can ship
     (`min_wire_bits`), beats raw-input transmission, and that fit memory at
     min(B). Without a packable width in B no split is admitted: cut 0 crosses
-    only the input, so its `min_wire_bits` is the raw-input map, or None."""
+    only the input, so its `min_wire_bits` is the raw-input map, or None.
+
+    Each split's bits are one integer product of its row of the latency
+    table's `crossing` counts with the wire widths (input_bits for the input,
+    the smallest packable width of B elsewhere), divided as
+    `transmission_latency` divides."""
     B = tuple(B) if B else edge.supported_bits
-    cut0 = boundary_cut(g, 0)
-    bits0 = min_wire_bits(g, cut0, B)
-    if bits0 is None:
+    b_wire = _min_packable(B)
+    if b_wire is None:
         return []
-    T0 = transmission_latency(g, cut0, bits0, net)
+    crossing = latency_table(g, edge).crossing
+    widths = np.full(crossing.shape[1], b_wire, dtype=np.int64)
+    widths[0] = g.input_bits
+    tx_s = (crossing @ widths) / net.uplink_bits_per_s + net.fixed_rtt_s
     b_min = min(B)
     compute = g.compute_ids()
     peaks = g.liveness.peaks
@@ -154,8 +166,7 @@ def potential_splits(g: LayerGraph, edge: DeviceProfile, net: NetworkProfile, M_
     out = []
     for n in range(1, len(compute) + 1):
         weights_prefix += g.nodes[compute[n - 1]].weight_elements()
-        cut = boundary_cut(g, n)
-        if transmission_latency(g, cut, min_wire_bits(g, cut, B), net) > T0:
+        if tx_s[n] > tx_s[0]:
             continue
         if b_min * (weights_prefix + peaks[n]) > M_bytes * 8:
             continue

@@ -141,6 +141,34 @@ def act_peak_bits_brute(g, order, n, act_bits, input_bits):
     return peak
 
 
+def potential_splits_naive(g, order, net, M_bytes, B):
+    """The admitted splits, the slow way: each cut's crossing tensors priced
+    one by one as the wire ships them (the input at input_bits, any other at
+    the smallest packable width in B), the bits summed as Python integers and
+    divided by the uplink rate, with the round trip added; a split is kept if
+    that time is at most the raw input's and its weights and peak live
+    activations fit M_bytes at min(B). No packable width admits no split."""
+    packable = [b for b in B if b in (1, 2, 4, 8)]
+    if not packable:
+        return []
+    compute = order[1:]
+
+    def tx_s(ids):
+        bits = 0
+        for c in ids:
+            bits += g.nodes[c].act_elements() * (g.input_bits if c == g.input_id else min(packable))
+        return bits / net.uplink_bits_per_s + net.fixed_rtt_s
+
+    T0 = tx_s([g.input_id])
+    out = []
+    for n in range(1, len(compute) + 1):
+        weights = sum(g.nodes[i].weight_elements() for i in compute[:n])
+        peak = max(sum(g.nodes[i].act_elements() for i in live_ids(g, order, k)) for k in range(1, n + 1))
+        if tx_s(cut_ids(g, order, n)) <= T0 and min(B) * (weights + peak) <= M_bytes * 8:
+            out.append(n)
+    return out
+
+
 # -- latency model -----------------------------------------------------------------
 
 

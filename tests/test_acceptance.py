@@ -47,7 +47,6 @@ from bitsplit.synth import (
     TOY_MEMORY_BYTES,
     make_eval_set,
     make_toy_classifier,
-    random_dag,
     resnet50_shapes,
 )
 from bitsplit.wire import (
@@ -63,6 +62,7 @@ from helpers import (
     last_weighted_in_prefix,
     measure_all,
     random_assignment,
+    random_dag,
     table1_profiles,
     toy_profiles,
     uniform_assignment,

@@ -14,7 +14,8 @@ from bitsplit.engine import (
 )
 from bitsplit.graph import GraphError, LayerGraph, LayerNode, optimize_graph
 from bitsplit.search import BitAssignment
-from bitsplit.synth import make_eval_set, make_toy_classifier, random_dag, random_grid_input
+from bitsplit.synth import make_eval_set, make_toy_classifier
+from helpers import random_dag, random_grid_input
 
 BLOCKS = (1, 7, None)  # None: the whole stack in one call
 

@@ -392,3 +392,56 @@ def test_malformed_uplink_rate_exits_2(demo_dir, tmp_path):
     for uplink in ("x", None, [1]):
         demo = _edit_devices(demo_dir, tmp_path / str(uplink), network={"uplink_bps": uplink})
         assert main(_solve_args(demo)) == 2, uplink
+
+
+def _edit_graph(demo_dir, tmp_path, edit):
+    """solve on a copy of the demo whose graph.json document `edit` changed."""
+    demo = _demo_copy(demo_dir, tmp_path)
+    doc = json.loads((demo / "graph.json").read_text())
+    edit(doc)
+    (demo / "graph.json").write_text(json.dumps(doc))
+    return main(_solve_args(demo))
+
+
+def _first_conv(doc):
+    return next(n for n in doc["nodes"] if n["op"] == "conv")
+
+
+def test_null_input_bits_exits_3(demo_dir, tmp_path, capsys):
+    assert _edit_graph(demo_dir, tmp_path, lambda d: d.update(input_bits=None)) == 3
+    assert "input_bits" in capsys.readouterr().err
+
+
+def test_nan_input_bits_exits_3(demo_dir, tmp_path, capsys):
+    assert _edit_graph(demo_dir, tmp_path, lambda d: d.update(input_bits=float("nan"))) == 3
+    assert "input_bits" in capsys.readouterr().err
+
+
+def test_huge_input_bits_exits_3(demo_dir, tmp_path, capsys):
+    assert _edit_graph(demo_dir, tmp_path, lambda d: d.update(input_bits=1e308)) == 3
+    assert "input_bits" in capsys.readouterr().err
+
+
+def test_null_nodes_exits_3(demo_dir, tmp_path, capsys):
+    assert _edit_graph(demo_dir, tmp_path, lambda d: d.update(nodes=None)) == 3
+    assert "'nodes' list" in capsys.readouterr().err
+
+
+def test_null_node_inputs_exits_3(demo_dir, tmp_path, capsys):
+    assert _edit_graph(demo_dir, tmp_path, lambda d: _first_conv(d).update(inputs=None)) == 3
+    assert "inputs must be a list" in capsys.readouterr().err
+
+
+def test_null_node_attrs_exits_3(demo_dir, tmp_path, capsys):
+    assert _edit_graph(demo_dir, tmp_path, lambda d: _first_conv(d).update(attrs=None)) == 3
+    assert "attrs must be an object" in capsys.readouterr().err
+
+
+def test_string_out_shape_exits_3(demo_dir, tmp_path, capsys):
+    assert _edit_graph(demo_dir, tmp_path, lambda d: _first_conv(d).update(out_shape="x")) == 3
+    assert "out_shape must be a list" in capsys.readouterr().err
+
+
+def test_numeric_bias_file_exits_3(demo_dir, tmp_path, capsys):
+    assert _edit_graph(demo_dir, tmp_path, lambda d: _first_conv(d).update(bias_file=-1)) == 3
+    assert "bias_file must be a path" in capsys.readouterr().err

@@ -20,8 +20,8 @@ from bitsplit.cost import (
     transmission_latency,
 )
 from bitsplit.graph import LayerGraph, LayerNode, boundary_cut, topological_order
-from bitsplit.synth import random_dag, resnet50_shapes
-from helpers import random_assignment, table1_profiles, uniform_assignment
+from bitsplit.synth import resnet50_shapes
+from helpers import random_assignment, random_dag, table1_profiles, uniform_assignment
 
 
 def _dev(**kw):

@@ -17,8 +17,8 @@ from bitsplit.engine import (
 from bitsplit.graph import BN_EPS, GraphError, LayerGraph, LayerNode, optimize_graph
 from bitsplit.quantize import choose_clip_range, quantize_tensor
 from bitsplit.search import BitAssignment
-from bitsplit.synth import make_eval_set, make_toy_classifier, random_dag, random_grid_input
-from helpers import random_assignment, uniform_assignment
+from bitsplit.synth import make_eval_set, make_toy_classifier
+from helpers import random_assignment, random_dag, random_grid_input, uniform_assignment
 
 
 def _rel_err(a, b):

@@ -17,7 +17,7 @@ from bitsplit.graph import (
     save_graph,
     topological_order,
 )
-from bitsplit.synth import random_dag
+from helpers import random_dag
 
 
 def _input(shape=(2, 4, 4)):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bitsplit.engine import calibrate_activations
+from bitsplit import quantize
 from bitsplit.quantize import (
     CLIP_ALPHAS,
     CLIP_GROUP_ELEMENTS,
@@ -17,7 +20,7 @@ from bitsplit.quantize import (
     quantize_tensor,
     weight_distortion_table,
 )
-from bitsplit.synth import random_dag, random_grid_input
+from helpers import random_dag, random_grid_input
 
 
 def test_clip_alpha_grid():
@@ -204,6 +207,125 @@ def test_grouped_row_search_matches_scalar_oracle_at_group_edges(k, symmetric):
             got = QuantParams(bits, float(scale[j]), float(zero[j]), symmetric)
             assert _exact(got) == _exact(want), (bits, j)
             assert err[j] == want_err, (bits, j)
+
+
+ROW_KINDS = ("relu", "signed", "cauchy", "huge", "tiny", "quarter_grid", "constant", "zeros")
+
+
+def _stress_row(rng, kind, m, bits):
+    """One float32 row of length m of the given kind."""
+    if kind == "relu":  # many exact zeros, a long positive tail
+        row = np.maximum(rng.standard_normal(m), 0) * rng.exponential(1.0, m)
+    elif kind == "signed":
+        row = rng.standard_normal(m) - rng.uniform(0, 3)
+    elif kind == "cauchy":
+        row = rng.standard_cauchy(m)
+    elif kind == "huge":
+        row = rng.standard_normal(m) * 1e30
+    elif kind == "tiny":
+        row = np.maximum(rng.standard_normal(m), 0) * 1e-30
+    elif kind == "quarter_grid":  # integer multiples of a quarter step: alphas tie
+        row = rng.integers(-(2**bits), 2**bits, m) / 4.0
+    elif kind == "constant":
+        row = np.full(m, rng.standard_normal())
+    else:
+        row = np.zeros(m)
+    return row.astype(np.float32)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=3),
+    m=st.integers(CLIP_GROUP_ELEMENTS // 2 + 1, 6000),
+    symmetric=st.booleans(),
+    bits=st.integers(1, 8),
+)
+def test_bounded_row_search_matches_scalar_oracle(seed, kinds, m, symmetric, bits):
+    """Any live row puts these stacks above the group budget, where alphas
+    run one at a time and those that provably lose to alpha 1.0 are
+    skipped: every row still gets the oracle's params and MSE exactly."""
+    bits = max(bits, 2) if symmetric else bits
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_stress_row(rng, kind, m, bits) for kind in kinds])
+    scale, zero, err = choose_clip_rows(stack, bits, symmetric)
+    for k, row in enumerate(stack):
+        want, want_err = oracles.clip_range_scalar(row, bits, symmetric)
+        got = QuantParams(bits, float(scale[k]), float(zero[k]), symmetric)
+        assert _exact(got) == _exact(want), k
+        assert err[k] == want_err, k
+
+
+def _alpha_params(x, bits, symmetric):
+    """(s64, z64) of every alpha for each row, shaped (alphas, rows, 1), as
+    the oracle rounds them."""
+    qmin, qmax = quantize._qrange(bits, symmetric)
+    alphas = np.array(CLIP_ALPHAS)[:, None]
+    if symmetric:
+        s = (alphas * np.max(np.abs(x), axis=1).astype(np.float64) / qmax).astype(np.float32)
+        z = np.zeros_like(s)
+    else:
+        lo_a = alphas * np.min(x, axis=1).astype(np.float64)
+        step = (alphas * np.max(x, axis=1).astype(np.float64) - lo_a) / qmax
+        s, z = step.astype(np.float32), (-lo_a / step).astype(np.float32)
+    return s.astype(np.float64)[..., None], z.astype(np.float64)[..., None]
+
+
+@pytest.mark.parametrize(
+    "bits, symmetric, rows",
+    [
+        # 127 * float32(1/127) is just below 1.0 in float64 but rounds to 1.0
+        # in float32: 1.0 is not clipped, and every value reconstructs exactly
+        (7, False, [[0.0, 1.0]]),
+        (8, True, [[-1.0, 0.0, 1.0]]),
+        # integers 0..15 and 30: alpha 0.5 puts 0..15 on codes and clips 30
+        # to 15, so its whole error is the clipped error
+        (4, False, [list(range(16)) + [30.0]]),
+        (4, True, [list(range(-7, 8)) + [14.0]]),
+    ],
+)
+def test_clip_bound_never_exceeds_the_pass_error_on_exact_grids(bits, symmetric, rows):
+    x = np.array(rows, dtype=np.float32)
+    _check_clip_bound(x, bits, symmetric)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_clip_bound_never_exceeds_the_pass_error(symmetric):
+    rng = np.random.default_rng(60 + symmetric)
+    for bits in range(2 if symmetric else 1, 9):
+        live = [k for k in ROW_KINDS if k not in ("constant", "zeros")]
+        x = np.stack([_stress_row(rng, kind, 700, bits) for kind in live])
+        _check_clip_bound(x, bits, symmetric)
+
+
+def _check_clip_bound(x, bits, symmetric):
+    """The bound of every (alpha, row), alpha 1.0 included, is at most the
+    squared-error sum its pass computes, and is not vacuous."""
+    qmin, qmax = quantize._qrange(bits, symmetric)
+    s64, z64 = _alpha_params(x, bits, symmetric)
+    buf = np.empty((1,) + x.shape)
+    sums = np.empty(s64.shape[:2])
+    for a in range(len(CLIP_ALPHAS)):
+        quantize._clip_pass(x, s64[a : a + 1], z64[a : a + 1], qmin, qmax, buf, sums[a : a + 1])
+    lower = quantize._clip_bounds(x, x.min(axis=1), x.max(axis=1), s64, z64, qmin, qmax, buf)
+    assert (lower <= sums).all(), np.argwhere(lower > sums)
+    assert (lower > 0).any()
+
+
+def test_bounded_search_skips_alphas_on_a_relu_block(monkeypatch):
+    """A 16 x 2048 block of ReLU outputs at 8 bits: rounding error is tiny
+    next to any clipping, so most alphas provably lose to alpha 1.0. Fewer
+    than 11 passes shows the bound is in use."""
+    rng = np.random.default_rng(70)
+    stack = np.stack([_stress_row(rng, "relu", 2048, 8) for _ in range(16)])
+    passes = []
+    run = quantize._clip_pass
+    monkeypatch.setattr(quantize, "_clip_pass", lambda *a: passes.append(1) or run(*a))
+    scale, zero, err = choose_clip_rows(stack, 8, symmetric=False)
+    assert 1 <= len(passes) < len(CLIP_ALPHAS)
+    for k, row in enumerate(stack):
+        want, want_err = oracles.clip_range_scalar(row, 8, False)
+        assert (float(scale[k]), float(zero[k]), err[k]) == (want.scale, want.zero_point, want_err)
 
 
 def test_row_search_validates_the_stack():

@@ -28,9 +28,17 @@ from bitsplit.search import (
     select_solution,
     solution_sort_key,
 )
-from bitsplit.synth import TOY_MEMORY_BYTES, random_dag, random_grid_input, resnet50_shapes
+from bitsplit.synth import TOY_MEMORY_BYTES, resnet50_shapes
 from bitsplit.wire import PACKABLE_BITS, reference_outputs, run_split_session
-from helpers import grid_input_covering, measure_all, table1_profiles, toy_profiles, uniform_assignment
+from helpers import (
+    grid_input_covering,
+    measure_all,
+    random_dag,
+    random_grid_input,
+    table1_profiles,
+    toy_profiles,
+    uniform_assignment,
+)
 
 
 def test_assignment_helpers():
@@ -75,38 +83,24 @@ def test_potential_splits_memory_filter(toy_graph):
 
 
 def test_potential_splits_transmission_rule(toy_graph):
-    # brute-force filter: every crossing tensor is priced as the wire ships
-    # it (the input at input_bits, any other at the smallest packable width
-    # in B), memory at min(B), and a menu without a packable width admits
-    # no split
+    # every crossing tensor is priced as the wire ships it (the input at
+    # input_bits, any other at the smallest packable width in B), memory at
+    # min(B), and a menu without a packable width admits no split
     rng = np.random.default_rng(31)
     edge, cloud, net = toy_profiles()
-
-    def tx_s(g, ids, wire_bits):
-        bits = sum(g.nodes[c].act_elements() * (g.input_bits if c == g.input_id else wire_bits) for c in ids)
-        return bits / net.uplink_bits_per_s + net.fixed_rtt_s
-
-    graphs = [toy_graph] + [random_dag(rng, max_nodes=10) for _ in range(20)]
+    graphs = [toy_graph, resnet50_shapes()[0]] + [random_dag(rng, max_nodes=10) for _ in range(20)]
     input_crossings = 0
     for g in graphs:
         order = topological_order(g)
         compute = g.compute_ids()
         N = len(compute)
-        T0 = tx_s(g, [g.input_id], None)
-        w_elems = [sum(g.nodes[i].weight_elements() for i in compute[:n]) for n in range(N + 1)]
-        step = [sum(g.nodes[i].act_elements() for i in oracles.live_ids(g, order, k)) for k in range(1, N + 1)]
-        M_tight = max(1, (w_elems[N] + max(step)) * 3 // 8)
+        peak = max(g.liveness.peaks)
+        weights = sum(g.nodes[i].weight_elements() for i in compute)
+        M_tight = max(1, (weights + peak) * 3 // 8)
         input_crossings += sum(g.input_id in oracles.cut_ids(g, order, n) for n in range(1, N + 1))
         for B in ((2, 4, 8), (3, 8), (2, 4, 8, 16), (3, 16)):
-            packable = [b for b in B if b in (1, 2, 4, 8)]
             for M in (10**9, M_tight):
-                want = [
-                    n
-                    for n in range(1, N + 1)
-                    if packable
-                    and tx_s(g, oracles.cut_ids(g, order, n), min(packable)) <= T0
-                    and min(B) * (w_elems[n] + max(step[:n])) <= M * 8
-                ]
+                want = oracles.potential_splits_naive(g, order, net, M, B)
                 assert potential_splits(g, edge, net, M, B=B) == want
     assert input_crossings > 0  # the input-at-input_bits rule was exercised
     # at 8 bits, the only packable width of (3, 8), splits 2 and 4 of the

@@ -14,7 +14,7 @@ from bitsplit import engine, wire
 from bitsplit.cost import crossing_bits_map, message_payload_bytes
 from bitsplit.graph import GraphError, boundary_cut, optimize_graph
 from bitsplit.search import BitAssignment, SplitSolution
-from bitsplit.synth import make_toy_classifier, random_dag
+from bitsplit.synth import make_toy_classifier
 from bitsplit.wire import (
     ActivationMessage,
     BadMagicError,
@@ -34,7 +34,7 @@ from bitsplit.wire import (
     run_tcp_session,
     unpack_activations,
 )
-from helpers import grid_input_covering, random_assignment, uniform_assignment
+from helpers import grid_input_covering, random_assignment, random_dag, uniform_assignment
 
 
 def make_sol(n, assignment):
