@@ -52,11 +52,11 @@ from .search import (
     SplitSolution,
     Widths,
     float_baseline,
-    min_wire_bits,
     potential_splits,
     enumerate_solutions,
     select_solution,
     solution_sort_key,
+    tx_bits_at_min,
 )
 from .synth import TOY_MEMORY_BYTES, make_eval_set, make_toy_classifier, table1_device_config, toy_device_config
 from .tensorio import BlobError
@@ -527,16 +527,16 @@ def cmd_inspect(args) -> int:
         B = _parse_bits(args.bits) or edge.supported_bits
         M = int(args.memory_bytes) if args.memory_bytes is not None else edge.off_chip_bytes
         P = potential_splits(g, edge, net, M, B)
+        bits = tx_bits_at_min(g, edge, B)
         splits = []
         for n in P:
             cut = boundary_cut(g, n)
-            bits = min_wire_bits(g, cut, B)
             splits.append(
                 {
                     "split_index": n,
                     "crossing_tensors": list(cut.crossing_tensors),
                     "cut_elements": cut.cut_elements,
-                    "tx_bits_at_min": sum(g.nodes[c].act_elements() * bits[c] for c in cut.crossing_tensors),
+                    "tx_bits_at_min": int(bits[n]),
                 }
             )
         doc["memory_bytes"] = M

@@ -56,6 +56,8 @@ class DeviceProfile:
             raise ConfigError("%s: supported_bits must be non-empty" % self.name)
         if list(self.supported_bits) != sorted(set(int(b) for b in self.supported_bits)):
             raise ConfigError("%s: supported_bits must be sorted unique" % self.name)
+        if not 1 <= self.supported_bits[0] <= self.supported_bits[-1] <= 32:
+            raise ConfigError("%s: supported_bits must lie in 1..32" % self.name)
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,6 @@ def layer_latency(node, g: LayerGraph, d: DeviceProfile, bw_bits: int, ba_bits: 
     mem_bits = node.weight_elements() * bw_bits + (in_elems + node.act_elements()) * ba_bits
     memory_s = mem_bits / 8.0 / d.bandwidth_bytes_per_s
     return max(compute_s, memory_s)
-
-
-def transmission_latency(g: LayerGraph, cut: BoundaryCut, bits_map: dict, net: NetworkProfile) -> float:
-    total_bits = 0
-    for nid in cut.crossing_tensors:
-        total_bits += g.nodes[nid].act_elements() * int(bits_map[nid])
-    return total_bits / net.uplink_bits_per_s + net.fixed_rtt_s
 
 
 PACKABLE_BITS = (1, 2, 4, 8)  # the widths the wire layer can pack

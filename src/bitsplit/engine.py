@@ -11,6 +11,11 @@ floating-point operations of a stack of one, so a batch reproduces
 one-at-a-time runs bit for bit. Evaluation and calibration run the eval set
 EVAL_BLOCK inputs at a time; sessions run one input.
 
+One fake-quantized pass serves evaluation and sessions alike:
+`run_fake_quantized` runs it over the whole graph, and
+`run_fake_quantized_detailed`, a session's edge half, over the split prefix
+only, keeping the integer codes of just the tensors that cross the boundary.
+
 Edge weights are quantized once per graph: `quantized_weights` keeps each
 (node, bits) tensor it makes for as long as the graph lives, so a session
 pays only for its input's activations. Graphs are immutable by convention; a
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import tensorio
 from .cost import ConfigError
-from .graph import BN_EPS, GraphError, LayerGraph, WEIGHTED_OPS, topological_order
+from .graph import BN_EPS, GraphError, LayerGraph, WEIGHTED_OPS, boundary_cut, topological_order
 from .quantize import QuantParams, choose_clip_range, quantize_rows, quantize_tensor
 
 EVAL_BLOCK = 16  # inputs per forward pass; on the demo, 200 costs 9 MB more peak memory for 3% less time
@@ -44,15 +49,6 @@ class EvalSet:
     def __post_init__(self):
         if len(self.inputs) != len(self.labels):
             raise ValueError("inputs and labels must align")
-
-
-@dataclass
-class FakeQuantRecord:
-    """Quantized form of one edge layer output, for one input."""
-
-    q: np.ndarray
-    params: QuantParams
-    deq: np.ndarray
 
 
 # -- op kernels ---------------------------------------------------------------
@@ -256,11 +252,12 @@ def _edge_layers(g: LayerGraph, n: int, assignment):
     return edge
 
 
-def _fake_quantized(g: LayerGraph, xs, ids, edge, assignment, qw, records=None):
+def _fake_quantized(g: LayerGraph, xs, ids, edge, assignment, qw, codes=None):
     """Run the nodes `ids` over the input stack xs with the edge layers'
     weights replaced by qw and their outputs fake-quantized; returns the node
-    values. When given, records gains one FakeQuantRecord per input for each
-    edge layer."""
+    values. codes, when given, is keyed by the wanted node ids: each wanted
+    layer quantized below 16 bits gets its (codes, scales, zero points), one
+    row per stacked input."""
     edge_set = set(edge)
 
     def fake_quantize(node, y):
@@ -268,50 +265,43 @@ def _fake_quantized(g: LayerGraph, xs, ids, edge, assignment, qw, records=None):
             return y
         bits = assignment.act_bits[node.id]
         if bits >= 16:
-            if records is not None:
-                p = QuantParams(bits, 1.0, 0.0, False)
-                records[node.id] = [FakeQuantRecord(q=None, params=p, deq=row) for row in y]
             return y
         q, deq, scale, zero = quantize_rows(y.reshape(len(y), -1), bits, symmetric=False)
-        q, deq = q.reshape(y.shape), deq.reshape(y.shape)
-        if records is not None:
-            records[node.id] = [
-                FakeQuantRecord(q=q[k], params=QuantParams(bits, float(s), float(z), False), deq=deq[k])
-                for k, (s, z) in enumerate(zip(scale, zero))
-            ]
-        return deq
+        if codes is not None and node.id in codes:
+            codes[node.id] = (q.reshape(y.shape), scale, zero)
+        return deq.reshape(y.shape)
 
     return _forward(g, {g.input_id: xs}, ids, qw, fake_quantize)
 
 
-def run_fake_quantized_detailed(g: LayerGraph, x, n: int, assignment, prefix_only=False):
-    """Fake-quantized prefix + float suffix.
+def run_fake_quantized_detailed(g: LayerGraph, x, n: int, assignment):
+    """The edge half of a split session: one input through the n-prefix only,
+    fake-quantized as run_fake_quantized runs it.
 
-    Returns (outputs, records) where records maps each edge compute node id to
-    its FakeQuantRecord (integer codes, params, reconstruction). Layers past
-    the split run in float on the reconstructed tensors. With prefix_only the
-    suffix is skipped and outputs come back empty (the edge half of a split
-    session never touches cloud layers).
-
-    x is one input or a stack of them. For a stack every output is a stack
-    and each record is a list, one FakeQuantRecord per input.
+    Returns {crossing id: (codes, QuantParams)} for every tensor that crosses
+    split n and is quantized below 16 bits; the graph input and 16-bit layers
+    are left out.
     """
     edge = _edge_layers(g, n, assignment)
-    xs, single = _as_stack(g, x)
-    records = {}
-    run_ids = ([g.input_id] + edge) if prefix_only else topological_order(g)
+    codes = dict.fromkeys(c for c in boundary_cut(g, n).crossing_tensors if c != g.input_id)
     qw = quantized_weights(g, edge, assignment)
-    vals = _fake_quantized(g, xs, run_ids, edge, assignment, qw, records)
-    if single:
-        records = {nid: rows[0] for nid, rows in records.items()}
-    if prefix_only:
-        return [], records
-    return [vals[i][0] if single else vals[i] for i in g.output_ids], records
+    _fake_quantized(g, _check_input(g, x)[None], [g.input_id] + edge, edge, assignment, qw, codes)
+    out = {}
+    for nid, c in codes.items():
+        if c is not None:
+            q, scale, zero = c
+            out[nid] = (q[0], QuantParams(assignment.act_bits[nid], float(scale[0]), float(zero[0]), False))
+    return out
 
 
 def run_fake_quantized(g: LayerGraph, x, n: int, assignment):
-    """The outputs of run_fake_quantized_detailed, without building its
-    records; with n = 0 they are run_inference's."""
+    """Fake-quantized prefix + float suffix: the edge layers run on quantized
+    weights with their outputs fake-quantized, and the layers past the split
+    run in float on the reconstructed tensors. With n = 0 the outputs are
+    run_inference's.
+
+    x is one input or a stack of them; for a stack every output is a stack.
+    """
     edge = _edge_layers(g, n, assignment)
     xs, single = _as_stack(g, x)
     vals = _fake_quantized(g, xs, topological_order(g), edge, assignment, quantized_weights(g, edge, assignment))

@@ -137,7 +137,7 @@ def _clip_bounds(x, lo, hi, s64, z64, qmin, qmax, scratch):
     the values the alpha clips alone; lo and hi are the rows' min and max,
     s64 and z64 are (alphas, rows, 1).
 
-    Proof, for 0 < s < inf (the caller runs any other alpha). A pass clips
+    Proof, for 0 < s < inf (the caller runs no other alpha). A pass clips
     each code to [qmin, qmax] and reconstructs it as
     float32(fl(fl(q - z) * s)), which never falls as q grows, since each
     rounding is monotone. So every reconstruction lies in [lo_rec, hi_rec],
@@ -167,8 +167,12 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
     row's reconstruction. Per row: clip bounds alpha * max|x| (symmetric) or
     alpha * min and alpha * max (asymmetric) in float64, params rounded to
     float32, the MSE a mean over the row, and ties resolve to the larger
-    alpha. All-zero rows, and constant rows of an asymmetric search, are
-    represented exactly.
+    alpha. An alpha whose float32 scale rounds to 0 or overflows to inf is
+    never chosen: where a pass covers it, it runs at scale 1 and its sum
+    reads +inf.
+    All-zero rows, constant rows of an asymmetric search, and rows so narrow
+    that alpha 1.0's scale rounds to 0 (so every alpha's does) are represented
+    exactly, the last at float32's finest step, 2^-149.
 
     The alphas run k at a time, k = CLIP_GROUP_ELEMENTS // (live rows * M)
     clamped to 1..11, each group one _clip_pass over a (k, live rows, M)
@@ -177,10 +181,10 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
     run alpha 1.0 first and then only the alphas that can still win: for
     each other (alpha, row), _clip_bounds bounds the error from the values
     the alpha clips alone, and an alpha whose bound is at least alpha 1.0's
-    error for every row is not run. Its entries read +inf, and where it runs
-    for some rows, the others read errors at least alpha 1.0's. A skipped
-    alpha thus never is the first minimum, and scale, zero point and MSE are
-    those of the full search, ties included.
+    error, or whose scale is unusable, for every row is not run. Its entries
+    read +inf, and where it runs for some rows, the others read errors at
+    least alpha 1.0's. A skipped alpha thus never is the first minimum, and
+    scale, zero point and MSE are those of the full search, ties included.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.shape[1] == 0:
@@ -218,8 +222,28 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
         lo_a = alphas * lo[live]
         hi_a = alphas * hi[live]
         step = (hi_a - lo_a) / qmax
-        s, z = step.astype(np.float32), (-lo_a / step).astype(np.float32)
+        with np.errstate(over="ignore"):  # a 1-bit step can pass float32's max
+            s = step.astype(np.float32)
+        z = (-lo_a / step).astype(np.float32)
 
+    bad = (s == 0) | (s == np.inf)
+    if bad.any():
+        # A row whose every step rounds to 0 spans at most qmax / 2 steps of
+        # 2^-149, and every float32 is a multiple of 2^-149: that step, with
+        # zero point -lo / 2^-149 (an integer float32 holds), codes each
+        # value exactly within [qmin, qmax]. Every other row keeps a usable
+        # alpha (alpha 0.5's step never overflows), and its bad slots run at
+        # scale 1, with z finite (|z| < qmax * 2^25), for sums read as +inf.
+        fine = bad.all(axis=0)
+        narrow = np.flatnonzero(live)[fine]
+        scale[narrow] = np.finfo(np.float32).smallest_subnormal
+        if not symmetric:
+            zero[narrow] = -lo[narrow] / scale[narrow]
+        live[narrow] = False
+        if not live.any():
+            return scale, zero, err
+        s, z, bad = s[:, ~fine], z[:, ~fine], bad[:, ~fine]
+        s[bad] = 1
     s64, z64 = s.astype(np.float64)[..., None], z.astype(np.float64)[..., None]
     n_live = int(np.count_nonzero(live))
     k = max(1, min(len(CLIP_ALPHAS), CLIP_GROUP_ELEMENTS // (n_live * x.shape[1])))
@@ -235,11 +259,12 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
         buf = np.empty((1,) + xl.shape)
         sums = np.full(s.shape, np.inf)
         _clip_pass(xl, s64[:1], z64[:1], qmin, qmax, buf, sums[:1])
+        sums[bad] = np.inf
         lower = _clip_bounds(xl, lo[live], hi[live], s64[1:], z64[1:], qmin, qmax, buf)
-        # the bound holds for 0 < s < inf; a float32 scale can round to 0 or inf
-        skip = (lower >= sums[0]) & (s[1:] > 0) & (s[1:] < np.inf)
+        skip = (lower >= sums[0]) | bad[1:]
         for a in np.flatnonzero(~skip.all(axis=1)) + 1:
             _clip_pass(xl, s64[a : a + 1], z64[a : a + 1], qmin, qmax, buf, sums[a : a + 1])
+    sums[bad] = np.inf
     errs = sums / x.shape[1]  # np.mean over each row, as the same sum and division
     best = np.argmin(errs, axis=0)  # the first minimum: ties go to the larger alpha
     rows = np.arange(len(xl))

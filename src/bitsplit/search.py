@@ -29,7 +29,6 @@ from .cost import (
     PACKABLE_BITS,
     DeviceProfile,
     NetworkProfile,
-    crossing_bits_map,
     latency_table,
     split_latencies,
     split_latency,
@@ -127,37 +126,34 @@ class Allocation:
 # -- potential splits -----------------------------------------------------------
 
 
-def min_wire_bits(g: LayerGraph, cut, B):
-    """Bits per crossing tensor at the cheapest width the wire can ship it:
-    `crossing_bits_map` with every activation at the smallest width in B
-    that is also in `PACKABLE_BITS`. None when B holds no packable width."""
-    b = _min_packable(B)
-    return None if b is None else crossing_bits_map(g, cut, dict.fromkeys(cut.crossing_tensors, b))
-
-
-def _min_packable(B):
-    """The smallest width in B that the wire can pack, or None."""
-    return min((b for b in B if b in PACKABLE_BITS), default=None)
+def tx_bits_at_min(g: LayerGraph, edge: DeviceProfile, B):
+    """The bits each split 0..N ships at the cheapest widths the wire can
+    pack: the input at input_bits, every other crossing tensor at the
+    smallest width of B in `PACKABLE_BITS`. One integer product of the
+    latency table's `crossing` counts with those widths; None when B holds
+    no packable width."""
+    b_wire = min((b for b in B if b in PACKABLE_BITS), default=None)
+    if b_wire is None:
+        return None
+    crossing = latency_table(g, edge).crossing
+    widths = np.full(crossing.shape[1], b_wire, dtype=np.int64)
+    widths[0] = g.input_bits
+    return crossing @ widths
 
 
 def potential_splits(g: LayerGraph, edge: DeviceProfile, net: NetworkProfile, M_bytes: int, B=None):
     """Split prefixes whose boundary, at the cheapest widths the wire can ship
-    (`min_wire_bits`), beats raw-input transmission, and that fit memory at
-    min(B). Without a packable width in B no split is admitted: cut 0 crosses
-    only the input, so its `min_wire_bits` is the raw-input map, or None.
+    (`tx_bits_at_min`), beats raw-input transmission, and that fit memory at
+    min(B). Without a packable width in B no split is admitted: no
+    activation could cross the boundary.
 
-    Each split's bits are one integer product of its row of the latency
-    table's `crossing` counts with the wire widths (input_bits for the input,
-    the smallest packable width of B elsewhere), divided as
-    `transmission_latency` divides."""
+    Each split's bits are divided by the uplink rate, and the round trip
+    added, as `split_latencies` prices the wire."""
     B = tuple(B) if B else edge.supported_bits
-    b_wire = _min_packable(B)
-    if b_wire is None:
+    bits = tx_bits_at_min(g, edge, B)
+    if bits is None:
         return []
-    crossing = latency_table(g, edge).crossing
-    widths = np.full(crossing.shape[1], b_wire, dtype=np.int64)
-    widths[0] = g.input_bits
-    tx_s = (crossing @ widths) / net.uplink_bits_per_s + net.fixed_rtt_s
+    tx_s = bits / net.uplink_bits_per_s + net.fixed_rtt_s
     b_min = min(B)
     compute = g.compute_ids()
     peaks = g.liveness.peaks
@@ -218,8 +214,7 @@ class MultiplierPath:
     as the probe grows, since a layer's choice only gets narrower as the
     multiplier grows, so the first fit is the first probe whose measure is
     within the budget. `read` takes it for any number of (split, budget)
-    pairs in one array pass; `weights` and `activations` are its one-split
-    forms.
+    pairs in one array pass.
     """
 
     def __init__(self, table: DistortionTable, layer_ids):
@@ -248,17 +243,6 @@ class MultiplierPath:
         self._steps = None
         self._peaks = None
         self._crossing = {}
-
-    def weights(self, n: int, budgets) -> list:
-        """For each budget, the first n layers' choices at the first probe
-        whose total rate is within it."""
-        return self.read(None, [n] * len(budgets), budgets).allocations()
-
-    def activations(self, g: LayerGraph, n: int, budgets) -> list:
-        """For each budget, the first n layers' choices at the first probe
-        whose peak bit-weighted working set is within it. Without a packable
-        width for a crossing tensor the split is infeasible."""
-        return self.read(g, [n] * len(budgets), budgets).allocations()
 
     def read(self, g: LayerGraph | None, splits, budgets) -> "PathReads":
         """The first fit at each of m (split, budget) pairs, in one pass:
@@ -381,9 +365,6 @@ class PathReads:
             lam=float(self.path.probes[self.probe[r]]),
         )
 
-    def allocations(self) -> list:
-        return [self.allocation(r) for r in range(len(self.splits))]
-
 
 def allocate_bits_lagrangian(table: DistortionTable, layer_ids, budget_bits: int) -> Allocation:
     """Largest-rate convex-hull point with total rate within the budget.
@@ -393,7 +374,7 @@ def allocate_bits_lagrangian(table: DistortionTable, layer_ids, budget_bits: int
     d_i(b) + lam*r_i(b) at the returned multiplier.
     """
     path = MultiplierPath(table, layer_ids)
-    return path.weights(len(path.ids), [budget_bits])[0]
+    return path.read(None, [len(path.ids)], [budget_bits]).allocation(0)
 
 
 def repair_activation_assignment(table, g, n, bits, budget_bits):
@@ -434,7 +415,7 @@ def allocate_activation_bits(table: DistortionTable, g: LayerGraph, n: int, budg
     constraint: the peak bit-weighted working set of the edge prefix. A layer
     whose output crosses the boundary gets only widths the wire can pack
     (`PACKABLE_BITS`); without one in the menu the split is infeasible."""
-    return MultiplierPath(table, g.compute_ids()[:n]).activations(g, n, [budget_bits])[0]
+    return MultiplierPath(table, g.compute_ids()[:n]).read(g, [n], [budget_bits]).allocation(0)
 
 
 # -- enumeration -------------------------------------------------------------------

@@ -263,29 +263,22 @@ def _quantize_input(g: LayerGraph, x) -> tuple:
 
 def _crossing_payloads(g: LayerGraph, x, solution):
     """One (id, message) per boundary tensor, ascending id order."""
-    x = _check_input(g, x)  # one input: the engine would also take a stack
-    n = solution.n
-    cut = boundary_cut(g, n)
-    if n == 0:
-        records = {}
-    else:
-        _, records = run_fake_quantized_detailed(g, x, n, solution.assignment, prefix_only=True)
+    x = _check_input(g, x)
+    codes = run_fake_quantized_detailed(g, x, solution.n, solution.assignment)
     out = []
-    for nid in cut.crossing_tensors:
-        node = g.nodes[nid]
+    for nid in boundary_cut(g, solution.n).crossing_tensors:
         if nid == g.input_id:
             q, p = _quantize_input(g, x)
+        elif nid in codes:
+            q, p = codes[nid]
         else:
-            rec = records[nid]
-            if rec.q is None:
-                raise WireError("tensor %d uses a non-transportable bit-width" % nid)
-            q, p = rec.q, rec.params
+            raise WireError("tensor %d uses a non-transportable bit-width" % nid)
         msg = ActivationMessage(
             tensor_id=nid,
             bits=p.bits,
             scale=p.scale,
             zero_point=p.zero_point,
-            shape=tuple(node.out_shape),
+            shape=tuple(g.nodes[nid].out_shape),
             payload=pack_activations(q, p.bits),
         )
         out.append((nid, msg))

@@ -172,6 +172,16 @@ def potential_splits_naive(g, order, net, M_bytes, B):
 # -- latency model -----------------------------------------------------------------
 
 
+def transmission_latency(g, cut, bits_map, net):
+    """Seconds to ship a cut's crossing tensors at the widths in bits_map:
+    their bits summed as integers, one division by the uplink rate, and the
+    round trip added."""
+    total_bits = 0
+    for nid in cut.crossing_tensors:
+        total_bits += g.nodes[nid].act_elements() * int(bits_map[nid])
+    return total_bits / net.uplink_bits_per_s + net.fixed_rtt_s
+
+
 def split_latency_naive(g, order, n, assignment, edge, cloud, net):
     """The five `LatencyBreakdown` fields, the slow way: each edge layer's
     `layer_latency` added left to right from 0.0, the 16-bit cloud latencies
@@ -390,9 +400,13 @@ def clip_range_scalar(x, bits, symmetric):
     alpha runs from 1.0 down to 0.5 in steps of 0.05. Clip bounds are Python
     floats, scale and zero point are rounded to float32, codes are clipped
     integers, and the error is the mean squared error of the float32
-    reconstruction; a later alpha must be strictly better to win. All-zero
-    tensors, and constant ones under asymmetric quantization, are represented
-    exactly. Returns (QuantParams, mse).
+    reconstruction; a later alpha must be strictly better to win. An alpha
+    whose float32 scale is 0 or inf is never tried: codes at that scale
+    cannot reconstruct anything, and its error would be NaN. All-zero
+    tensors, and constant ones under asymmetric quantization, are
+    represented exactly; a tensor where no alpha is tried gets float32's
+    finest step, 2^-149, with zero point -min / 2^-149 (asymmetric) or 0,
+    and its error is measured like any alpha's. Returns (QuantParams, mse).
     """
     from bitsplit.quantize import QuantParams
 
@@ -406,31 +420,41 @@ def clip_range_scalar(x, bits, symmetric):
         return QuantParams(bits, 1.0, float(np.float32(-lo_full)), False), 0.0
 
     xf = x.astype(np.float64)
+    qmax = 2 ** (bits - 1) - 1 if symmetric else 2**bits - 1
+    qmin = -qmax if symmetric else 0
+
+    def error(s, z):
+        q = np.clip(np.rint(xf / s + z), qmin, qmax).astype(np.int64)
+        deq = ((q - z) * s).astype(np.float32)
+        d = xf - deq.astype(np.float64)
+        return float(np.mean(d * d))
+
     best = None
     for k in range(11):
         alpha = 1.0 - 0.05 * k
         if symmetric:
-            qmax = 2 ** (bits - 1) - 1
-            qmin = -qmax
             clip = alpha * amax
             if clip <= 0.0:
                 continue
             scale, zero = clip / qmax, 0.0
         else:
-            qmin, qmax = 0, 2**bits - 1
             lo, hi = alpha * lo_full, alpha * hi_full
             if hi <= lo:
                 continue
             scale = (hi - lo) / qmax
             zero = -lo / scale
-        s = float(np.float32(scale))
+        with np.errstate(over="ignore"):  # a 1-bit step can pass float32's max
+            s = float(np.float32(scale))
         z = float(np.float32(zero))
-        q = np.clip(np.rint(xf / s + z), qmin, qmax).astype(np.int64)
-        deq = ((q - z) * s).astype(np.float32)
-        d = xf - deq.astype(np.float64)
-        err = float(np.mean(d * d))
+        if s == 0.0 or s == math.inf:
+            continue
+        err = error(s, z)
         if best is None or err < best[1]:
             best = (QuantParams(bits, s, z, symmetric), err)
+    if best is None:
+        s = float(np.finfo(np.float32).smallest_subnormal)
+        z = 0.0 if symmetric else float(np.float32(-lo_full / s))
+        best = (QuantParams(bits, s, z, symmetric), error(s, z))
     return best
 
 

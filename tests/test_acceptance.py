@@ -19,7 +19,6 @@ from bitsplit.cost import (
     crossing_bits_map,
     message_payload_bytes,
     split_latency,
-    transmission_latency,
 )
 from bitsplit.engine import (
     EvalSet,
@@ -382,8 +381,8 @@ def test_split_ranking_under_device_profiles():
     q53 = split_latency(g, n53, uniform_assignment(g, n53, 8, 8), edge, cloud, net)
     cut12 = boundary_cut(g, n12)
     cut53 = boundary_cut(g, n53)
-    tx12 = transmission_latency(g, cut12, {c: 1 for c in cut12.crossing_tensors}, net)
-    tx53 = transmission_latency(g, cut53, {c: 1 for c in cut53.crossing_tensors}, net)
+    tx12 = oracles.transmission_latency(g, cut12, {c: 1 for c in cut12.crossing_tensors}, net)
+    tx53 = oracles.transmission_latency(g, cut53, {c: 1 for c in cut53.crossing_tensors}, net)
     total12 = q12.edge_s + tx12 + q12.cloud_s
     total53 = q53.edge_s + tx53 + q53.cloud_s
     assert total12 < total53

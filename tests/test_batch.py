@@ -1,5 +1,7 @@
 """Batch invariance: a stack of inputs through the engine gives, row for row,
-the same bytes as the same inputs run one at a time."""
+the same bytes as the same inputs run one at a time, and a session's edge
+half, which runs one input, ships codes that dequantize to the stacked
+reference's crossing values."""
 
 import numpy as np
 import pytest
@@ -9,13 +11,12 @@ from bitsplit.engine import (
     evaluate_accuracy,
     float_accuracy,
     run_fake_quantized,
-    run_fake_quantized_detailed,
     run_inference,
 )
 from bitsplit.graph import GraphError, LayerGraph, LayerNode, optimize_graph
 from bitsplit.search import BitAssignment
 from bitsplit.synth import make_eval_set, make_toy_classifier
-from helpers import random_dag, random_grid_input
+from helpers import check_edge_codes, random_dag, random_grid_input, reference_values
 
 BLOCKS = (1, 7, None)  # None: the whole stack in one call
 
@@ -36,15 +37,6 @@ def _assignment(g, n, rng):
     )
 
 
-def _params(p):
-    return (p.bits, np.float64(p.scale).tobytes(), np.float64(p.zero_point).tobytes(), p.symmetric)
-
-
-def _record_bytes(r):
-    q = None if r.q is None else (r.q.dtype.str, r.q.tobytes())
-    return q, _params(r.params), r.deq.dtype.str, r.deq.tobytes()
-
-
 def _stacks(xs):
     for block in BLOCKS:
         size = block or len(xs)
@@ -61,15 +53,14 @@ def _check_batch_invariance(g, xs, rng):
 
     for n in range(len(g.compute_ids()) + 1):
         asg = _assignment(g, n, rng)
-        singles = []
-        for x in xs:
-            outs, recs = run_fake_quantized_detailed(g, x, n, asg)
-            singles.append(([o.tobytes() for o in outs], {i: _record_bytes(r) for i, r in recs.items()}))
+        singles = [[o.tobytes() for o in run_fake_quantized(g, x, n, asg)] for x in xs]
         for start, stack in _stacks(xs):
-            outs, recs = run_fake_quantized_detailed(g, stack, n, asg)
+            outs = run_fake_quantized(g, stack, n, asg)
             for k in range(len(stack)):
-                got_recs = {i: _record_bytes(rows[k]) for i, rows in recs.items()}
-                assert ([o[k].tobytes() for o in outs], got_recs) == singles[start + k], (n, start + k)
+                assert [o[k].tobytes() for o in outs] == singles[start + k], (n, start + k)
+        values = reference_values(g, np.stack(xs), n, asg)
+        for k, x in enumerate(xs):
+            check_edge_codes(g, x, n, asg, values, k)
 
 
 def test_demo_graph_batch_invariant(toy_graph):

@@ -4,6 +4,8 @@ import os
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitsplit.cli import main
 from bitsplit.quantize import DistortionTable
@@ -445,3 +447,64 @@ def test_string_out_shape_exits_3(demo_dir, tmp_path, capsys):
 def test_numeric_bias_file_exits_3(demo_dir, tmp_path, capsys):
     assert _edit_graph(demo_dir, tmp_path, lambda d: _first_conv(d).update(bias_file=-1)) == 3
     assert "bias_file must be a path" in capsys.readouterr().err
+
+
+# -- one field of an input file set to a value it should not hold ---------------------
+
+MUTATIONS = [None, -1, 0, float("nan"), 1e308, 2**40, "x", [], {}, [1], True, 0.5, -0.5, "", [None]]
+
+
+def _field_paths(doc, prefix=()):
+    """The path of every value in a JSON document, by object key and list
+    position, each container before what it holds."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _run_mutated(path, data, argv):
+    """Set one field of the JSON file at `path` to one of MUTATIONS, both
+    drawn from `data`, then run `argv`; returns main's exit code."""
+    doc = json.loads(path.read_text())
+    field = data.draw(st.sampled_from(list(_field_paths(doc))), label="field")
+    owner = doc
+    for key in field[:-1]:
+        owner = owner[key]
+    owner[field[-1]] = data.draw(st.sampled_from(MUTATIONS), label="value")
+    path.write_text(json.dumps(doc))
+    return main(argv)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_graph_file_exits_cleanly(demo_dir, tmp_path_factory, data):
+    demo = _demo_copy(demo_dir, tmp_path_factory.mktemp("graph"))
+    assert _run_mutated(demo / "graph.json", data, _solve_args(demo)) in (0, 2, 3)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_devices_file_exits_cleanly(demo_dir, tmp_path_factory, data):
+    demo = _demo_copy(demo_dir, tmp_path_factory.mktemp("devices"))
+    assert _run_mutated(demo / "devices.json", data, _solve_args(demo)) in (0, 2, 3)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_selected_file_exits_cleanly(demo_dir, solved, tmp_path_factory, data):
+    out = tmp_path_factory.mktemp("selected")
+    path = out / "selected.json"
+    shutil.copy(solved / "selected.json", path)
+    argv = ["simulate", "--graph", str(demo_dir / "graph.json"), "--selected", str(path),
+            "--eval-dir", str(demo_dir / "eval"), "--limit", "1", "--out", str(out)]
+    assert _run_mutated(path, data, argv) in (0, 2, 3)
+
+
+def test_supported_bits_outside_one_to_32_exit_2(demo_dir, tmp_path, capsys):
+    for bits in ([2, 4, 1e308], [0, 2], [2, 33]):
+        doc = json.loads((demo_dir / "devices.json").read_text())
+        doc["edge"]["supported_bits"] = bits
+        demo = _edit_devices(demo_dir, tmp_path / str(bits[-1]), edge=doc["edge"])
+        assert main(_solve_args(demo)) == 2, bits
+        assert "supported_bits must lie in 1..32" in capsys.readouterr().err

@@ -17,9 +17,9 @@ from bitsplit.cost import (
     load_device_config,
     message_payload_bytes,
     split_latency,
-    transmission_latency,
 )
 from bitsplit.graph import LayerGraph, LayerNode, boundary_cut, topological_order
+from bitsplit.search import BitAssignment
 from bitsplit.synth import resnet50_shapes
 from helpers import random_assignment, random_dag, table1_profiles, uniform_assignment
 
@@ -131,8 +131,9 @@ def test_transmission_of_a_megabyte_scale_tensor():
         LayerNode(1, "relu", out_shape=(elems,), inputs=[0]),
     ])
     net = NetworkProfile(uplink_bits_per_s=3e6)
-    cut = boundary_cut(g, 1)
-    t = transmission_latency(g, cut, {1: 8}, net)
+    asg = BitAssignment({1: 8}, {1: 8})
+    t = split_latency(g, 1, asg, _dev(), _dev(), net).transmit_s
+    assert t == oracles.transmission_latency(g, boundary_cut(g, 1), {1: 8}, net)
     assert t == pytest.approx(2.654208, rel=1e-6)
 
 
@@ -146,7 +147,8 @@ def test_transmission_includes_rtt_and_all_crossings():
     net = NetworkProfile(uplink_bits_per_s=1e3, fixed_rtt_s=0.5)
     cut = boundary_cut(g, 1)  # node 1 done; input still needed by 2
     assert cut.crossing_tensors == [0, 1]
-    t = transmission_latency(g, cut, {0: 8, 1: 4}, net)
+    t = split_latency(g, 1, BitAssignment({1: 8}, {1: 4}), _dev(), _dev(), net).transmit_s
+    assert t == oracles.transmission_latency(g, cut, {0: g.input_bits, 1: 4}, net)
     assert t == pytest.approx((16 * 8 + 16 * 4) / 1e3 + 0.5)
 
 
@@ -297,6 +299,10 @@ def test_device_profile_validation():
         _dev(supported_bits=(8, 2))
     with pytest.raises(ConfigError, match="non-empty"):
         _dev(supported_bits=())
+    with pytest.raises(ConfigError, match="1..32"):
+        _dev(supported_bits=(2, 4, int(1e308)))
+    with pytest.raises(ConfigError, match="1..32"):
+        _dev(supported_bits=(0, 2))
     with pytest.raises(ConfigError, match="positive"):
         NetworkProfile(uplink_bits_per_s=0)
     with pytest.raises(ConfigError, match="rtt"):

@@ -15,10 +15,17 @@ from bitsplit.engine import (
     save_eval_dir,
 )
 from bitsplit.graph import BN_EPS, GraphError, LayerGraph, LayerNode, optimize_graph
-from bitsplit.quantize import choose_clip_range, quantize_tensor
+from bitsplit.quantize import choose_clip_range, dequantize, quantize_tensor
 from bitsplit.search import BitAssignment
 from bitsplit.synth import make_eval_set, make_toy_classifier
-from helpers import random_assignment, random_dag, random_grid_input, uniform_assignment
+from helpers import (
+    check_edge_codes,
+    random_assignment,
+    random_dag,
+    random_grid_input,
+    reference_values,
+    uniform_assignment,
+)
 
 
 def _rel_err(a, b):
@@ -154,43 +161,30 @@ def test_fake_quant_zero_split_is_float(toy_graph):
     assert np.array_equal(a, b)
 
 
-def test_fake_quant_records_cover_prefix(toy_graph):
+def test_edge_codes_are_the_quantized_crossing_tensors(toy_graph):
+    # every split, with 16-bit layers mixed in: exactly the quantized
+    # crossing tensors come back, and their codes are the reference's values
     rng = np.random.default_rng(10)
-    compute = toy_graph.compute_ids()
     x = random_grid_input(rng, (1, 16, 16))
-    n = 3
-    asg = uniform_assignment(toy_graph, n, 4, 8)
-    outs, records = run_fake_quantized_detailed(toy_graph, x, n, asg)
-    assert sorted(records) == sorted(compute[:n])
-    for nid, rec in records.items():
-        assert rec.params.bits == 8
-        assert not rec.params.symmetric
-        assert rec.q is not None
-        assert np.array_equal(rec.deq, ((rec.q - np.float64(np.float32(rec.params.zero_point)))
-                                        * np.float64(np.float32(rec.params.scale))).astype(np.float32))
-    assert len(outs) == 1
+    for n in range(len(toy_graph.compute_ids()) + 1):
+        for choices in ((4, 8), (2, 16), (16,)):
+            asg = random_assignment(toy_graph, n, rng, choices)
+            check_edge_codes(toy_graph, x, n, asg, reference_values(toy_graph, x[None], n, asg))
 
 
 def test_fake_quant_16bit_acts_pass_through(toy_graph):
     rng = np.random.default_rng(11)
     x = random_grid_input(rng, (1, 16, 16))
     asg = uniform_assignment(toy_graph, 2, 16, 16)
-    outs, records = run_fake_quantized_detailed(toy_graph, x, 2, asg)
     ref = run_inference(toy_graph, x)[0]
-    assert np.array_equal(outs[0], ref)  # 16-bit everywhere changes nothing
-    for rec in records.values():
-        assert rec.q is None
+    assert np.array_equal(run_fake_quantized(toy_graph, x, 2, asg)[0], ref)  # 16-bit everywhere changes nothing
+    assert run_fake_quantized_detailed(toy_graph, x, 2, asg) == {}
 
 
-def test_fake_quant_prefix_only_skips_suffix(toy_graph):
-    rng = np.random.default_rng(12)
-    x = random_grid_input(rng, (1, 16, 16))
+def test_edge_codes_take_one_input(toy_graph):
     asg = uniform_assignment(toy_graph, 2, 4, 4)
-    outs, records = run_fake_quantized_detailed(toy_graph, x, 2, asg, prefix_only=True)
-    assert outs == []
-    full_outs, full_records = run_fake_quantized_detailed(toy_graph, x, 2, asg)
-    for nid in records:
-        assert np.array_equal(records[nid].deq, full_records[nid].deq)
+    with pytest.raises(GraphError, match="input shape"):
+        run_fake_quantized_detailed(toy_graph, np.zeros((2, 1, 16, 16), dtype=np.float32), 2, asg)
 
 
 def test_fake_quant_quantizes_weights_and_acts():
@@ -203,15 +197,19 @@ def test_fake_quant_quantizes_weights_and_acts():
     x = random_grid_input(rng, (2, 4, 4))
 
     asg = uniform_assignment(g, 1, 4, 8)
-    outs, records = run_fake_quantized_detailed(g, x, 1, asg)
+    outs = run_fake_quantized(g, x, 1, asg)
+    codes = run_fake_quantized_detailed(g, x, 1, asg)
 
     wp = choose_clip_range(n1.weights, 4, symmetric=True)
     _, wdeq = quantize_tensor(n1.weights, wp)
     y = np.tensordot(wdeq.astype(np.float64)[:, :, 0, 0], x.astype(np.float64), axes=([1], [0]))
     y = y.astype(np.float32)
     ap = choose_clip_range(y, 8, symmetric=False)
-    _, adeq = quantize_tensor(y, ap)
-    assert np.array_equal(records[1].deq, adeq)
+    aq, adeq = quantize_tensor(y, ap)
+    assert list(codes) == [1]
+    q, p = codes[1]
+    assert p == ap and np.array_equal(q, aq)
+    assert np.array_equal(dequantize(q, p), adeq)
     want = adeq.astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
     assert np.array_equal(outs[0], want)
 

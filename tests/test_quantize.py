@@ -328,6 +328,40 @@ def test_bounded_search_skips_alphas_on_a_relu_block(monkeypatch):
         assert (float(scale[k]), float(zero[k]), err[k]) == (want.scale, want.zero_point, want_err)
 
 
+# rows at float32's limits: alpha 0.5's scale rounds to 0 (the first), every
+# alpha's does (the next two), and at 1 bit alpha 1.0's overflows to inf (the
+# fourth); the last is an ordinary row
+EXTREME_ROWS = [[0.0, 2.5e-43], [0.0, 1.4e-45], [1e-44, 2e-44], [-3e38, 3e38], [0.0, 1.0]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("repeat", [1, 2100])
+def test_row_search_never_picks_a_zero_or_infinite_scale(repeat, symmetric):
+    """One row runs every alpha group; 2,100 rows of 2 values put the stack
+    above the group budget, where alphas run one at a time. Either way, each
+    row alone or all kinds in one stack, every row gets the oracle's finite
+    params and MSE, and its codes fit the range."""
+    kinds = np.array(EXTREME_ROWS, dtype=np.float32)
+    stacks = [np.repeat(kinds[j : j + 1], repeat, axis=0) for j in range(len(kinds))]
+    stacks.append(np.resize(kinds, (max(repeat, len(kinds)), 2)))
+    for bits in range(2 if symmetric else 1, 9):
+        qmin, qmax = quantize._qrange(bits, symmetric)
+        want = {}
+        for row in kinds:
+            want[row.tobytes()] = oracles.clip_range_scalar(row, bits, symmetric)
+            assert 0 < want[row.tobytes()][0].scale < np.inf and np.isfinite(want[row.tobytes()][1])
+        for stack in stacks:
+            scale, zero, err = choose_clip_rows(stack, bits, symmetric)
+            for row, s, z, e in zip(stack, scale, zero, err):
+                p, want_err = want[row.tobytes()]
+                assert _exact(QuantParams(bits, float(s), float(z), symmetric)) == _exact(p), (bits, row)
+                assert e == want_err, (bits, row)
+            q, deq = quantize.quantize_rows(stack, bits, symmetric)[:2]
+            assert qmin <= q.min() and q.max() <= qmax
+            assert np.isfinite(deq).all()
+
+
 def test_row_search_validates_the_stack():
     rows = np.ones((3, 4), dtype=np.float32)
     with pytest.raises(QuantError, match="empty"):
