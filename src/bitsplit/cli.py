@@ -144,21 +144,24 @@ def _to_float(value) -> float:
     return out
 
 
-def _option(cfg, key, convert, default=None, minimum=None):
+def _option(cfg, key, convert, default=None, minimum=None, maximum=None):
     """cfg[key] converted, or `default` when unset; a value that does not
-    convert, or falls below `minimum`, raises ConfigError naming the option."""
+    convert, or falls outside `minimum`..`maximum`, raises ConfigError naming
+    the option."""
     value = cfg[key]
     if value is None:
         return default
     try:
         out = convert(value)
-        if minimum is None or out >= minimum:
+        if (minimum is None or out >= minimum) and (maximum is None or out <= maximum):
             return out
     except (TypeError, ValueError, OverflowError):
         pass
+    bound = "" if minimum is None else " of at least %s" % minimum
+    if maximum is not None:
+        bound = " in %s..%s" % (minimum, maximum)
     raise ConfigError("--%s: %r is not %s%s" % (
-        key.replace("_", "-"), value, "an integer" if convert is _to_int else "a finite number",
-        "" if minimum is None else " of at least %s" % minimum,
+        key.replace("_", "-"), value, "an integer" if convert is _to_int else "a finite number", bound,
     ))
 
 
@@ -196,9 +199,11 @@ _SOLVE_KEYS = (
 
 
 def _load_labelled_eval(dirpath, g):
-    """`load_eval_dir`, refusing a label the graph's single output cannot
-    predict: one at or above its class count."""
+    """`load_eval_dir`, refusing an empty eval set and a label the graph's
+    single output cannot predict: one at or above its class count."""
     eval_set = load_eval_dir(dirpath)
+    if not eval_set.inputs:
+        raise ConfigError("eval directory %s holds no inputs" % dirpath)
     if len(g.output_ids) == 1:
         classes = g.nodes[g.output_ids[0]].act_elements()
         for lab in eval_set.labels:
@@ -449,11 +454,10 @@ def _plan_widths(bits, ids, name) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
+    limit = _option(vars(args), "limit", _to_int, minimum=1)
     g = optimize_graph(load_graph(args.graph))
     plan = _load_selected(args.selected, g)
-    eval_set = load_eval_dir(args.eval_dir)
-    limit = len(eval_set.inputs) if args.limit is None else int(args.limit)
-    inputs = eval_set.inputs[:limit]
+    inputs = load_eval_dir(args.eval_dir).inputs[:limit]
     if not inputs:
         raise ConfigError("eval directory holds no inputs")
 
@@ -527,7 +531,7 @@ def cmd_inspect(args) -> int:
         B = _parse_bits(args.bits) or edge.supported_bits
         M = int(args.memory_bytes) if args.memory_bytes is not None else edge.off_chip_bytes
         P = potential_splits(g, edge, net, M, B)
-        bits = tx_bits_at_min(g, edge, B)
+        bits = tx_bits_at_min(g, B)
         splits = []
         for n in P:
             cut = boundary_cut(g, n)
@@ -604,8 +608,8 @@ def cmd_profile(args) -> int:
 def cmd_make_demo(args) -> int:
     out = args.out or "demo"
     seed = 0 if args.seed is None else int(args.seed)
-    per_class = 20 if args.per_class is None else int(args.per_class)
-    noise = 60 if args.noise is None else int(args.noise)
+    per_class = _option(vars(args), "per_class", _to_int, default=20, minimum=1)
+    noise = _option(vars(args), "noise", _to_int, default=60, minimum=0, maximum=255)
 
     os.makedirs(out, exist_ok=True)
     g = make_toy_classifier(seed)

@@ -9,9 +9,10 @@ that crosses the split boundary; graph outputs count as crossing so an
 edge-only split still ships its result.
 
 Plans are priced by `split_latencies`, any number at any splits at once,
-from one `LatencyTable` per (graph, profile): the edge latency of every
-(layer, weight width, activation width) priced once on first use, the
-cloud's 16-bit prefix and suffix sums, and the elements each split ships.
+from one `LatencyTable` per (graph, profile): the latency of every
+(layer, weight width, activation width), priced whole when the table is
+built, and the 16-bit prefix and suffix sums the cloud side reads. The
+elements each split ships come from the graph (`g.liveness.crossing`).
 `split_latency` prices one plan given as node id -> width mappings through
 the same code.
 """
@@ -119,19 +120,6 @@ def _check_bits(d: DeviceProfile, bits: int):
         raise ConfigError("unsupported bit-width %d for device %s" % (bits, d.name))
 
 
-def layer_latency(node, g: LayerGraph, d: DeviceProfile, bw_bits: int, ba_bits: int) -> float:
-    """max(compute, memory) seconds for one layer on one device."""
-    _check_bits(d, bw_bits)
-    _check_bits(d, ba_bits)
-    ops = layer_ops(node, g)
-    penalty = max(1.0, max(bw_bits, ba_bits) / d.mac_bits)
-    compute_s = ops / d.peak_ops_per_s * penalty
-    in_elems = sum(g.nodes[i].act_elements() for i in node.inputs)
-    mem_bits = node.weight_elements() * bw_bits + (in_elems + node.act_elements()) * ba_bits
-    memory_s = mem_bits / 8.0 / d.bandwidth_bytes_per_s
-    return max(compute_s, memory_s)
-
-
 PACKABLE_BITS = (1, 2, 4, 8)  # the widths the wire layer can pack
 
 
@@ -154,69 +142,48 @@ class LatencyTable:
     `split_latencies`. Built once per (graph, profile), since graphs are
     immutable by convention and profiles frozen.
 
-    `edge[k, w, a]` is the latency of compute layer k at the w-th and a-th
-    width of `widths` (the device's widths and 16), priced through
-    `layer_latency` on first use. `crossing[n, j]` is the element count of
-    the tensor at topological position j (the input at 0) when it crosses
-    split n, else 0. The cloud sums are the 16-bit latencies summed left to
-    right: `prefix[n]` over the first n layers, `suffix[n]` from layer n to
-    the end, each from 0.0, so they equal a loop over the layers.
+    `edge[k, w, a]` is the roofline latency of compute layer k at the w-th
+    and a-th width of `widths` (the device's widths and 16): the larger of
+    ops / peak, slowed by max(w, a) / mac_bits above 1, and the weight bits
+    at w plus the input and output bits at a over the bandwidth. Every cell
+    is priced here, in one array expression. The 16-bit latencies summed
+    left to right give `prefix[n]` over the first n layers and `suffix[n]`
+    from layer n to the end, each from 0.0, so they equal a loop over the
+    layers.
     """
 
     def __init__(self, g: LayerGraph, d: DeviceProfile):
-        live = g.liveness
+        nodes = [g.nodes[i] for i in g.liveness.compute_ids]
         self.device = d
         self.widths = np.array(sorted(set(d.supported_bits) | {16}), dtype=np.int64)
-        self.edge = np.full((len(live.compute_ids), len(self.widths), len(self.widths)), np.nan)
-        pos = {nid: j for j, nid in enumerate((g.input_id,) + live.compute_ids)}
-        self.crossing = np.zeros((len(live.cuts), len(pos)), dtype=np.int64)
-        for n, cut in enumerate(live.cuts):
-            for c in cut.crossing_tensors:
-                self.crossing[n, pos[c]] = g.nodes[c].act_elements()
-        self._cloud = None
+        ops = np.array([layer_ops(n, g) for n in nodes], dtype=np.float64)[:, None, None]
+        weights = np.array([n.weight_elements() for n in nodes], dtype=np.int64)[:, None, None]
+        acts = np.array(
+            [sum(g.nodes[i].act_elements() for i in n.inputs) + n.act_elements() for n in nodes], dtype=np.int64
+        )[:, None, None]
+        w, a = self.widths[:, None], self.widths[None, :]
+        compute_s = ops / d.peak_ops_per_s * np.maximum(1.0, np.maximum(w, a) / d.mac_bits)
+        memory_s = (weights * w + acts * a) / 8.0 / d.bandwidth_bytes_per_s
+        self.edge = np.maximum(compute_s, memory_s)
+        k16 = int(np.searchsorted(self.widths, 16))
+        c = self.edge[:, k16, k16]
+        N = len(c)
+        self.prefix = np.add.accumulate(np.concatenate([[0.0], c]))
+        tails = np.where(np.arange(N + 1)[:, None] <= np.arange(N)[None, :], c, 0.0)
+        self.suffix = np.add.accumulate(np.hstack([np.zeros((N + 1, 1)), tails]), axis=1)[:, -1]
 
-    def edge_latencies(self, g: LayerGraph, wbits, abits, live=None) -> np.ndarray:
+    def edge_latencies(self, wbits, abits, live) -> np.ndarray:
         """Latency of each layer at the widths in the k x n arrays `wbits`
-        and `abits`; a width the device cannot run raises ConfigError. Where
-        the boolean `live` is False the latency is 0.0 and the widths are
-        neither checked nor priced."""
-        wcol, wok = self._columns(wbits)
-        acol, aok = self._columns(abits)
-        bad = ~(wok & aok) if live is None else ~(wok & aok) & live
+        and `abits`, 0.0 where the boolean `live` is False; a live width the
+        device cannot run raises ConfigError."""
+        wcol = np.minimum(np.searchsorted(self.widths, wbits), len(self.widths) - 1)
+        acol = np.minimum(np.searchsorted(self.widths, abits), len(self.widths) - 1)
+        bad = ((self.widths[wcol] != wbits) | (self.widths[acol] != abits)) & live
         if bad.any():
             r, k = np.argwhere(bad)[0]
             _check_bits(self.device, int(wbits[r, k]))
             _check_bits(self.device, int(abits[r, k]))
-        layers = np.arange(wbits.shape[1])
-        lat = self.edge[layers, wcol, acol]
-        missing = np.isnan(lat) if live is None else np.isnan(lat) & live
-        if missing.any():
-            compute = g.liveness.compute_ids
-            need = np.zeros(self.edge.shape, dtype=bool)
-            need[np.nonzero(missing)[1], wcol[missing], acol[missing]] = True
-            for k, w, a in np.argwhere(need).tolist():
-                node = g.nodes[compute[k]]
-                self.edge[k, w, a] = layer_latency(node, g, self.device, int(self.widths[w]), int(self.widths[a]))
-            lat = self.edge[layers, wcol, acol]
-        if live is not None:
-            lat[~live] = 0.0
-        return lat
-
-    def cloud_sums(self, g: LayerGraph):
-        """(prefix, suffix) sums of the 16-bit latencies, per split 0..N."""
-        if self._cloud is None:
-            N = len(g.liveness.compute_ids)
-            full = np.full((1, N), 16, dtype=np.int64)
-            c = self.edge_latencies(g, full, full)[0]
-            prefix = np.add.accumulate(np.concatenate([[0.0], c]))
-            tails = np.where(np.arange(N + 1)[:, None] <= np.arange(N)[None, :], c, 0.0)
-            suffix = np.add.accumulate(np.hstack([np.zeros((N + 1, 1)), tails]), axis=1)[:, -1]
-            self._cloud = (prefix, suffix)
-        return self._cloud
-
-    def _columns(self, bits):
-        col = np.minimum(np.searchsorted(self.widths, bits), len(self.widths) - 1)
-        return col, self.widths[col] == bits
+        return np.where(live, self.edge[np.arange(wbits.shape[1]), wcol, acol], 0.0)
 
 
 _LATENCY_TABLES = weakref.WeakKeyDictionary()  # graph -> {profile: LatencyTable}
@@ -263,16 +230,15 @@ def split_latencies(
         _split(g, int(n.min()))
         _split(g, int(n.max()))
     n = np.broadcast_to(n, (k,))
-    et = latency_table(g, edge)
-    prefix, suffix = latency_table(g, cloud).cloud_sums(g)
-    lat = et.edge_latencies(g, wbits, abits, np.arange(width) < n[:, None])
+    ct = latency_table(g, cloud)
+    lat = latency_table(g, edge).edge_latencies(wbits, abits, np.arange(width) < n[:, None])
     acc = np.zeros((k, width + 1))
     np.add.accumulate(lat, axis=1, out=acc[:, 1:])
     edge_s = acc[np.arange(k), n]
-    crossing = et.crossing[n]  # a split's crossing tensors all sit in its prefix
+    crossing = g.liveness.crossing[n]  # a split's crossing tensors all sit in its prefix
     tx_bits = (abits * crossing[:, 1 : width + 1]).sum(axis=1) + crossing[:, 0] * g.input_bits
     transmit_s = tx_bits / net.uplink_bits_per_s + net.fixed_rtt_s
-    cloud_s = suffix[n]
+    cloud_s = ct.suffix[n]
     return list(
         map(
             LatencyBreakdown,
@@ -280,7 +246,7 @@ def split_latencies(
             transmit_s.tolist(),
             cloud_s.tolist(),
             (edge_s + transmit_s + cloud_s).tolist(),
-            (edge_s + transmit_s - prefix[n]).tolist(),
+            (edge_s + transmit_s - ct.prefix[n]).tolist(),
         )
     )
 

@@ -101,12 +101,15 @@ class Liveness:
     count of the tensor at topological position j (the input at 0) when it is
     live at compute step k, else 0, so the bit-weighted working set of every
     step of the n-prefix is `incidence[:n, :n + 1] @ bits`, with `bits` the
-    input's width followed by the prefix layers' widths in order."""
+    input's width followed by the prefix layers' widths in order.
+    `crossing[n, j]` is that tensor's element count when it crosses split n,
+    else 0, so the bits split n ships are `crossing[n] @ bits`."""
 
     compute_ids: tuple  # topological order without the input node
     working_sets: tuple  # WorkingSet per compute step 1..N
     incidence: np.ndarray  # int64, steps x positions
     cuts: tuple  # BoundaryCut per split 0..N
+    crossing: np.ndarray  # int64, splits x positions
     peaks: tuple  # largest working set, in elements, of steps 1..n per split n (0 at n = 0)
 
 
@@ -352,7 +355,11 @@ class LayerGraph:
         for ws in sets:
             for nid, e in ws.live_tensors:
                 incidence[ws.step - 1, pos[nid]] = e
-        return Liveness(tuple(order[1:]), tuple(sets), incidence, tuple(cuts), tuple(peaks))
+        crossing = np.zeros((len(cuts), len(order)), dtype=np.int64)
+        for n, cut in enumerate(cuts):
+            for c in cut.crossing_tensors:
+                crossing[n, pos[c]] = elems[c]
+        return Liveness(tuple(order[1:]), tuple(sets), incidence, tuple(cuts), crossing, tuple(peaks))
 
     def canonical_dump(self) -> str:
         """Deterministic structural dump (weights excluded)."""

@@ -69,11 +69,6 @@ def dequantize(q: np.ndarray, p: QuantParams) -> np.ndarray:
     return ((np.asarray(q, dtype=np.float64) - zero) * scale).astype(np.float32)
 
 
-def mse(a: np.ndarray, b: np.ndarray) -> float:
-    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    return float(np.mean(d * d)) if d.size else 0.0
-
-
 def _clip_pass(x, s, z, qmin, qmax, b, out):
     """The squared-error sums of one group of alphas: s and z are the
     group's (k, rows, 1) float64 params, out its (k, rows) sums and b a
@@ -212,64 +207,66 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
     if not live.any():
         return scale, zero, err
 
-    # params for every alpha at once, shape (alphas, live rows); alpha > 0
-    # keeps every live row's clip range non-empty
-    alphas = np.array(CLIP_ALPHAS)[:, None]
-    if symmetric:
-        s = (alphas * amax[live] / qmax).astype(np.float32)
-        z = np.zeros_like(s)
-    else:
-        lo_a = alphas * lo[live]
-        hi_a = alphas * hi[live]
-        step = (hi_a - lo_a) / qmax
-        with np.errstate(over="ignore"):  # a 1-bit step can pass float32's max
+    # one errstate for every pass and bound: a 1-bit step can pass float32's
+    # max, and so can a reconstruction near it, whose error then reads +inf
+    with np.errstate(over="ignore"):
+        # params for every alpha at once, shape (alphas, live rows); alpha > 0
+        # keeps every live row's clip range non-empty
+        alphas = np.array(CLIP_ALPHAS)[:, None]
+        if symmetric:
+            s = (alphas * amax[live] / qmax).astype(np.float32)
+            z = np.zeros_like(s)
+        else:
+            lo_a = alphas * lo[live]
+            hi_a = alphas * hi[live]
+            step = (hi_a - lo_a) / qmax
             s = step.astype(np.float32)
-        z = (-lo_a / step).astype(np.float32)
+            z = (-lo_a / step).astype(np.float32)
 
-    bad = (s == 0) | (s == np.inf)
-    if bad.any():
-        # A row whose every step rounds to 0 spans at most qmax / 2 steps of
-        # 2^-149, and every float32 is a multiple of 2^-149: that step, with
-        # zero point -lo / 2^-149 (an integer float32 holds), codes each
-        # value exactly within [qmin, qmax]. Every other row keeps a usable
-        # alpha (alpha 0.5's step never overflows), and its bad slots run at
-        # scale 1, with z finite (|z| < qmax * 2^25), for sums read as +inf.
-        fine = bad.all(axis=0)
-        narrow = np.flatnonzero(live)[fine]
-        scale[narrow] = np.finfo(np.float32).smallest_subnormal
-        if not symmetric:
-            zero[narrow] = -lo[narrow] / scale[narrow]
-        live[narrow] = False
-        if not live.any():
-            return scale, zero, err
-        s, z, bad = s[:, ~fine], z[:, ~fine], bad[:, ~fine]
-        s[bad] = 1
-    s64, z64 = s.astype(np.float64)[..., None], z.astype(np.float64)[..., None]
-    n_live = int(np.count_nonzero(live))
-    k = max(1, min(len(CLIP_ALPHAS), CLIP_GROUP_ELEMENTS // (n_live * x.shape[1])))
-    if k > 1:
-        xl = x[live].astype(np.float64)
-        buf = np.empty((k,) + xl.shape)
-        sums = np.empty(s.shape)
-        for a in range(0, len(CLIP_ALPHAS), k):
-            _clip_pass(xl, s64[a : a + k], z64[a : a + k], qmin, qmax, buf, sums[a : a + k])
-    else:
-        # float32 values go into float64 ufuncs exactly, so no float64 copy
-        xl = x if n_live == len(x) else x[live]
-        buf = np.empty((1,) + xl.shape)
-        sums = np.full(s.shape, np.inf)
-        _clip_pass(xl, s64[:1], z64[:1], qmin, qmax, buf, sums[:1])
+        bad = (s == 0) | (s == np.inf)
+        if bad.any():
+            # A row whose every step rounds to 0 spans at most qmax / 2 steps of
+            # 2^-149, and every float32 is a multiple of 2^-149: that step, with
+            # zero point -lo / 2^-149 (an integer float32 holds), codes each
+            # value exactly within [qmin, qmax]. Every other row keeps a usable
+            # alpha (alpha 0.5's step never overflows), and its bad slots run at
+            # scale 1, with z finite (|z| < qmax * 2^25), for sums read as +inf.
+            fine = bad.all(axis=0)
+            narrow = np.flatnonzero(live)[fine]
+            scale[narrow] = np.finfo(np.float32).smallest_subnormal
+            if not symmetric:
+                zero[narrow] = -lo[narrow] / scale[narrow]
+            live[narrow] = False
+            if not live.any():
+                return scale, zero, err
+            s, z, bad = s[:, ~fine], z[:, ~fine], bad[:, ~fine]
+            s[bad] = 1
+        s64, z64 = s.astype(np.float64)[..., None], z.astype(np.float64)[..., None]
+        n_live = int(np.count_nonzero(live))
+        k = max(1, min(len(CLIP_ALPHAS), CLIP_GROUP_ELEMENTS // (n_live * x.shape[1])))
+        if k > 1:
+            xl = x[live].astype(np.float64)
+            buf = np.empty((k,) + xl.shape)
+            sums = np.empty(s.shape)
+            for a in range(0, len(CLIP_ALPHAS), k):
+                _clip_pass(xl, s64[a : a + k], z64[a : a + k], qmin, qmax, buf, sums[a : a + k])
+        else:
+            # float32 values go into float64 ufuncs exactly, so no float64 copy
+            xl = x if n_live == len(x) else x[live]
+            buf = np.empty((1,) + xl.shape)
+            sums = np.full(s.shape, np.inf)
+            _clip_pass(xl, s64[:1], z64[:1], qmin, qmax, buf, sums[:1])
+            sums[bad] = np.inf
+            lower = _clip_bounds(xl, lo[live], hi[live], s64[1:], z64[1:], qmin, qmax, buf)
+            skip = (lower >= sums[0]) | bad[1:]
+            for a in np.flatnonzero(~skip.all(axis=1)) + 1:
+                _clip_pass(xl, s64[a : a + 1], z64[a : a + 1], qmin, qmax, buf, sums[a : a + 1])
         sums[bad] = np.inf
-        lower = _clip_bounds(xl, lo[live], hi[live], s64[1:], z64[1:], qmin, qmax, buf)
-        skip = (lower >= sums[0]) | bad[1:]
-        for a in np.flatnonzero(~skip.all(axis=1)) + 1:
-            _clip_pass(xl, s64[a : a + 1], z64[a : a + 1], qmin, qmax, buf, sums[a : a + 1])
-    sums[bad] = np.inf
-    errs = sums / x.shape[1]  # np.mean over each row, as the same sum and division
-    best = np.argmin(errs, axis=0)  # the first minimum: ties go to the larger alpha
-    rows = np.arange(len(xl))
-    scale[live], zero[live], err[live] = s[best, rows], z[best, rows], errs[best, rows]
-    return scale, zero, err
+        errs = sums / x.shape[1]  # np.mean over each row, as the same sum and division
+        best = np.argmin(errs, axis=0)  # the first minimum: ties go to the larger alpha
+        rows = np.arange(len(xl))
+        scale[live], zero[live], err[live] = s[best, rows], z[best, rows], errs[best, rows]
+        return scale, zero, err
 
 
 def choose_clip_range(x: np.ndarray, bits: int, symmetric: bool) -> QuantParams:
@@ -292,25 +289,20 @@ def quantize_rows(x: np.ndarray, bits: int, symmetric: bool):
     return q, deq, scale, zero
 
 
-def quant_mse(x: np.ndarray, bits: int, symmetric: bool) -> float:
-    if bits >= REFERENCE_BITS:
-        return 0.0
-    x = np.asarray(x, dtype=np.float32)
-    return float(choose_clip_rows(x.reshape(1, -1), bits, symmetric)[2][0])
-
-
 # -- distortion tables --------------------------------------------------------
 
 
 class DistortionTable:
     """Per-layer, per-bit MSE d_i(b) and rate r_i(b) = s_i * b bits.
 
-    d must be non-negative (checked at construction), d(16) = 0 by
-    definition, and rates grow linearly in b. Weightless layers carry flat
-    zero rows (size 0). d need not fall with b: the clip search picks a
-    range per width, so a tiny tensor can land closer to the grid at fewer
-    bits, and a width with both more rate and more distortion than a
-    narrower one is never a Lagrangian choice.
+    `mse[row[i], k]` is layer i's distortion at the k-th width of `bits`,
+    one float64 array with the layers in ascending id. d must be
+    non-negative (checked at construction), d(16) = 0 by definition, and
+    rates grow linearly in b. Weightless layers carry flat zero rows (size
+    0). d need not fall with b: the clip search picks a range per width, so
+    a tiny tensor can land closer to the grid at fewer bits, and a width
+    with both more rate and more distortion than a narrower one is never a
+    Lagrangian choice.
     """
 
     def __init__(self, kind: str, bits, sizes: dict, d: dict):
@@ -319,21 +311,22 @@ class DistortionTable:
         self.kind = kind
         self.bits = tuple(sorted(int(b) for b in bits))
         self.sizes = dict(sizes)  # layer id -> element count
-        self._d = dict(d)  # (layer id, bits) -> mse
-        self._check()
-
-    def _check(self):
-        for i in sorted(self.sizes):
-            if any(self._d[(i, b)] < 0 for b in self.bits):
-                raise QuantError("negative distortion at layer %d" % i)
+        self.row = {i: k for k, i in enumerate(sorted(self.sizes))}
+        self._col = {b: k for k, b in enumerate(self.bits)}
+        mse = np.array([[d[(i, b)] for b in self.bits] for i in self.row], dtype=np.float64)
+        self.mse = mse.reshape(len(self.row), len(self.bits))
+        negative = (self.mse < 0).any(axis=1)
+        if negative.any():
+            raise QuantError("negative distortion at layer %d" % self.layers()[int(np.argmax(negative))])
+        self.mse[:, np.array(self.bits) >= REFERENCE_BITS] = 0.0
 
     def layers(self):
-        return sorted(self.sizes)
+        return list(self.row)
 
     def d(self, layer: int, b: int) -> float:
         if b >= REFERENCE_BITS:
             return 0.0
-        return self._d[(layer, b)]
+        return self.mse.item(self.row[layer], self._col[b])
 
     def r(self, layer: int, b: int) -> int:
         return self.sizes[layer] * int(b)
@@ -346,20 +339,6 @@ class DistortionTable:
                 for b in self.bits:
                     w.writerow([i, b, self.kind, "%.12e" % self.d(i, b), self.r(i, b)])
 
-    @classmethod
-    def from_csv(cls, path) -> "DistortionTable":
-        sizes, d, bits, kinds = {}, {}, set(), set()
-        with open(path, "r", newline="") as f:
-            for row in csv.DictReader(f):
-                i, b = int(row["layer_id"]), int(row["bits"])
-                kinds.add(row["kind"])
-                bits.add(b)
-                d[(i, b)] = float(row["mse"])
-                sizes[i] = int(row["rate_bits"]) // b if b else 0
-        if len(kinds) != 1:
-            raise QuantError("mixed kinds in table file")
-        return cls(kinds.pop(), sorted(bits), sizes, d)
-
 
 def weight_distortion_table(g: LayerGraph, B) -> DistortionTable:
     """MSE of quantizing each layer's weight tensor at every candidate width.
@@ -371,12 +350,12 @@ def weight_distortion_table(g: LayerGraph, B) -> DistortionTable:
         n = g.nodes[i]
         sizes[i] = n.weight_elements()
         for b in B:
-            if sizes[i] == 0:
+            if sizes[i] and n.weights is None:
+                raise QuantError("layer %d has no weights blob loaded" % i)
+            if sizes[i] == 0 or b >= REFERENCE_BITS:
                 d[(i, b)] = 0.0
             else:
-                if n.weights is None:
-                    raise QuantError("layer %d has no weights blob loaded" % i)
-                d[(i, b)] = quant_mse(n.weights, b, symmetric=True)
+                d[(i, b)] = float(choose_clip_rows(n.weights.reshape(1, -1), b, symmetric=True)[2][0])
     return DistortionTable("w", B, sizes, d)
 
 

@@ -29,7 +29,6 @@ from .cost import (
     PACKABLE_BITS,
     DeviceProfile,
     NetworkProfile,
-    latency_table,
     split_latencies,
     split_latency,
 )
@@ -126,16 +125,16 @@ class Allocation:
 # -- potential splits -----------------------------------------------------------
 
 
-def tx_bits_at_min(g: LayerGraph, edge: DeviceProfile, B):
+def tx_bits_at_min(g: LayerGraph, B):
     """The bits each split 0..N ships at the cheapest widths the wire can
     pack: the input at input_bits, every other crossing tensor at the
     smallest width of B in `PACKABLE_BITS`. One integer product of the
-    latency table's `crossing` counts with those widths; None when B holds
-    no packable width."""
+    graph's crossing counts (`g.liveness.crossing`) with those widths; None
+    when B holds no packable width."""
     b_wire = min((b for b in B if b in PACKABLE_BITS), default=None)
     if b_wire is None:
         return None
-    crossing = latency_table(g, edge).crossing
+    crossing = g.liveness.crossing
     widths = np.full(crossing.shape[1], b_wire, dtype=np.int64)
     widths[0] = g.input_bits
     return crossing @ widths
@@ -150,7 +149,7 @@ def potential_splits(g: LayerGraph, edge: DeviceProfile, net: NetworkProfile, M_
     Each split's bits are divided by the uplink rate, and the round trip
     added, as `split_latencies` prices the wire."""
     B = tuple(B) if B else edge.supported_bits
-    bits = tx_bits_at_min(g, edge, B)
+    bits = tx_bits_at_min(g, B)
     if bits is None:
         return []
     tx_s = bits / net.uplink_bits_per_s + net.fixed_rtt_s
@@ -219,10 +218,9 @@ class MultiplierPath:
 
     def __init__(self, table: DistortionTable, layer_ids):
         self.ids = list(layer_ids)
-        shape = (len(self.ids), len(table.bits))
         self.bits = np.array(table.bits, dtype=np.int64)
-        self.d = np.array([[table.d(i, b) for b in table.bits] for i in self.ids], dtype=np.float64).reshape(shape)
-        self.r = np.array([[table.r(i, b) for b in table.bits] for i in self.ids], dtype=np.int64).reshape(shape)
+        self.d = table.mse[np.array([table.row[i] for i in self.ids], dtype=np.intp)]
+        self.r = np.array([table.sizes[i] for i in self.ids], dtype=np.int64)[:, None] * self.bits
         self.probes = _probes(self.d, self.r)
         cost = self.probes[:, None, None] * self.r  # probes x layers x widths
         cost += self.d
@@ -587,16 +585,10 @@ def select_solution(S, g, eval_set, A_percent: float, base_acc: float | None = N
 
 
 def float_baseline(g, edge, cloud, net):
-    """Best all-16-bit split by predicted latency (no quantization)."""
-    compute = g.compute_ids()
-    best = None
-    for n in range(0, len(compute) + 1):
-        assignment = BitAssignment(
-            weight_bits={i: 16 for i in compute[:n]},
-            act_bits={i: 16 for i in compute[:n]},
-        )
-        br = split_latency(g, n, assignment, edge, cloud, net)
-        key = (br.total_s, n)
-        if best is None or key < best[0]:
-            best = (key, n, br)
-    return best[1], best[2]
+    """Best all-16-bit split by predicted latency (no quantization), ties to
+    the smaller split; every split is priced in one `split_latencies` call."""
+    N = len(g.liveness.compute_ids)
+    full = np.full((N + 1, N), 16, dtype=np.int64)
+    breakdowns = split_latencies(g, np.arange(N + 1), full, full, edge, cloud, net)
+    n = min(range(N + 1), key=lambda n: breakdowns[n].total_s)
+    return n, breakdowns[n]

@@ -182,14 +182,27 @@ def transmission_latency(g, cut, bits_map, net):
     return total_bits / net.uplink_bits_per_s + net.fixed_rtt_s
 
 
+def layer_latency(node, g, d, bw_bits, ba_bits):
+    """One layer's roofline seconds on one device, one scalar at a time: the
+    larger of compute (ops over peak, slowed by max(bw, ba) / mac_bits when
+    that exceeds 1) and memory (weight bits at bw plus input and output bits
+    at ba, over the bandwidth)."""
+    from bitsplit.cost import layer_ops
+
+    penalty = max(1.0, max(bw_bits, ba_bits) / d.mac_bits)
+    compute_s = layer_ops(node, g) / d.peak_ops_per_s * penalty
+    in_elems = sum(g.nodes[i].act_elements() for i in node.inputs)
+    mem_bits = node.weight_elements() * bw_bits + (in_elems + node.act_elements()) * ba_bits
+    memory_s = mem_bits / 8.0 / d.bandwidth_bytes_per_s
+    return max(compute_s, memory_s)
+
+
 def split_latency_naive(g, order, n, assignment, edge, cloud, net):
     """The five `LatencyBreakdown` fields, the slow way: each edge layer's
     `layer_latency` added left to right from 0.0, the 16-bit cloud latencies
     added from layer n to the end (and, for the relative term, over the
     prefix), and the crossing tensors' bits summed as integers before the
     one division."""
-    from bitsplit.cost import layer_latency
-
     compute = order[1:]
     edge_s = 0.0
     for i in compute[:n]:
@@ -430,31 +443,33 @@ def clip_range_scalar(x, bits, symmetric):
         return float(np.mean(d * d))
 
     best = None
-    for k in range(11):
-        alpha = 1.0 - 0.05 * k
-        if symmetric:
-            clip = alpha * amax
-            if clip <= 0.0:
-                continue
-            scale, zero = clip / qmax, 0.0
-        else:
-            lo, hi = alpha * lo_full, alpha * hi_full
-            if hi <= lo:
-                continue
-            scale = (hi - lo) / qmax
-            zero = -lo / scale
-        with np.errstate(over="ignore"):  # a 1-bit step can pass float32's max
+    # a 1-bit step can pass float32's max, and so can a reconstruction near
+    # it, whose error is then +inf
+    with np.errstate(over="ignore"):
+        for k in range(11):
+            alpha = 1.0 - 0.05 * k
+            if symmetric:
+                clip = alpha * amax
+                if clip <= 0.0:
+                    continue
+                scale, zero = clip / qmax, 0.0
+            else:
+                lo, hi = alpha * lo_full, alpha * hi_full
+                if hi <= lo:
+                    continue
+                scale = (hi - lo) / qmax
+                zero = -lo / scale
             s = float(np.float32(scale))
-        z = float(np.float32(zero))
-        if s == 0.0 or s == math.inf:
-            continue
-        err = error(s, z)
-        if best is None or err < best[1]:
-            best = (QuantParams(bits, s, z, symmetric), err)
-    if best is None:
-        s = float(np.finfo(np.float32).smallest_subnormal)
-        z = 0.0 if symmetric else float(np.float32(-lo_full / s))
-        best = (QuantParams(bits, s, z, symmetric), error(s, z))
+            z = float(np.float32(zero))
+            if s == 0.0 or s == math.inf:
+                continue
+            err = error(s, z)
+            if best is None or err < best[1]:
+                best = (QuantParams(bits, s, z, symmetric), err)
+        if best is None:
+            s = float(np.finfo(np.float32).smallest_subnormal)
+            z = 0.0 if symmetric else float(np.float32(-lo_full / s))
+            best = (QuantParams(bits, s, z, symmetric), error(s, z))
     return best
 
 

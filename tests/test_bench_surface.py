@@ -1,7 +1,8 @@
 """The part of the package that the benchmark under perfbench/ calls.
 
 perfbench/tracer.py wraps functions by name and perfbench/workloads.py calls
-three of them with an `order` argument, and it reads plans by node id. The benchmark is run on the committed
+three of them with an `order` argument, builds distortion tables from dicts,
+and reads plans by node id. The benchmark is run on the committed
 tree, so a rename or a dropped parameter would only show there; these checks
 catch it in the ordinary test run. perfbench/ is read, never changed.
 """
@@ -9,6 +10,7 @@ catch it in the ordinary test run. perfbench/ is read, never changed.
 import importlib
 import importlib.util
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -19,18 +21,19 @@ from bitsplit.synth import TOY_MEMORY_BYTES, resnet50_shapes
 from bitsplit.wire import reference_outputs
 from helpers import grid_input_covering, table1_profiles, toy_profiles
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
-def _tracer_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, os.path.join(PERFBENCH, name + ".py"))
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_traced_name_is_a_callable():
-    targets = _tracer_targets()
+    targets = _perfbench_module("tracer").TARGETS
     assert targets
     for name, modname, attr in targets:
         owner = importlib.import_module("bitsplit." + modname)
@@ -91,3 +94,21 @@ def test_plans_keep_the_shapes_the_benchmark_reads(toy_graph, toy_tables, graph)
         plan.assignment = rebuilt
         got = run_tcp_session(g, x, plan, order=topological_order(g))
         assert [a.tobytes() for a in got] == [b.tobytes() for b in reference_outputs(g, x, plan)]
+
+
+def test_the_benchmarks_synthetic_tables_still_enumerate(tmp_path):
+    # workloads.py::synthetic_table builds DistortionTable(kind, bits,
+    # {id: size}, {(id, bits): mse}) for the ResNet-50 shapes; two passes
+    # enumerate at both budgets and check memory against naive liveness and
+    # the solutions against the recorded fingerprint
+    workloads = _perfbench_module("workloads")
+    sizes = {i: 3 for i in (4, 1, 9)}
+    table = workloads.synthetic_table(np.random.default_rng(0), "w", sizes)
+    assert table.mse.shape == (3, len(workloads.BITS)) and table.layers() == [1, 4, 9]
+    w = workloads.ResnetEnumerate(str(tmp_path), 0)
+    w.generate()
+    w.prepare()
+    assert w.known is not None
+    for _ in workloads.RESNET_BUDGETS:
+        assert w.run_pass().failed == 0, w.failures
+    assert w.record["fingerprint"] == w.known

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitsplit.cli import main
-from bitsplit.quantize import DistortionTable
+from bitsplit.engine import calibrate_activations, load_eval_dir
+from bitsplit.graph import load_graph, optimize_graph
+from bitsplit.quantize import activation_distortion_table, weight_distortion_table
 
 
 @pytest.fixture(scope="module")
@@ -178,10 +180,16 @@ def test_profile_writes_loadable_tables(demo_dir, tmp_path):
         "--eval-dir", str(demo_dir / "eval"), "--calib", "4", "--out", str(out),
     ])
     assert rc == 0
-    w = DistortionTable.from_csv(str(out / "weight_distortion.csv"))
-    a = DistortionTable.from_csv(str(out / "act_distortion.csv"))
-    assert w.kind == "w" and a.kind == "a"
-    assert w.bits == (2, 4, 8) and a.bits == (2, 4, 8)
+    # the files are the tables' own CSV, built here the way profile builds them
+    g = optimize_graph(load_graph(str(demo_dir / "graph.json")))
+    calib = calibrate_activations(g, load_eval_dir(str(demo_dir / "eval")).inputs, max_samples=4)
+    tables = {
+        "weight_distortion.csv": weight_distortion_table(g, (2, 4, 8)),
+        "act_distortion.csv": activation_distortion_table(g, calib, (2, 4, 8)),
+    }
+    for name, table in tables.items():
+        table.to_csv(tmp_path / name)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_solve_honours_bits_flag(demo_dir, tmp_path):
@@ -262,6 +270,39 @@ def test_bad_labels_exit_2(demo_dir, tmp_path, rows):
     assert main(_solve_args(demo)) == 2
     assert main(["profile", "--graph", str(demo / "graph.json"), "--eval-dir", str(demo / "eval"),
                  "--out", str(tmp_path / "prof")]) == 2
+
+
+def test_eval_dir_without_inputs_exits_2(demo_dir, tmp_path, capsys):
+    demo = _demo_copy(demo_dir, tmp_path)
+    (demo / "eval" / "labels.csv").write_text("index,label\n")
+    assert main(_solve_args(demo)) == 2
+    assert "holds no inputs" in capsys.readouterr().err
+    assert main(["profile", "--graph", str(demo / "graph.json"), "--eval-dir", str(demo / "eval"),
+                 "--out", str(tmp_path / "prof")]) == 2
+    assert "holds no inputs" in capsys.readouterr().err
+
+
+def test_simulate_limit_below_one_exits_2(demo_dir, solved, tmp_path, capsys):
+    # a negative limit would otherwise slice from the end of the eval set
+    for limit in ("0", "-198"):
+        assert main(["simulate", "--graph", str(demo_dir / "graph.json"), "--selected", str(solved / "selected.json"),
+                     "--eval-dir", str(demo_dir / "eval"), "--limit", limit, "--out", str(tmp_path)]) == 2
+        assert "--limit: %s is not an integer of at least 1" % limit in capsys.readouterr().err
+    assert not (tmp_path / "transcript.json").exists()
+
+
+def test_make_demo_noise_outside_0_to_255_exits_2(tmp_path, capsys):
+    for noise in ("-5", "256"):
+        assert main(["make-demo", "--out", str(tmp_path / noise), "--noise", noise, "--per-class", "1"]) == 2
+        assert "--noise: %s is not an integer in 0..255" % noise in capsys.readouterr().err
+    assert main(["make-demo", "--out", str(tmp_path / "0"), "--noise", "0", "--per-class", "1"]) == 0
+
+
+def test_make_demo_per_class_below_one_exits_2(tmp_path, capsys):
+    for per_class in ("-1", "0"):
+        assert main(["make-demo", "--out", str(tmp_path / per_class), "--per-class", per_class]) == 2
+        assert "--per-class: %s is not an integer of at least 1" % per_class in capsys.readouterr().err
+        assert not (tmp_path / per_class).exists()
 
 
 # -- malformed plans, run configs, graphs and device files ---------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from bitsplit.cost import (
     NetworkProfile,
     activation_memory_bits,
     crossing_bits_map,
-    layer_latency,
+    latency_table,
     layer_macs,
     layer_ops,
     load_device_config,
@@ -22,6 +23,8 @@ from bitsplit.graph import LayerGraph, LayerNode, boundary_cut, topological_orde
 from bitsplit.search import BitAssignment
 from bitsplit.synth import resnet50_shapes
 from helpers import random_assignment, random_dag, table1_profiles, uniform_assignment
+
+TPU_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "tpu.json")
 
 
 def _dev(**kw):
@@ -77,6 +80,13 @@ def test_ops_elementwise_conventions():
 # -- roofline per-layer latency -----------------------------------------------------
 
 
+def _cell(g, d, k, bw, ba):
+    """The latency table's cell for compute layer k at widths (bw, ba)."""
+    t = latency_table(g, d)
+    widths = t.widths.tolist()
+    return t.edge[k, widths.index(bw), widths.index(ba)]
+
+
 def test_layer_latency_compute_bound():
     g = LayerGraph([
         LayerNode(0, "input", out_shape=(3, 8, 8)),
@@ -86,11 +96,11 @@ def test_layer_latency_compute_bound():
     node = g.nodes[1]
     d = _dev(peak_ops_per_s=1e6, bandwidth_bytes_per_s=1e12)
     want = 2 * layer_macs(node) / 1e6
-    assert layer_latency(node, g, d, 8, 8) == pytest.approx(want)
+    assert _cell(g, d, 0, 8, 8) == pytest.approx(want)
     # operands wider than the mac unit slow compute linearly
-    assert layer_latency(node, g, d, 16, 8) == pytest.approx(2 * want)
+    assert _cell(g, d, 0, 16, 8) == pytest.approx(2 * want)
     # narrower operands do not speed it up
-    assert layer_latency(node, g, d, 2, 2) == pytest.approx(want)
+    assert _cell(g, d, 0, 2, 2) == pytest.approx(want)
 
 
 def test_layer_latency_memory_bound():
@@ -99,12 +109,11 @@ def test_layer_latency_memory_bound():
         LayerNode(1, "conv", attrs={"stride": 1, "pad": 1}, weight_shape=(4, 3, 3, 3),
                   out_shape=(4, 8, 8), inputs=[0]),
     ])
-    node = g.nodes[1]
     d = _dev(peak_ops_per_s=1e18, bandwidth_bytes_per_s=1e6)
     w_elems, in_elems, out_elems = 108, 192, 256
     for bw, ba in [(2, 8), (8, 2), (4, 4)]:
         want = (w_elems * bw + (in_elems + out_elems) * ba) / 8 / 1e6
-        assert layer_latency(node, g, d, bw, ba) == pytest.approx(want)
+        assert _cell(g, d, 0, bw, ba) == pytest.approx(want)
 
 
 def test_unsupported_bits_rejected_but_16_allowed():
@@ -112,11 +121,38 @@ def test_unsupported_bits_rejected_but_16_allowed():
         LayerNode(0, "input", out_shape=(3, 8, 8)),
         LayerNode(1, "relu", out_shape=(3, 8, 8), inputs=[0]),
     ])
-    node = g.nodes[1]
     d = _dev(supported_bits=(2, 4, 8))
-    layer_latency(node, g, d, 16, 16)  # always representable
+    net = NetworkProfile(uplink_bits_per_s=1e6)
+    split_latency(g, 1, BitAssignment({1: 16}, {1: 16}), d, d, net)  # always representable
     with pytest.raises(ConfigError, match="unsupported bit-width 3"):
-        layer_latency(node, g, d, 3, 8)
+        split_latency(g, 1, BitAssignment({1: 3}, {1: 8}), d, d, net)
+
+
+def test_every_latency_cell_equals_the_scalar_oracle(toy_graph):
+    # every cell is priced at construction in one array expression; each must
+    # be the scalar roofline to the last bit, and the 16-bit sums its loops
+    edge, cloud, _ = table1_profiles()
+    tpu_edge, tpu_cloud, _ = load_device_config(TPU_CONFIG)
+    wide = _dev(mac_bits=6, supported_bits=(1, 2, 4, 8, 32), bandwidth_bytes_per_s=3e8)
+    rng = np.random.default_rng(24)
+    graphs = [toy_graph, resnet50_shapes()[0]] + [random_dag(rng, max_nodes=12) for _ in range(6)]
+    for g in graphs:
+        compute = g.compute_ids()
+        for d in (edge, cloud, tpu_edge, tpu_cloud, wide):
+            t = latency_table(g, d)
+            assert t.widths.tolist() == sorted(set(d.supported_bits) | {16})
+            assert t.edge.shape == (len(compute), len(t.widths), len(t.widths))
+            for k, i in enumerate(compute):
+                for a, ba in enumerate(t.widths.tolist()):
+                    for w, bw in enumerate(t.widths.tolist()):
+                        assert t.edge[k, w, a] == oracles.layer_latency(g.nodes[i], g, d, bw, ba), (d.name, i, bw, ba)
+            for n in range(len(compute) + 1):
+                prefix_s = suffix_s = 0.0
+                for i in compute[:n]:
+                    prefix_s += oracles.layer_latency(g.nodes[i], g, d, 16, 16)
+                for i in compute[n:]:
+                    suffix_s += oracles.layer_latency(g.nodes[i], g, d, 16, 16)
+                assert (t.prefix[n], t.suffix[n]) == (prefix_s, suffix_s)
 
 
 # -- transmission ----------------------------------------------------------------
@@ -201,11 +237,10 @@ def test_split_latency_total_is_sum_of_parts(toy_graph):
         # per-layer recomputation
         compute = toy_graph.compute_ids()
         want_edge = sum(
-            layer_latency(toy_graph.nodes[i], toy_graph, edge, asg.weight_bits[i], asg.act_bits[i])
-            for i in compute[:n]
+            _cell(toy_graph, edge, k, asg.weight_bits[i], asg.act_bits[i]) for k, i in enumerate(compute[:n])
         )
         assert br.edge_s == pytest.approx(want_edge)
-        want_cloud = sum(layer_latency(toy_graph.nodes[i], toy_graph, cloud, 16, 16) for i in compute[n:])
+        want_cloud = sum(_cell(toy_graph, cloud, k, 16, 16) for k in range(n, len(compute)))
         assert br.cloud_s == pytest.approx(want_cloud)
 
 
@@ -221,10 +256,10 @@ def test_cloud_latencies_exact_per_profile(toy_graph):
         for c in (cloud, slow, cloud):
             br = split_latency(toy_graph, n, asg, edge, c, net)
             cloud_s = prefix_s = 0.0
-            for i in compute[n:]:
-                cloud_s += layer_latency(toy_graph.nodes[i], toy_graph, c, 16, 16)
-            for i in compute[:n]:
-                prefix_s += layer_latency(toy_graph.nodes[i], toy_graph, c, 16, 16)
+            for k in range(n, len(compute)):
+                cloud_s += _cell(toy_graph, c, k, 16, 16)
+            for k in range(n):
+                prefix_s += _cell(toy_graph, c, k, 16, 16)
             assert br.cloud_s == cloud_s
             assert br.relative_s == br.edge_s + br.transmit_s - prefix_s
 

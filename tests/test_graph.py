@@ -375,6 +375,9 @@ def test_boundary_cuts_match_oracle():
             want = oracles.cut_ids(g, order, n)
             assert cut.crossing_tensors == want
             assert cut.cut_elements == sum(g.nodes[i].act_elements() for i in want)
+            # the crossing counts split_latencies and tx_bits_at_min read
+            counts = dict(zip(order, g.liveness.crossing[n].tolist()))
+            assert counts == {i: g.nodes[i].act_elements() if i in want else 0 for i in order}
 
 
 def test_cut_of_full_prefix_is_outputs_only():

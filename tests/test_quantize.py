@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,15 @@ from bitsplit.quantize import (
     choose_clip_range,
     choose_clip_rows,
     dequantize,
-    mse,
-    quant_mse,
     quantize_tensor,
     weight_distortion_table,
 )
 from helpers import random_dag, random_grid_input
+
+
+def _row_mse(x, bits, symmetric):
+    """The clip search's error for one tensor as a single row."""
+    return float(choose_clip_rows(np.asarray(x, dtype=np.float32).reshape(1, -1), bits, symmetric)[2][0])
 
 
 def test_clip_alpha_grid():
@@ -87,7 +92,7 @@ def test_full_range_tie_prefers_alpha_one():
     x = np.array([-1.0, 0.0, 1.0], dtype=np.float32)
     p = choose_clip_range(x, 4, symmetric=True)
     assert p.scale == pytest.approx(1.0 / 7.0)
-    assert quant_mse(x, 4, symmetric=True) == 0.0
+    assert _row_mse(x, 4, symmetric=True) == 0.0
 
 
 def test_quantize_roundtrip_codes_in_range():
@@ -118,10 +123,9 @@ def test_mse_decreases_with_bits():
     for k in range(20):
         x = (rng.standard_normal(300) * rng.uniform(0.1, 5)).astype(np.float32)
         for sym, ladder in [(True, (2, 4, 8)), (False, (1, 2, 4, 8))]:
-            errs = [quant_mse(x, b, sym) for b in ladder]
+            errs = [_row_mse(x, b, sym) for b in ladder]
             for a, b in zip(errs, errs[1:]):
                 assert b <= a + 1e-12
-        assert quant_mse(x, 16, symmetric=True) == 0.0
 
 
 def test_better_than_naive_minmax():
@@ -130,7 +134,8 @@ def test_better_than_naive_minmax():
     x = np.concatenate([rng.standard_normal(500), [15.0]]).astype(np.float32)  # outlier
     p_full = QuantParams(4, float(np.float32(np.max(np.abs(x)) / 7)), 0.0, True)
     _, deq_full = quantize_tensor(x, p_full)
-    assert quant_mse(x, 4, symmetric=True) <= mse(x, deq_full) + 1e-15
+    full_mse = float(np.mean((x.astype(np.float64) - deq_full.astype(np.float64)) ** 2))
+    assert _row_mse(x, 4, symmetric=True) <= full_mse + 1e-15
 
 
 def _clip_search_rows(rng, m, bits):
@@ -176,7 +181,7 @@ def test_row_search_matches_scalar_oracle(symmetric):
                 assert _exact(got) == _exact(want), (bits, m, k)
                 assert err[k] == want_err, (bits, m, k)
                 assert _exact(choose_clip_range(row, bits, symmetric)) == _exact(want)
-                assert quant_mse(row, bits, symmetric) == want_err
+                assert _row_mse(row, bits, symmetric) == want_err
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
@@ -362,6 +367,22 @@ def test_row_search_never_picks_a_zero_or_infinite_scale(repeat, symmetric):
             assert np.isfinite(deq).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2500)])
+def test_row_search_at_float32_max_matches_the_oracle(shape):
+    """Values at float32's max reconstruct to inf at alpha 1.0, an error of
+    +inf that loses, and raise no overflow warning: on one row (the grouped
+    passes) and on a 2 x 5000 stack (the bounded path)."""
+    top = np.finfo(np.float32).max
+    stack = np.tile(np.array([[-top, top]], dtype=np.float32), shape)
+    for bits, symmetric in ((8, True), (2, True), (1, False), (8, False)):
+        want, want_err = oracles.clip_range_scalar(stack[0], bits, symmetric)
+        scale, zero, err = choose_clip_rows(stack, bits, symmetric)
+        for s, z, e in zip(scale, zero, err):
+            assert _exact(QuantParams(bits, float(s), float(z), symmetric)) == _exact(want), (bits, symmetric)
+            assert e == want_err, (bits, symmetric)
+
+
 def test_row_search_validates_the_stack():
     rows = np.ones((3, 4), dtype=np.float32)
     with pytest.raises(QuantError, match="empty"):
@@ -409,26 +430,41 @@ def test_table_rejects_negative_distortion():
 
 
 def test_table_csv_roundtrip(tmp_path):
+    # the CSV holds one row per (layer, width): each cell's MSE to 13
+    # significant digits and its rate
     t = _table("a")
     path = tmp_path / "table.csv"
     t.to_csv(path)
-    u = DistortionTable.from_csv(path)
-    assert u.kind == "a"
-    assert u.bits == t.bits
-    assert u.sizes == t.sizes
-    for i in t.layers():
-        for b in t.bits:
-            assert u.d(i, b) == pytest.approx(t.d(i, b), rel=1e-10, abs=1e-300)
-            assert u.r(i, b) == t.r(i, b)
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(int(r["layer_id"]), int(r["bits"])) for r in rows] == [(i, b) for i in t.layers() for b in t.bits]
+    for r in rows:
+        i, b = int(r["layer_id"]), int(r["bits"])
+        assert r["kind"] == "a"
+        assert float(r["mse"]) == pytest.approx(t.d(i, b), rel=1e-12, abs=1e-300)
+        assert int(r["rate_bits"]) == t.r(i, b)
 
 
-def test_table_csv_mixed_kinds_rejected(tmp_path):
-    path = tmp_path / "mixed.csv"
-    path.write_text(
-        "layer_id,bits,kind,mse,rate_bits\n1,2,w,0.5,20\n1,4,a,0.25,40\n"
-    )
-    with pytest.raises(QuantError, match="mixed"):
-        DistortionTable.from_csv(path)
+def test_table_array_is_the_dict_it_was_built_from():
+    # one float64 array holds the cells, layers ascending and widths in
+    # `bits` order; widths at 16 and above read 0 by definition
+    rng = np.random.default_rng(13)
+    sizes = {7: 5, 2: 0, 11: 3}
+    d = {(i, b): float(rng.uniform(0, 2)) for i in sizes for b in (8, 2, 16, 4)}
+    t = DistortionTable("w", (8, 2, 16, 4), sizes, d)
+    assert t.bits == (2, 4, 8, 16) and t.layers() == [2, 7, 11]
+    assert t.mse.dtype == np.float64 and t.mse.shape == (3, 4)
+    for k, i in enumerate(t.layers()):
+        assert t.row[i] == k
+        assert t.mse[k].tolist() == [d[(i, 2)], d[(i, 4)], d[(i, 8)], 0.0]
+        assert [t.d(i, b) for b in t.bits] == t.mse[k].tolist()
+        assert all(type(t.d(i, b)) is float for b in t.bits)
+    with pytest.raises(KeyError):
+        t.d(5, 2)
+    with pytest.raises(KeyError):
+        DistortionTable("w", (2, 4), {0: 1}, {(0, 2): 1.0})
+    with pytest.raises(QuantError, match="negative distortion at layer 11"):
+        DistortionTable("w", (2, 4), {2: 1, 11: 1}, {(2, 2): 1.0, (2, 4): 0.5, (11, 2): 0.1, (11, 4): -0.1})
 
 
 def test_weight_table_from_graph():
@@ -444,8 +480,9 @@ def test_weight_table_from_graph():
         else:
             sym = n.op_kind != "batchnorm"
             if sym:
-                assert t.d(i, 2) == pytest.approx(quant_mse(n.weights, 2, symmetric=True))
+                assert t.d(i, 2) == _row_mse(n.weights, 2, symmetric=True)
             assert t.d(i, 8) <= t.d(i, 2) + 1e-12
+    assert weight_distortion_table(g, (4, 16)).mse[:, 1].tolist() == [0.0] * len(t.layers())
 
 
 def test_weight_table_requires_blobs():
@@ -464,6 +501,6 @@ def test_activation_table_is_mean_over_samples(toy_graph):
 
     t = activation_distortion_table(toy_graph, calib, (2, 4, 8))
     nid = toy_graph.compute_ids()[0]
-    want = float(np.mean([quant_mse(s, 4, symmetric=False) for s in calib[nid]]))
+    want = float(np.mean([_row_mse(s, 4, symmetric=False) for s in calib[nid]]))
     assert t.d(nid, 4) == pytest.approx(want)
     assert t.sizes[nid] == toy_graph.nodes[nid].act_elements()
