@@ -399,7 +399,7 @@ def _load_selected(path, g):
         raise ConfigError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise ConfigError("corrupt selected file %s: %s" % (path, e))
-    compute = g.liveness.compute_ids
+    compute = g.compute_ids()
     try:
         n = doc["split_index"]
         if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= len(compute):
@@ -529,7 +529,7 @@ def cmd_inspect(args) -> int:
     if args.devices:
         edge, cloud, net = load_device_config(args.devices)
         B = _parse_bits(args.bits) or edge.supported_bits
-        M = int(args.memory_bytes) if args.memory_bytes is not None else edge.off_chip_bytes
+        M = _option(vars(args), "memory_bytes", _to_int, default=edge.off_chip_bytes, minimum=1)
         P = potential_splits(g, edge, net, M, B)
         bits = tx_bits_at_min(g, B)
         splits = []

@@ -20,6 +20,7 @@ the same code.
 from __future__ import annotations
 
 import json
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -51,8 +52,8 @@ class DeviceProfile:
         # a tuple keeps the profile hashable: split_latency caches per profile
         object.__setattr__(self, "supported_bits", tuple(self.supported_bits))
         for f in ("off_chip_bytes", "bandwidth_bytes_per_s", "peak_ops_per_s", "mac_bits"):
-            if getattr(self, f) <= 0:
-                raise ConfigError("%s: %s must be positive" % (self.name, f))
+            if not 0 < getattr(self, f) < math.inf:
+                raise ConfigError("%s: %s must be positive and finite, not %r" % (self.name, f, getattr(self, f)))
         if not self.supported_bits:
             raise ConfigError("%s: supported_bits must be non-empty" % self.name)
         if list(self.supported_bits) != sorted(set(int(b) for b in self.supported_bits)):
@@ -67,10 +68,10 @@ class NetworkProfile:
     fixed_rtt_s: float = 0.0
 
     def __post_init__(self):
-        if self.uplink_bits_per_s <= 0:
-            raise ConfigError("uplink rate must be positive")
-        if self.fixed_rtt_s < 0:
-            raise ConfigError("rtt cannot be negative")
+        if not 0 < self.uplink_bits_per_s < math.inf:
+            raise ConfigError("uplink_bits_per_s must be positive and finite, not %r" % self.uplink_bits_per_s)
+        if not 0 <= self.fixed_rtt_s < math.inf:
+            raise ConfigError("fixed_rtt_s must be non-negative and finite, not %r" % self.fixed_rtt_s)
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ class LatencyTable:
     """
 
     def __init__(self, g: LayerGraph, d: DeviceProfile):
-        nodes = [g.nodes[i] for i in g.liveness.compute_ids]
+        nodes = [g.nodes[i] for i in g.compute_ids()]
         self.device = d
         self.widths = np.array(sorted(set(d.supported_bits) | {16}), dtype=np.int64)
         ops = np.array([layer_ops(n, g) for n in nodes], dtype=np.float64)[:, None, None]
@@ -197,7 +198,7 @@ def latency_table(g: LayerGraph, d: DeviceProfile) -> LatencyTable:
 
 
 def _split(g: LayerGraph, n: int) -> int:
-    if not 0 <= n <= len(g.liveness.compute_ids):
+    if not 0 <= n <= len(g.compute_ids()):
         raise GraphError("split index %d out of range" % n)
     return n
 
@@ -260,7 +261,7 @@ def split_latency(
     net: NetworkProfile,
 ) -> LatencyBreakdown:
     """`split_latencies` of one plan given as node id -> width mappings."""
-    edge_ids = g.liveness.compute_ids[: _split(g, n)]
+    edge_ids = g.compute_ids()[: _split(g, n)]
     wbits = [[assignment.weight_bits[i] for i in edge_ids]]
     abits = [[assignment.act_bits[i] for i in edge_ids]]
     return split_latencies(g, n, wbits, abits, edge, cloud, net)[0]

@@ -7,14 +7,13 @@ the edge device. Tensors produced by graph outputs (sink nodes) are treated as
 consumed by the outside world, so an edge-only split still has a boundary
 tensor to ship.
 
-The graph owns its execution order. Order, per-step working sets, their
-incidence matrix, the boundary cut of every split and the peak working set
-of every prefix are derived in one pass, once per graph, and cached on it
-(`LayerGraph.liveness`); positions and last uses are not kept. A graph is
-immutable by convention and every rewrite returns a new graph, so the cache
-cannot go stale. Code that needs the sequence calls `topological_order(g)`
-or `g.compute_ids()`. Only three functions take an `order`, and they ignore
-it (`enumerate_solutions`, `run_tcp_session`, `reference_outputs`).
+The graph owns its execution order (`topological_order(g)`,
+`g.compute_ids()`) and caches its liveness as three arrays, built on first
+use (`LayerGraph.liveness`); `compute_working_sets` and `boundary_cut`
+derive their records from one row of them. A graph is immutable by
+convention and every rewrite returns a new graph, so the cache cannot go
+stale. Only three functions take an `order`, and they ignore it
+(`enumerate_solutions`, `run_tcp_session`, `reference_outputs`).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import copy
 import functools
 import heapq
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -89,26 +87,22 @@ class WorkingSet:
 
 @dataclass(frozen=True)
 class BoundaryCut:
-    """Cached per graph and read-only by convention, like the graph."""
-
     crossing_tensors: list  # producer ids, ascending
     cut_elements: int
 
 
 @dataclass(frozen=True, eq=False)
 class Liveness:
-    """Order and liveness of one graph. `incidence[k - 1, j]` is the element
+    """Liveness of one graph's order. `incidence[k - 1, j]` is the element
     count of the tensor at topological position j (the input at 0) when it is
     live at compute step k, else 0, so the bit-weighted working set of every
     step of the n-prefix is `incidence[:n, :n + 1] @ bits`, with `bits` the
     input's width followed by the prefix layers' widths in order.
     `crossing[n, j]` is that tensor's element count when it crosses split n,
-    else 0, so the bits split n ships are `crossing[n] @ bits`."""
+    else 0, so the bits split n ships are `crossing[n] @ bits`. No tensor is
+    empty, so an entry is nonzero exactly when its tensor is live or crosses."""
 
-    compute_ids: tuple  # topological order without the input node
-    working_sets: tuple  # WorkingSet per compute step 1..N
     incidence: np.ndarray  # int64, steps x positions
-    cuts: tuple  # BoundaryCut per split 0..N
     crossing: np.ndarray  # int64, splits x positions
     peaks: tuple  # largest working set, in elements, of steps 1..n per split n (0 at n = 0)
 
@@ -293,9 +287,14 @@ class LayerGraph:
         if missing:
             raise GraphError("node %d not reachable from input" % missing[0])
 
-        # shape arithmetic, in topological order
+        # shape arithmetic, in topological order; with every weight dimension
+        # and the input's at least 1, so is every computed one
         for nid in order:
             n = self.nodes[nid]
+            if any(d < 1 for d in n.weight_shape):
+                raise GraphError(
+                    "node %d (%s): weight_shape %r has a dimension below 1" % (n.id, n.op_kind, tuple(n.weight_shape))
+                )
             in_shapes = [self.nodes[i].out_shape for i in n.inputs]
             expect = infer_out_shape(n, in_shapes)
             if tuple(n.out_shape) != expect:
@@ -326,40 +325,29 @@ class LayerGraph:
 
     def compute_ids(self) -> list:
         """Topological order without the input node."""
-        return list(self.liveness.compute_ids)
+        return self._order[1:]
 
     @functools.cached_property
     def liveness(self) -> Liveness:
         """Liveness of the topological order, built on first use.
 
         A tensor is live at step k (after running compute node k) iff it was
-        produced at a position <= k and either it was produced at k or some
-        consumer sits at a position >= k (graph outputs are consumed by the
-        outside world, position +inf). The running node's input and output
-        are both live. A tensor crosses split n iff it was produced at a
-        position <= n and some consumer sits at a position > n.
+        produced at a position <= k and its last use, its last consumer's
+        position, is >= k (a graph output's is len(order), past every step).
+        The running node's input and output are both live. A tensor crosses
+        split n iff it was produced at a position <= n and its last use is
+        > n.
         """
         order = self._order
         pos = {nid: k for k, nid in enumerate(order)}
-        last_use = {nid: max((pos[c] for c in self.consumers[nid]), default=math.inf) for nid in order}
-        elems = {nid: self.nodes[nid].act_elements() for nid in order}
-        sets, cuts, peaks = [], [], [0]
-        for k in range(len(order)):
-            if k:
-                live = [(nid, elems[nid]) for nid in order[: k + 1] if pos[nid] == k or last_use[nid] >= k]
-                sets.append(WorkingSet(step=k, live_tensors=live, total_elements=sum(e for _, e in live)))
-                peaks.append(max(peaks[-1], sets[-1].total_elements))
-            crossing = sorted(nid for nid in order[: k + 1] if last_use[nid] > k)
-            cuts.append(BoundaryCut(crossing_tensors=crossing, cut_elements=sum(elems[c] for c in crossing)))
-        incidence = np.zeros((len(sets), len(order)), dtype=np.int64)
-        for ws in sets:
-            for nid, e in ws.live_tensors:
-                incidence[ws.step - 1, pos[nid]] = e
-        crossing = np.zeros((len(cuts), len(order)), dtype=np.int64)
-        for n, cut in enumerate(cuts):
-            for c in cut.crossing_tensors:
-                crossing[n, pos[c]] = elems[c]
-        return Liveness(tuple(order[1:]), tuple(sets), incidence, tuple(cuts), crossing, tuple(peaks))
+        last = np.array([max((pos[c] for c in self.consumers[i]), default=len(order)) for i in order])
+        elems = np.array([self.nodes[i].act_elements() for i in order], dtype=np.int64)
+        k = np.arange(len(order))[:, None]  # split or step, by rows
+        produced = np.arange(len(order)) <= k
+        incidence = np.where((produced & (k <= last))[1:], elems, 0)
+        crossing = np.where(produced & (k < last), elems, 0)
+        peaks = np.maximum.accumulate(incidence.sum(axis=1)).tolist()
+        return Liveness(incidence, crossing, tuple([0] + peaks))
 
     def canonical_dump(self) -> str:
         """Deterministic structural dump (weights excluded)."""
@@ -577,13 +565,17 @@ def topological_order(g: LayerGraph) -> list:
 
 
 def compute_working_sets(g: LayerGraph) -> list:
-    """Live tensor sets per compute step; see LayerGraph.liveness."""
-    return list(g.liveness.working_sets)
+    """Live tensor sets per compute step, each in topological order, from
+    the rows of `g.liveness.incidence`; see LayerGraph.liveness."""
+    order, rows = g._order, g.liveness.incidence.tolist()
+    return [WorkingSet(k, [(order[j], e) for j, e in enumerate(row) if e], sum(row)) for k, row in enumerate(rows, 1)]
 
 
 def boundary_cut(g: LayerGraph, n: int) -> BoundaryCut:
-    """Tensors produced in the n-prefix that someone after the prefix still needs."""
-    cuts = g.liveness.cuts
-    if not 0 <= n < len(cuts):
-        raise GraphError("split index %d out of range [0, %d]" % (n, len(cuts) - 1))
-    return cuts[n]
+    """Tensors produced in the n-prefix that someone after the prefix still
+    needs, from row n of `g.liveness.crossing`."""
+    crossing = g.liveness.crossing
+    if not 0 <= n < len(crossing):
+        raise GraphError("split index %d out of range [0, %d]" % (n, len(crossing) - 1))
+    row = crossing[n].tolist()
+    return BoundaryCut(crossing_tensors=sorted(g._order[j] for j, e in enumerate(row) if e), cut_elements=sum(row))

@@ -33,7 +33,7 @@ from .cost import (
     split_latency,
 )
 from .engine import evaluate_accuracy, float_accuracy
-from .graph import LayerGraph
+from .graph import LayerGraph, compute_working_sets
 from .quantize import DistortionTable
 
 
@@ -153,20 +153,13 @@ def potential_splits(g: LayerGraph, edge: DeviceProfile, net: NetworkProfile, M_
     if bits is None:
         return []
     tx_s = bits / net.uplink_bits_per_s + net.fixed_rtt_s
-    b_min = min(B)
-    compute = g.compute_ids()
-    peaks = g.liveness.peaks
+    fits = min(B) * (_weight_prefix(g) + np.array(g.liveness.peaks, dtype=np.int64)) <= M_bytes * 8
+    return (np.flatnonzero(((tx_s <= tx_s[0]) & fits)[1:]) + 1).tolist()
 
-    weights_prefix = 0
-    out = []
-    for n in range(1, len(compute) + 1):
-        weights_prefix += g.nodes[compute[n - 1]].weight_elements()
-        if tx_s[n] > tx_s[0]:
-            continue
-        if b_min * (weights_prefix + peaks[n]) > M_bytes * 8:
-            continue
-        out.append(n)
-    return out
+
+def _weight_prefix(g: LayerGraph) -> np.ndarray:
+    """`w[n]`: the weight elements of the first n compute layers."""
+    return np.cumsum([0] + [g.nodes[i].weight_elements() for i in g.compute_ids()])
 
 
 # -- Lagrangian allocation ---------------------------------------------------------
@@ -315,12 +308,11 @@ class MultiplierPath:
         changes nothing, the reason when the menu has no such width, else
         (their columns, peak, distortion) at every probe."""
         if n not in self._crossing:
-            tensors = [c for c in g.liveness.cuts[n].crossing_tensors if c != g.input_id]
-            crossing = [self.position[c] for c in tensors]
+            crossing = np.flatnonzero(g.liveness.crossing[n, 1 : n + 1]).tolist()
             if not crossing:
                 fix = None
             elif self.packable_choice is None:
-                fix = "no transportable width for tensor %d" % min(tensors)
+                fix = "no transportable width for tensor %d" % min(self.ids[k] for k in crossing)
             else:
                 choice = self.choice[:, :n].copy()
                 choice[:, crossing] = self.packable_choice[:, crossing]
@@ -384,7 +376,7 @@ def repair_activation_assignment(table, g, n, bits, budget_bits):
     only returns choices that fit; the benchmark's tracer wraps it (ROADMAP item 1).
     """
     bits = dict(bits)
-    working = g.liveness.working_sets[:n]
+    working = compute_working_sets(g)[:n]
     ladder = {b: i for i, b in enumerate(table.bits)}
     while True:
         violating = None
@@ -481,8 +473,7 @@ def enumerate_solutions(
     apath = MultiplierPath(atable, compute)
     splits = np.array(P, dtype=np.intp)
     widths = np.array(B, dtype=np.int64)
-    w_cum = np.cumsum([0] + [g.nodes[i].weight_elements() for i in compute])
-    W = w_cum[splits, None] * widths  # splits x anchors
+    W = _weight_prefix(g)[splits, None] * widths  # splits x anchors
     A = np.array(g.liveness.peaks, dtype=np.int64)[splits, None] * widths
     room = M_bytes * 8
     pairs = W[:, :, None] + A[:, None, :] <= room  # splits x weight anchors x activation anchors
@@ -587,7 +578,7 @@ def select_solution(S, g, eval_set, A_percent: float, base_acc: float | None = N
 def float_baseline(g, edge, cloud, net):
     """Best all-16-bit split by predicted latency (no quantization), ties to
     the smaller split; every split is priced in one `split_latencies` call."""
-    N = len(g.liveness.compute_ids)
+    N = len(g.compute_ids())
     full = np.full((N + 1, N), 16, dtype=np.int64)
     breakdowns = split_latencies(g, np.arange(N + 1), full, full, edge, cloud, net)
     n = min(range(N + 1), key=lambda n: breakdowns[n].total_s)

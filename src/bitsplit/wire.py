@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import PACKABLE_BITS, crossing_bits_map, message_payload_bytes
-from .engine import _check_input, _forward, run_fake_quantized, run_fake_quantized_detailed
+from .engine import (
+    _check_input,
+    _edge_layers,
+    _fake_quantized,
+    _forward,
+    quantized_weights,
+    run_fake_quantized_detailed,
+)
 from .graph import LayerGraph, boundary_cut
 from .quantize import QuantParams, choose_clip_range, dequantize, quantize_tensor
 from .util import prod
@@ -372,12 +379,8 @@ def _drive(edge, cloud):
 
 
 def run_split_session(g: LayerGraph, x, solution, want_transcript=False):
-    """Drive edge and cloud roles over a byte channel; returns cloud outputs.
-
-    Output is bit-identical to the monolithic fake-quantized run for any input
-    whose raw tensor is exactly representable at input_bits (needed only when
-    the input itself crosses the boundary).
-    """
+    """Drive edge and cloud roles over a byte channel; returns cloud outputs,
+    bit-identical to `reference_outputs`."""
     edge_chan, cloud_chan = make_channel_pair()
 
     def edge():
@@ -428,6 +431,18 @@ def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=
 
 
 def reference_outputs(g: LayerGraph, x, solution, order=None):
-    """What a session must reproduce bitwise: the monolithic reference.
-    `order` is unused; the benchmark still passes it (ROADMAP 4b)."""
-    return run_fake_quantized(g, _check_input(g, x), solution.n, solution.assignment)
+    """What a session must reproduce bitwise: the edge prefix as
+    `run_fake_quantized` runs it, and the layers past the split in float on
+    the prefix's values. When the input crosses the split, those layers read
+    it as the edge ships it: quantized at input_bits (`_quantize_input`) and
+    dequantized. `order` is unused; the benchmark still passes it (ROADMAP 4b)."""
+    x = _check_input(g, x)
+    n, assignment = solution.n, solution.assignment
+    edge = _edge_layers(g, n, assignment)
+    qw = quantized_weights(g, edge, assignment)
+    vals = _fake_quantized(g, x[None], [g.input_id] + edge, edge, assignment, qw)
+    if g.input_id in boundary_cut(g, n).crossing_tensors:
+        q, p = _quantize_input(g, x)
+        vals[g.input_id] = dequantize(q, p)[None]
+    _forward(g, vals, g.compute_ids()[n:])
+    return [vals[i][0] for i in g.output_ids]

@@ -549,3 +549,54 @@ def test_supported_bits_outside_one_to_32_exit_2(demo_dir, tmp_path, capsys):
         demo = _edit_devices(demo_dir, tmp_path / str(bits[-1]), edge=doc["edge"])
         assert main(_solve_args(demo)) == 2, bits
         assert "supported_bits must lie in 1..32" in capsys.readouterr().err
+
+
+def test_a_weight_dimension_below_one_exits_3(demo_dir, tmp_path, capsys):
+    def zero_channels(doc):
+        conv = _first_conv(doc)
+        conv["weight_shape"][0] = 0
+        conv["out_shape"][0] = 0
+
+    assert _edit_graph(demo_dir, tmp_path, zero_channels) == 3
+    assert "has a dimension below 1" in capsys.readouterr().err
+
+
+def _edit_device_field(demo_dir, tmp_path, section, field, value):
+    doc = json.loads((demo_dir / "devices.json").read_text())
+    doc[section][field] = value
+    return _edit_devices(demo_dir, tmp_path / ("%s_%s_%s" % (section, field, value)), **{section: doc[section]})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_cloud_peak_rate_exits_2(demo_dir, tmp_path, capsys, value):
+    demo = _edit_device_field(demo_dir, tmp_path, "cloud", "peak_ops_per_s", value)
+    assert main(_solve_args(demo)) == 2
+    assert "peak_ops_per_s must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_edge_bandwidth_exits_2(demo_dir, tmp_path, capsys, value):
+    demo = _edit_device_field(demo_dir, tmp_path, "edge", "bandwidth_bytes_per_s", value)
+    assert main(_solve_args(demo)) == 2
+    assert "bandwidth_bytes_per_s must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_uplink_rate_exits_2(demo_dir, tmp_path, capsys, value):
+    demo = _edit_device_field(demo_dir, tmp_path, "network", "uplink_bps", value)
+    assert main(_solve_args(demo)) == 2
+    assert "uplink_bits_per_s must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_round_trip_exits_2(demo_dir, tmp_path, capsys, value):
+    demo = _edit_device_field(demo_dir, tmp_path, "network", "fixed_rtt_s", value)
+    assert main(_solve_args(demo)) == 2
+    assert "fixed_rtt_s must be non-negative and finite" in capsys.readouterr().err
+
+
+def test_inspect_memory_bytes_below_one_exits_2(demo_dir, capsys):
+    argv = ["inspect", "--graph", str(demo_dir / "graph.json"), "--devices", str(demo_dir / "devices.json")]
+    assert main(argv + ["--memory-bytes", "-5"]) == 2
+    assert "--memory-bytes: -5 is not an integer of at least 1" in capsys.readouterr().err
+    assert main(argv + ["--memory-bytes", "0"]) == 2

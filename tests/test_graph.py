@@ -17,6 +17,7 @@ from bitsplit.graph import (
     save_graph,
     topological_order,
 )
+from bitsplit.synth import resnet50_shapes
 from helpers import random_dag
 
 
@@ -351,25 +352,41 @@ def test_optimize_random_graphs_preserve_outputs():
 # -- working sets and cuts vs brute oracles --------------------------------------------
 
 
+def _liveness_corpus(seed):
+    """The ResNet-50 shapes and 60 random DAGs, with how many of the DAGs
+    read the input again after their first compute step (an input skip)."""
+    rng = np.random.default_rng(seed)
+    dags = [random_dag(rng, max_nodes=10) for _ in range(60)]
+    skips = sum(1 for g in dags if g.liveness.crossing[1:, 0].any())
+    return [resnet50_shapes()[0]] + dags, skips
+
+
 def test_working_sets_match_oracle():
-    rng = np.random.default_rng(101)
-    for k in range(60):
-        g = random_dag(rng, max_nodes=10)
+    graphs, skips = _liveness_corpus(101)
+    assert skips >= 10
+    for g in graphs:
         order = topological_order(g)
         sets = compute_working_sets(g)
-        assert len(sets) == len(order) - 1
-        for ws in sets:
+        assert len(sets) == len(order) - 1 == len(g.liveness.incidence)
+        peak = 0
+        assert g.liveness.peaks[0] == 0 and len(g.liveness.peaks) == len(order)
+        for ws, row in zip(sets, g.liveness.incidence.tolist()):
             want = oracles.live_ids(g, order, ws.step)
-            got = sorted(nid for nid, _ in ws.live_tensors)
-            assert got == want
+            assert [nid for nid, _ in ws.live_tensors] == [i for i in order if i in want]
+            assert all(e == g.nodes[nid].act_elements() for nid, e in ws.live_tensors)
             assert ws.total_elements == sum(g.nodes[i].act_elements() for i in want)
+            # the incidence row the search prices each step from, and the prefix peaks
+            assert row == [g.nodes[i].act_elements() if i in want else 0 for i in order]
+            peak = max(peak, ws.total_elements)
+            assert g.liveness.peaks[ws.step] == peak
 
 
 def test_boundary_cuts_match_oracle():
-    rng = np.random.default_rng(103)
-    for k in range(60):
-        g = random_dag(rng, max_nodes=10)
+    graphs, skips = _liveness_corpus(103)
+    assert skips >= 10
+    for g in graphs:
         order = topological_order(g)
+        assert len(g.liveness.crossing) == len(order)
         for n in range(len(order)):
             cut = boundary_cut(g, n)
             want = oracles.cut_ids(g, order, n)
@@ -378,6 +395,20 @@ def test_boundary_cuts_match_oracle():
             # the crossing counts split_latencies and tx_bits_at_min read
             counts = dict(zip(order, g.liveness.crossing[n].tolist()))
             assert counts == {i: g.nodes[i].act_elements() if i in want else 0 for i in order}
+
+
+def test_compute_ids_do_not_build_liveness(toy_graph):
+    g = LayerGraph(list(toy_graph.nodes.values()))
+    assert g.compute_ids() == topological_order(g)[1:]
+    assert "liveness" not in vars(g)
+
+
+@pytest.mark.parametrize("weight_shape", [(0, 4), (-1, 4), (3, 0)])
+def test_a_dimension_below_one_is_a_graph_error(weight_shape):
+    # a tensor with no elements would be neither live nor crossing
+    fc = LayerNode(1, "fc", weight_shape=weight_shape, out_shape=(weight_shape[0],), inputs=[0])
+    with pytest.raises(GraphError, match=r"node 1 \(fc\): weight_shape .* has a dimension below 1"):
+        LayerGraph([LayerNode(0, "input", out_shape=(4,)), fc])
 
 
 def test_cut_of_full_prefix_is_outputs_only():

@@ -361,6 +361,30 @@ def test_sessions_on_random_graphs():
             assert np.array_equal(a, b)
 
 
+def test_sessions_that_ship_the_input_replay_exactly():
+    # an input off the 8-bit grid: the edge ships it quantized, so the
+    # reference's layers past the split read it as shipped; where the input
+    # does not cross, the reference is the monolithic fake-quantized run
+    rng = np.random.default_rng(31)
+    shipped = 0
+    for _ in range(12):
+        g = random_dag(rng, max_nodes=10)
+        x = rng.standard_normal(g.nodes[g.input_id].out_shape).astype(np.float32)
+        for n in range(1, len(g.compute_ids()) + 1):
+            sol = make_sol(n, random_assignment(g, n, rng))
+            want = reference_outputs(g, x, sol)
+            if g.input_id in boundary_cut(g, n).crossing_tensors:
+                runner = run_tcp_session if shipped == 0 else run_split_session
+                got = runner(g, x, sol)
+                shipped += 1
+            else:
+                got = engine.run_fake_quantized(g, x, n, sol.assignment)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+    assert shipped >= 5
+
+
 @pytest.mark.parametrize("n", [0, 3])
 def test_sessions_take_one_input_not_a_stack(toy_graph, n):
     rng = np.random.default_rng(13)
