@@ -55,11 +55,11 @@ from .search import (
     potential_splits,
     enumerate_solutions,
     select_solution,
-    solution_sort_key,
     tx_bits_at_min,
 )
 from .synth import TOY_MEMORY_BYTES, make_eval_set, make_toy_classifier, table1_device_config, toy_device_config
 from .tensorio import BlobError
+from .util import to_int
 from .wire import WireError, reference_outputs, run_split_session, run_tcp_session
 
 
@@ -75,11 +75,9 @@ def _pct(x: float) -> str:
     return "%.6f" % float(x)
 
 
-def _hist(bits_map: dict) -> str:
-    if not bits_map:
-        return "-"
-    c = Counter(bits_map.values())
-    return "+".join("%dx%d" % (b, c[b]) for b in sorted(c))
+def _hist(widths) -> str:
+    c = Counter(widths)
+    return "+".join("%dx%d" % (b, c[b]) for b in sorted(c)) or "-"
 
 
 def _shape(s) -> str:
@@ -126,14 +124,6 @@ def _require(cfg, names):
         raise ConfigError("missing required option(s): %s" % ", ".join("--" + n.replace("_", "-") for n in missing))
 
 
-def _to_int(value) -> int:
-    """An int from a config value: an int, an integral float or a numeric
-    string; a bool or anything else raises ValueError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
-    return int(value)
-
-
 def _to_float(value) -> float:
     """A finite float from a config value; a bool or anything else raises ValueError."""
     if isinstance(value, bool):
@@ -161,7 +151,7 @@ def _option(cfg, key, convert, default=None, minimum=None, maximum=None):
     if maximum is not None:
         bound = " in %s..%s" % (minimum, maximum)
     raise ConfigError("--%s: %r is not %s%s" % (
-        key.replace("_", "-"), value, "an integer" if convert is _to_int else "a finite number", bound,
+        key.replace("_", "-"), value, "an integer" if convert is to_int else "a finite number", bound,
     ))
 
 
@@ -171,7 +161,7 @@ def _parse_bits(value):
         return None
     try:
         if isinstance(value, list):
-            bits = {_to_int(b) for b in value}
+            bits = {to_int(b) for b in value}
         else:
             bits = {int(t) for t in str(value).split(",") if t.strip()}
     except (TypeError, ValueError, OverflowError):
@@ -215,11 +205,15 @@ def _load_labelled_eval(dirpath, g):
 def cmd_solve(args) -> int:
     cfg = _merge_config(args, _SOLVE_KEYS)
     _require(cfg, ["graph", "devices", "memory_bytes", "eval_dir"])
+    for key in ("graph", "devices", "eval_dir", "out"):
+        # open(0) would read stdin: a path must be a string
+        if not isinstance(cfg[key], (str, type(None))):
+            raise ConfigError("--%s: %r is not a path string" % (key.replace("_", "-"), cfg[key]))
     out_dir = cfg["out"] or "bitsplit_out"
     A = _option(cfg, "accuracy_drop", _to_float, default=1.0, minimum=0.0)
-    calib_n = _option(cfg, "calib", _to_int, default=8, minimum=1)
-    seed = _option(cfg, "seed", _to_int, default=0)
-    M = _option(cfg, "memory_bytes", _to_int, minimum=1)
+    calib_n = _option(cfg, "calib", to_int, default=8, minimum=1)
+    seed = _option(cfg, "seed", to_int, default=0)
+    M = _option(cfg, "memory_bytes", to_int, minimum=1)
     distortion_cap = _option(cfg, "distortion_cap", _to_float)
 
     edge, cloud, net = load_device_config(cfg["devices"])
@@ -246,8 +240,8 @@ def cmd_solve(args) -> int:
         raise InfeasibleError("only the cloud-only sentinel meets the %.4f%% accuracy limit" % A)
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_solutions_csv(os.path.join(out_dir, "solutions.csv"), S, compute)
-    _write_tradeoff_csv(os.path.join(out_dir, "tradeoff.csv"), S, compute)
+    _write_solutions_csv(os.path.join(out_dir, "solutions.csv"), S)
+    _write_tradeoff_csv(os.path.join(out_dir, "tradeoff.csv"), S)
     sel_doc = _selected_doc(g, chosen, A, B, M, seed)
     with open(os.path.join(out_dir, "selected.json"), "w") as f:
         json.dump(sel_doc, f, indent=2, sort_keys=True)
@@ -266,28 +260,29 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _write_solutions_csv(path, S, compute):
+def _write_solutions_csv(path, S):
+    """Every plan of the set `S`, formatted from its columns in selection
+    order; a drop only where a built row records one."""
     header = (
         "split_index,weight_bits,act_bits,edge_s,transmit_s,cloud_s,total_s,"
         "weight_bytes,act_bytes,total_distortion,accuracy_drop_percent"
     )
     lines = [header]
-    for sol in sorted(S, key=lambda s: solution_sort_key(s, compute)):
-        drop = sol.accuracy_drop
-        br = sol.breakdown
+    n = S.n.tolist()
+    latency = [c.tolist() for c in (S.edge_s, S.transmit_s, S.cloud_s, S.total_s)]
+    weight_bytes, act_bytes, distortion = S.weight_bytes.tolist(), S.act_bytes.tolist(), S.distortion.tolist()
+    for r in S.order().tolist():
+        drop = S.recorded_drop(r)
         lines.append(
             ",".join(
                 [
-                    str(sol.n),
-                    _hist(sol.assignment.weight_bits),
-                    _hist(sol.assignment.act_bits),
-                    _f(br.edge_s),
-                    _f(br.transmit_s),
-                    _f(br.cloud_s),
-                    _f(br.total_s),
-                    "%.3f" % sol.edge_weight_bytes,
-                    "%.3f" % sol.edge_act_bytes,
-                    _f(sol.total_distortion),
+                    str(n[r]),
+                    _hist(S.weight_bits[r, : n[r]].tolist()),
+                    _hist(S.act_bits[r, : n[r]].tolist()),
+                    *(_f(c[r]) for c in latency),
+                    "%.3f" % weight_bytes[r],
+                    "%.3f" % act_bytes[r],
+                    _f(distortion[r]),
                     "" if drop is None else _pct(100.0 * drop),
                 ]
             )
@@ -296,20 +291,16 @@ def _write_solutions_csv(path, S, compute):
         f.write("\n".join(lines) + "\n")
 
 
-def _write_tradeoff_csv(path, S, compute):
-    sentinel_total = next(s for s in S if s.is_sentinel).breakdown.total_s
+def _write_tradeoff_csv(path, S):
+    """Each measured plan's drop against its latency relative to the
+    cloud-only sentinel (row 0 of `S`), deduplicated."""
+    n, total = S.n.tolist(), S.total_s.tolist()
     rows = {}
-    for sol in sorted(S, key=lambda s: solution_sort_key(s, compute)):
-        drop = sol.accuracy_drop
+    for r in S.order().tolist():
+        drop = S.recorded_drop(r)
         if drop is None:
             continue
-        row = (
-            _pct(100.0 * drop),
-            _f(sol.breakdown.total_s / sentinel_total),
-            str(sol.n),
-            _f(sol.breakdown.total_s),
-        )
-        rows[row] = None
+        rows[(_pct(100.0 * drop), _f(total[r] / total[0]), str(n[r]), _f(total[r]))] = None
     lines = ["accuracy_drop_percent,normalized_latency,split_index,total_s"]
     lines += [",".join(r) for r in sorted(rows, key=lambda r: (float(r[0]), float(r[1]), int(r[2])))]
     with open(path, "w") as f:
@@ -376,7 +367,8 @@ def _summary_text(g, edge, cloud, net, M, B, eval_set, base_acc, stats, S, chose
                                             ("edge-only" if chosen.n == len(compute) else "split")),
         "  total %s s = edge %s + transmit %s + cloud %s"
         % (_f(br.total_s), _f(br.edge_s), _f(br.transmit_s), _f(br.cloud_s)),
-        "  weight bits %s, activation bits %s" % (_hist(chosen.assignment.weight_bits), _hist(chosen.assignment.act_bits)),
+        "  weight bits %s, activation bits %s"
+        % (_hist(chosen.assignment.weight_bits.values()), _hist(chosen.assignment.act_bits.values())),
         "  edge memory: %.3f weight + %.3f activation bytes <= %d"
         % (chosen.edge_weight_bytes, chosen.edge_act_bytes, M),
         "  distortion %s; accuracy drop %s%% (limit %s%%)"
@@ -454,7 +446,7 @@ def _plan_widths(bits, ids, name) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    limit = _option(vars(args), "limit", _to_int, minimum=1)
+    limit = _option(vars(args), "limit", to_int, minimum=1)
     g = optimize_graph(load_graph(args.graph))
     plan = _load_selected(args.selected, g)
     inputs = load_eval_dir(args.eval_dir).inputs[:limit]
@@ -529,7 +521,7 @@ def cmd_inspect(args) -> int:
     if args.devices:
         edge, cloud, net = load_device_config(args.devices)
         B = _parse_bits(args.bits) or edge.supported_bits
-        M = _option(vars(args), "memory_bytes", _to_int, default=edge.off_chip_bytes, minimum=1)
+        M = _option(vars(args), "memory_bytes", to_int, default=edge.off_chip_bytes, minimum=1)
         P = potential_splits(g, edge, net, M, B)
         bits = tx_bits_at_min(g, B)
         splits = []
@@ -591,7 +583,7 @@ def cmd_profile(args) -> int:
 
     if args.eval_dir:
         eval_set = _load_labelled_eval(args.eval_dir, g)
-        calib_n = _option(vars(args), "calib", _to_int, default=8, minimum=1)
+        calib_n = _option(vars(args), "calib", to_int, default=8, minimum=1)
         calib = calibrate_activations(g, eval_set.inputs, max_samples=calib_n)
         atable = activation_distortion_table(g, calib, B)
         apath = os.path.join(out_dir, "act_distortion.csv")
@@ -608,8 +600,8 @@ def cmd_profile(args) -> int:
 def cmd_make_demo(args) -> int:
     out = args.out or "demo"
     seed = 0 if args.seed is None else int(args.seed)
-    per_class = _option(vars(args), "per_class", _to_int, default=20, minimum=1)
-    noise = _option(vars(args), "noise", _to_int, default=60, minimum=0, maximum=255)
+    per_class = _option(vars(args), "per_class", to_int, default=20, minimum=1)
+    noise = _option(vars(args), "noise", to_int, default=60, minimum=0, maximum=255)
 
     os.makedirs(out, exist_ok=True)
     g = make_toy_classifier(seed)

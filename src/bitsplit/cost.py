@@ -9,12 +9,13 @@ that crosses the split boundary; graph outputs count as crossing so an
 edge-only split still ships its result.
 
 Plans are priced by `split_latencies`, any number at any splits at once,
-from one `LatencyTable` per (graph, profile): the latency of every
-(layer, weight width, activation width), priced whole when the table is
-built, and the 16-bit prefix and suffix sums the cloud side reads. The
-elements each split ships come from the graph (`g.liveness.crossing`).
-`split_latency` prices one plan given as node id -> width mappings through
-the same code.
+into five float64 columns (the `LatencyBreakdown` fields), from one
+`LatencyTable` per (graph, profile): the latency of every (layer, weight
+width, activation width), priced whole when the table is built and read
+through a width -> column lookup array, and the 16-bit prefix and suffix
+sums the cloud side reads. The elements each split ships come from the
+graph (`g.liveness.crossing`). `split_latency` prices one plan given as
+node id -> width mappings through the same code, as one `LatencyBreakdown`.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (
+    PACKABLE_BITS,
     BoundaryCut,
     GraphError,
     LayerGraph,
     WEIGHTED_OPS,
 )
-from .util import ceil_div, prod
+from .util import ceil_div, prod, to_int
 
 
 class ConfigError(ValueError):
@@ -121,9 +123,6 @@ def _check_bits(d: DeviceProfile, bits: int):
         raise ConfigError("unsupported bit-width %d for device %s" % (bits, d.name))
 
 
-PACKABLE_BITS = (1, 2, 4, 8)  # the widths the wire layer can pack
-
-
 def message_payload_bytes(elements: int, bits: int) -> int:
     """Exact packed payload size; what the wire layer actually ships."""
     return ceil_div(elements * bits, 8)
@@ -147,7 +146,8 @@ class LatencyTable:
     and a-th width of `widths` (the device's widths and 16): the larger of
     ops / peak, slowed by max(w, a) / mac_bits above 1, and the weight bits
     at w plus the input and output bits at a over the bandwidth. Every cell
-    is priced here, in one array expression. The 16-bit latencies summed
+    is priced here, in one array expression. `column[b]` is width b's index
+    in `widths`, -1 when the device cannot run b. The 16-bit latencies summed
     left to right give `prefix[n]` over the first n layers and `suffix[n]`
     from layer n to the end, each from 0.0, so they equal a loop over the
     layers.
@@ -157,6 +157,10 @@ class LatencyTable:
         nodes = [g.nodes[i] for i in g.compute_ids()]
         self.device = d
         self.widths = np.array(sorted(set(d.supported_bits) | {16}), dtype=np.int64)
+        # int16 holds any cell of a layer (33 widths at most), and gathers
+        # faster than intp
+        self.column = np.full(self.widths[-1] + 2, -1, dtype=np.int16)
+        self.column[self.widths] = np.arange(len(self.widths))
         ops = np.array([layer_ops(n, g) for n in nodes], dtype=np.float64)[:, None, None]
         weights = np.array([n.weight_elements() for n in nodes], dtype=np.int64)[:, None, None]
         acts = np.array(
@@ -166,7 +170,7 @@ class LatencyTable:
         compute_s = ops / d.peak_ops_per_s * np.maximum(1.0, np.maximum(w, a) / d.mac_bits)
         memory_s = (weights * w + acts * a) / 8.0 / d.bandwidth_bytes_per_s
         self.edge = np.maximum(compute_s, memory_s)
-        k16 = int(np.searchsorted(self.widths, 16))
+        k16 = self.column[16]
         c = self.edge[:, k16, k16]
         N = len(c)
         self.prefix = np.add.accumulate(np.concatenate([[0.0], c]))
@@ -175,16 +179,21 @@ class LatencyTable:
 
     def edge_latencies(self, wbits, abits, live) -> np.ndarray:
         """Latency of each layer at the widths in the k x n arrays `wbits`
-        and `abits`, 0.0 where the boolean `live` is False; a live width the
-        device cannot run raises ConfigError."""
-        wcol = np.minimum(np.searchsorted(self.widths, wbits), len(self.widths) - 1)
-        acol = np.minimum(np.searchsorted(self.widths, abits), len(self.widths) - 1)
-        bad = ((self.widths[wcol] != wbits) | (self.widths[acol] != abits)) & live
+        and `abits`, read where the boolean `live` is True; a live width the
+        device cannot run raises ConfigError. Elsewhere an entry holds some
+        cell of the table, so a prefix sum up to the first non-live entry
+        is exact."""
+        top = len(self.column) - 1  # every width above the widest maps here, to -1
+        wcol = self.column.take(np.clip(wbits, 0, top))
+        acol = self.column.take(np.clip(abits, 0, top))
+        bad = ((wcol < 0) | (acol < 0)) & live
         if bad.any():
             r, k = np.argwhere(bad)[0]
             _check_bits(self.device, int(wbits[r, k]))
             _check_bits(self.device, int(abits[r, k]))
-        return np.where(live, self.edge[np.arange(wbits.shape[1]), wcol, acol], 0.0)
+        W = len(self.widths)
+        cell = wcol * W + acol + np.arange(wbits.shape[1]) * (W * W)  # the flat index of edge[k, wcol, acol]
+        return self.edge.take(cell, mode="clip")
 
 
 _LATENCY_TABLES = weakref.WeakKeyDictionary()  # graph -> {profile: LatencyTable}
@@ -211,16 +220,18 @@ def split_latencies(
     edge: DeviceProfile,
     cloud: DeviceProfile,
     net: NetworkProfile,
-) -> list:
-    """Breakdowns of k plans, one per row of the width arrays `wbits` and
-    `abits` (compute layers in order). Plan r splits at `n[r]`, or at `n`
-    for all of them, and only its first n[r] widths are read.
+) -> tuple:
+    """The latency of k plans, one per row of the width arrays `wbits` and
+    `abits` (compute layers in order), as five float64 columns of k:
+    `edge_s`, `transmit_s`, `cloud_s`, `total_s` and `relative_s`, the
+    `LatencyBreakdown` fields. Plan r splits at `n[r]`, or at `n` for all of
+    them, and only its first n[r] widths are read.
 
     Edge latencies are summed left to right from 0.0 in compute order, the
     cloud's from layer n to the end (never a total minus a prefix), and the
     crossing tensors' bits stay integers until the one division, so each
-    breakdown equals the scalar per-layer loop to the last bit. Crossing
-    tensors ship at the widths `crossing_bits_map` gives: the input at
+    row equals the scalar per-layer loop to the last bit. Crossing tensors
+    ship at the widths `crossing_bits_map` gives: the input at
     `input_bits`, every other at its activation width.
     """
     wbits = np.asarray(wbits, dtype=np.int64)
@@ -237,19 +248,10 @@ def split_latencies(
     np.add.accumulate(lat, axis=1, out=acc[:, 1:])
     edge_s = acc[np.arange(k), n]
     crossing = g.liveness.crossing[n]  # a split's crossing tensors all sit in its prefix
-    tx_bits = (abits * crossing[:, 1 : width + 1]).sum(axis=1) + crossing[:, 0] * g.input_bits
+    tx_bits = np.einsum("ij,ij->i", abits, crossing[:, 1 : width + 1]) + crossing[:, 0] * g.input_bits
     transmit_s = tx_bits / net.uplink_bits_per_s + net.fixed_rtt_s
     cloud_s = ct.suffix[n]
-    return list(
-        map(
-            LatencyBreakdown,
-            edge_s.tolist(),
-            transmit_s.tolist(),
-            cloud_s.tolist(),
-            (edge_s + transmit_s + cloud_s).tolist(),
-            (edge_s + transmit_s - ct.prefix[n]).tolist(),
-        )
-    )
+    return edge_s, transmit_s, cloud_s, edge_s + transmit_s + cloud_s, edge_s + transmit_s - ct.prefix[n]
 
 
 def split_latency(
@@ -264,7 +266,7 @@ def split_latency(
     edge_ids = g.compute_ids()[: _split(g, n)]
     wbits = [[assignment.weight_bits[i] for i in edge_ids]]
     abits = [[assignment.act_bits[i] for i in edge_ids]]
-    return split_latencies(g, n, wbits, abits, edge, cloud, net)[0]
+    return LatencyBreakdown(*(c.item(0) for c in split_latencies(g, n, wbits, abits, edge, cloud, net)))
 
 
 # -- memory ----------------------------------------------------------------------
@@ -281,19 +283,30 @@ def activation_memory_bits(g: LayerGraph, n: int, act_bits: dict) -> int:
 
 
 def _device_from_dict(d: dict, fallback_name: str) -> DeviceProfile:
-    try:
-        return DeviceProfile(
-            name=str(d.get("name", fallback_name)),
-            off_chip_bytes=int(d["off_chip_bytes"]),
-            bandwidth_bytes_per_s=float(d["bandwidth_bytes_per_s"]),
-            peak_ops_per_s=float(d["peak_ops_per_s"]),
-            mac_bits=int(d.get("mac_bits", 8)),
-            supported_bits=tuple(int(b) for b in d.get("supported_bits", (2, 4, 8))),
-        )
-    except KeyError as e:
-        raise ConfigError("device %s: missing field %s" % (fallback_name, e))
-    except (TypeError, ValueError) as e:
-        raise ConfigError("device %s: %s" % (fallback_name, e))
+    def field(key, convert, what, default=None):
+        value = d.get(key, default)
+        if value is None:
+            raise ConfigError("device %s: missing field %r" % (fallback_name, key))
+        try:
+            if isinstance(value, bool):  # JSON true is no number
+                raise ValueError(value)
+            return convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("device %s: %s %r is not %s" % (fallback_name, key, value, what))
+
+    def bit_list(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError(value)
+        return tuple(to_int(b) for b in value)
+
+    return DeviceProfile(
+        name=str(d.get("name", fallback_name)),
+        off_chip_bytes=field("off_chip_bytes", to_int, "an integer"),
+        bandwidth_bytes_per_s=field("bandwidth_bytes_per_s", float, "a number"),
+        peak_ops_per_s=field("peak_ops_per_s", float, "a number"),
+        mac_bits=field("mac_bits", to_int, "an integer", default=8),
+        supported_bits=field("supported_bits", bit_list, "a list of integers", default=[2, 4, 8]),
+    )
 
 
 def load_device_config(path):

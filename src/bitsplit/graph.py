@@ -47,6 +47,7 @@ OP_KINDS = (
 WEIGHTED_OPS = ("conv", "depthwise_conv", "pointwise_conv", "fc")
 
 BN_EPS = 1e-5
+PACKABLE_BITS = (1, 2, 4, 8)  # the widths the wire layer can pack
 
 
 class GraphError(ValueError):
@@ -386,8 +387,9 @@ def graph_from_dict(doc: dict, base_dir: str = ".") -> LayerGraph:
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise GraphError("graph document must be an object with a 'nodes' list")
     bits = doc.get("input_bits", 8)
-    if type(bits) is not int or not 1 <= bits <= 32:
-        raise GraphError("input_bits must be an integer from 1 to 32, not %r" % (bits,))
+    if type(bits) is not int or bits not in PACKABLE_BITS:
+        raise GraphError("input_bits must be a width the wire can ship, one of %s, not %r"
+                         % (", ".join(map(str, PACKABLE_BITS)), bits))
     nodes = []
     for row in doc["nodes"]:
         try:

@@ -11,26 +11,30 @@ No bisection runs and no split is read on its own: one `MultiplierPath.read`
 per table takes, for every (split, anchor) at once, the first probe whose
 prefix measure fits, from arrays the path builds once. The kept candidates
 of all splits are deduplicated on their width arrays and priced in one
-`split_latencies` pass, from one latency table per (graph, profile). Each
-plan holds its widths as read-only arrays behind node-id mappings
-(`Widths`). The solution list always starts with the cloud-only sentinel,
-so selection under an accuracy threshold cannot fail.
+`split_latencies` pass, from one latency table per (graph, profile).
+
+The plans stay columns (`PlanSet`): splits, width arrays, latency,
+distortion and memory, one row per plan, the cloud-only sentinel first, so
+selection under an accuracy threshold cannot fail. Selection orders the rows
+with one `np.lexsort` and builds a plan's record (`SplitSolution`, its
+widths `Widths` views over the rows) only for the rows it reaches.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
-from dataclasses import dataclass
+import operator
+from collections.abc import Mapping, Sequence
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .cost import (
     PACKABLE_BITS,
     DeviceProfile,
+    LatencyBreakdown,
     NetworkProfile,
     split_latencies,
-    split_latency,
 )
 from .engine import evaluate_accuracy, float_accuracy
 from .graph import LayerGraph, compute_working_sets
@@ -110,6 +114,105 @@ class SplitSolution:
     @property
     def is_sentinel(self) -> bool:
         return self.n == 0
+
+
+class PlanSet(Sequence):
+    """Every plan of one enumeration as columns, one row per plan, read-only.
+
+    `n[r]` is row r's split. `weight_bits[r]` and `act_bits[r]` are its
+    widths over the compute layers in order, of which the first n[r] are the
+    plan's. `edge_s`, `transmit_s`, `cloud_s`, `total_s` and `relative_s`
+    are its predicted latency (`split_latencies`), `distortion` its summed
+    distortion, and `weight_bytes` and `act_bytes` its edge memory.
+
+    Indexing builds row r's `SplitSolution`, its widths `Widths` views over
+    the rows, on first access and keeps it: `S[r] is S[r]`, and a drop
+    recorded on it stays. Slices are lists of the same objects. An
+    enumerated set holds the cloud-only sentinel at row 0, built at once;
+    `from_solutions` makes a set whose rows are given solutions.
+    """
+
+    def __init__(self, position, n, weight_bits, act_bits, latency, distortion, weight_bytes, act_bytes, rows=None):
+        self.position = position  # compute id -> its column
+        self.n = n
+        self.weight_bits = weight_bits
+        self.act_bits = act_bits
+        self.latency = latency
+        self.edge_s, self.transmit_s, self.cloud_s, self.total_s, self.relative_s = latency
+        self.distortion = distortion
+        self.weight_bytes = weight_bytes
+        self.act_bytes = act_bytes
+        for column in (n, weight_bits, act_bits, *latency, distortion, weight_bytes, act_bytes):
+            column.flags.writeable = False
+        if rows is None:
+            rows = {0: SplitSolution(0, EMPTY_ASSIGNMENT, self.breakdown(0), 0.0, 0.0, 0.0, accuracy_drop=0.0)}
+        self._rows = rows
+        self._order = None
+
+    @classmethod
+    def from_solutions(cls, g: LayerGraph, solutions) -> "PlanSet":
+        """The set whose rows, in order, are `solutions` themselves."""
+        compute = g.compute_ids()
+        n = np.array([s.n for s in solutions], dtype=np.intp)
+        wbits = np.zeros((len(n), len(compute)), dtype=np.int64)
+        abits = np.zeros_like(wbits)
+        for r, s in enumerate(solutions):
+            wbits[r, : s.n] = [s.assignment.weight_bits[i] for i in compute[: s.n]]
+            abits[r, : s.n] = [s.assignment.act_bits[i] for i in compute[: s.n]]
+        floats = np.array(
+            [astuple(s.breakdown) + (s.total_distortion, s.edge_weight_bytes, s.edge_act_bytes) for s in solutions],
+            dtype=np.float64,
+        ).reshape(-1, 8).T
+        return cls({i: k for k, i in enumerate(compute)}, n, wbits, abits, tuple(floats[:5]), *floats[5:],
+                   rows=dict(enumerate(solutions)))
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return [self[k] for k in range(*r.indices(len(self)))]
+        r = operator.index(r)
+        if not -len(self) <= r < len(self):
+            raise IndexError("plan %d of %d" % (r, len(self)))
+        r %= len(self)
+        sol = self._rows.get(r)
+        if sol is None:
+            n = self.n.item(r)
+            sol = self._rows[r] = SplitSolution(
+                n=n,
+                assignment=BitAssignment(
+                    weight_bits=Widths(self.position, self.weight_bits[r, :n]),
+                    act_bits=Widths(self.position, self.act_bits[r, :n]),
+                ),
+                breakdown=self.breakdown(r),
+                total_distortion=self.distortion.item(r),
+                edge_weight_bytes=self.weight_bytes.item(r),
+                edge_act_bytes=self.act_bytes.item(r),
+            )
+        return sol
+
+    def breakdown(self, r: int) -> LatencyBreakdown:
+        return LatencyBreakdown(*(c.item(r) for c in self.latency))
+
+    def recorded_drop(self, r: int):
+        """Row r's measured accuracy drop; None when it has none or was never built."""
+        sol = self._rows.get(r)
+        return None if sol is None else sol.accuracy_drop
+
+    def order(self) -> np.ndarray:
+        """Row indices in selection order: by total latency, then split,
+        then total bits, then the (weight, activation) widths layer by
+        layer. Rows of one split have widths of one length, so the widths
+        compare as the plans' key tuples do. `np.lexsort` is stable, so
+        full ties keep row order."""
+        if self._order is None:
+            live = np.arange(self.weight_bits.shape[1]) < self.n[:, None]
+            widths = np.empty((2 * live.shape[1], len(self)), dtype=np.int64)  # interleaved, layer by layer
+            widths[0::2] = np.where(live, self.weight_bits, 0).T
+            widths[1::2] = np.where(live, self.act_bits, 0).T
+            self._order = np.lexsort((*widths[::-1], widths.sum(axis=0), self.n, self.total_s))
+        return self._order
 
 
 @dataclass
@@ -449,17 +552,6 @@ def enumerate_solutions(
                 % (wtable.sizes.get(i), i, g.nodes[i].weight_elements())
             )
 
-    sentinel = SplitSolution(
-        n=0,
-        assignment=EMPTY_ASSIGNMENT,
-        breakdown=split_latency(g, 0, EMPTY_ASSIGNMENT, edge, cloud, net),
-        total_distortion=0.0,
-        edge_weight_bytes=0.0,
-        edge_act_bytes=0.0,
-        accuracy_drop=0.0,
-    )
-    S = [sentinel]
-
     P = potential_splits(g, edge, net, M_bytes, B)
     stats = SearchStats(
         potential=P,
@@ -509,25 +601,23 @@ def enumerate_solutions(
         rw, ra, distortion = rw[under], ra[under], distortion[under]
     stats.pairs_kept = len(rw)
 
-    # one pricing pass; each plan's widths are row views of these two arrays
-    ns = wr.splits[rw]
-    wbits, abits = wr.widths[rw], ar.widths[ra]
-    wbits.flags.writeable = abits.flags.writeable = False
-    breakdowns = split_latencies(g, ns, wbits, abits, edge, cloud, net)
-    position = wpath.position
-    for n, w, a, br, dist, wu, au in zip(
-        ns.tolist(), wbits, abits, breakdowns, distortion.tolist(), wr.used[rw].tolist(), ar.used[ra].tolist()
-    ):
-        S.append(
-            SplitSolution(
-                n=n,
-                assignment=BitAssignment(weight_bits=Widths(position, w[:n]), act_bits=Widths(position, a[:n])),
-                breakdown=br,
-                total_distortion=dist,
-                edge_weight_bytes=wu / 8.0,
-                edge_act_bytes=au / 8.0,
-            )
-        )
+    # one pricing pass over every plan, the sentinel first: it splits at 0,
+    # so none of its widths is read, and it has no distortion or edge memory
+    ns = np.concatenate([[0], wr.splits[rw]])
+    wbits = np.zeros((len(ns), len(compute)), dtype=np.int64)
+    abits = np.zeros_like(wbits)
+    np.take(wr.widths, rw, axis=0, out=wbits[1:])
+    np.take(ar.widths, ra, axis=0, out=abits[1:])
+    S = PlanSet(
+        wpath.position,
+        ns,
+        wbits,
+        abits,
+        split_latencies(g, ns, wbits, abits, edge, cloud, net),
+        np.concatenate([[0.0], distortion]),
+        np.concatenate([[0.0], wr.used[rw] / 8.0]),
+        np.concatenate([[0.0], ar.used[ra] / 8.0]),
+    )
     if len(B) >= 2:
         assert stats.solve_count <= stats.solve_bound, "allocator call budget exceeded"
     return S, stats
@@ -545,25 +635,20 @@ def _width_keys(reads: PathReads) -> list:
 # -- selection ---------------------------------------------------------------------
 
 
-def solution_sort_key(sol: SplitSolution, compute_ids):
-    return (
-        sol.breakdown.total_s,
-        sol.n,
-        sol.assignment.total_bits(),
-        sol.assignment.key(compute_ids[: sol.n]),
-    )
-
-
 def select_solution(S, g, eval_set, A_percent: float, base_acc: float | None = None) -> SplitSolution:
-    """First solution in predicted-latency order whose measured accuracy drop
-    stays within A. Each drop measured is recorded on its solution in S, and
-    a solution that already carries one is not measured again. The
-    sentinel's drop is 0 by definition, so this returns."""
-    if not any(s.is_sentinel for s in S):
+    """First solution in predicted-latency order (`PlanSet.order`) whose
+    measured accuracy drop stays within A. S is a `PlanSet` or a list of
+    solutions, which becomes one. Only the rows reached are built; each drop
+    measured is recorded on its solution, and a solution that already
+    carries one is not measured again. The sentinel's drop is 0 by
+    definition, so this returns."""
+    if not isinstance(S, PlanSet):
+        S = PlanSet.from_solutions(g, S)
+    if not (S.n == 0).any():
         raise ValueError("solution list is missing the cloud-only sentinel")
-    compute = g.compute_ids()
     threshold = A_percent / 100.0 + 1e-9
-    for sol in sorted(S, key=lambda s: solution_sort_key(s, compute)):
+    for r in S.order().tolist():
+        sol = S[r]
         if sol.is_sentinel:
             sol.accuracy_drop = 0.0
         elif sol.accuracy_drop is None:
@@ -580,6 +665,6 @@ def float_baseline(g, edge, cloud, net):
     the smaller split; every split is priced in one `split_latencies` call."""
     N = len(g.compute_ids())
     full = np.full((N + 1, N), 16, dtype=np.int64)
-    breakdowns = split_latencies(g, np.arange(N + 1), full, full, edge, cloud, net)
-    n = min(range(N + 1), key=lambda n: breakdowns[n].total_s)
-    return n, breakdowns[n]
+    latency = split_latencies(g, np.arange(N + 1), full, full, edge, cloud, net)
+    n = int(np.argmin(latency[3]))  # the first minimum of total_s
+    return n, LatencyBreakdown(*(c.item(n) for c in latency))

@@ -20,6 +20,14 @@ def parallel_map(fn, items) -> list:
     return [fn(x) for x in items]
 
 
+def to_int(value) -> int:
+    """An int from a config value: an int, an integral float or a numeric
+    string; a bool or anything else raises ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 

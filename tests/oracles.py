@@ -220,6 +220,17 @@ def split_latency_naive(g, order, n, assignment, edge, cloud, net):
     return (edge_s, transmit_s, cloud_s, edge_s + transmit_s + cloud_s, edge_s + transmit_s - prefix_s)
 
 
+def solution_sort_key(sol, compute_ids):
+    """The selection order as one tuple per plan: total latency, split, total
+    bits, then the (weight, activation) width pairs layer by layer."""
+    return (
+        sol.breakdown.total_s,
+        sol.n,
+        sol.assignment.total_bits(),
+        sol.assignment.key(compute_ids[: sol.n]),
+    )
+
+
 # -- exhaustive bit allocation ------------------------------------------------------
 
 

@@ -40,7 +40,6 @@ from bitsplit.search import (
     enumerate_solutions,
     potential_splits,
     select_solution,
-    solution_sort_key,
 )
 from bitsplit.synth import (
     TOY_MEMORY_BYTES,
@@ -237,7 +236,7 @@ def test_selected_latency_bounded_by_baselines(toy_graph):
             if edge_only:
                 assert chosen.breakdown.total_s <= min(s.breakdown.total_s for s in edge_only) + 1e-15
             # selection is exactly the latency argmin of the qualifying set
-            best = min(qualifying, key=lambda s: solution_sort_key(s, compute))
+            best = min(qualifying, key=lambda s: oracles.solution_sort_key(s, compute))
             assert chosen.breakdown.total_s == best.breakdown.total_s
     print(
         "PASS baselines: %d (instance, threshold) selections, none slower than "

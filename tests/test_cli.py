@@ -2,11 +2,14 @@ import glob
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bitsplit
 from bitsplit.cli import main
 from bitsplit.engine import calibrate_activations, load_eval_dir
 from bitsplit.graph import load_graph, optimize_graph
@@ -600,3 +603,66 @@ def test_inspect_memory_bytes_below_one_exits_2(demo_dir, capsys):
     assert main(argv + ["--memory-bytes", "-5"]) == 2
     assert "--memory-bytes: -5 is not an integer of at least 1" in capsys.readouterr().err
     assert main(argv + ["--memory-bytes", "0"]) == 2
+
+
+def _solve_in_a_child_without_stdin(config):
+    """`solve --config config` in a child process whose stdin is closed, so
+    that a read of fd 0 fails at once instead of waiting on a terminal."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bitsplit.__file__)))
+    code = "import os, sys; os.close(0); from bitsplit.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, "solve", "--config", str(config)],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("graph", 0), ("graph", True), ("graph", 1.5), ("graph", [1]), ("graph", {"a": 1}),
+     ("devices", 0), ("eval_dir", 0), ("out", 0)],
+)
+def test_a_run_json_path_that_is_not_a_string_exits_2(demo_dir, tmp_path, key, value):
+    # 0 once opened fd 0 and read stdin, true fd 1; the others raised TypeError
+    cfg = json.loads((demo_dir / "run.json").read_text())
+    cfg.update({"out": str(tmp_path / "report"), key: value})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    out = _solve_in_a_child_without_stdin(path)
+    assert out.returncode == 2, out.stderr
+    assert "--%s: %r is not a path string" % (key.replace("_", "-"), value) in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("bits", [16, 3, 32])
+def test_an_input_bits_the_wire_cannot_ship_exits_3(demo_dir, tmp_path, capsys, bits):
+    # at 16 bits, `solve --bits 3,8` once chose the cloud-only plan, which
+    # ships the input, and `simulate` then refused it: "not transportable"
+    demo = _demo_copy(demo_dir, tmp_path)
+    doc = json.loads((demo / "graph.json").read_text())
+    doc["input_bits"] = bits
+    (demo / "graph.json").write_text(json.dumps(doc))
+    assert main(_solve_args(demo) + ["--bits", "3,8"]) == 3
+    assert "input_bits must be a width the wire can ship, one of 1, 2, 4, 8, not %d" % bits in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, what",
+    [("off_chip_bytes", 1.5, "an integer"), ("off_chip_bytes", True, "an integer"), ("mac_bits", 8.9, "an integer"),
+     ("supported_bits", [True, 2.7, 4, 8], "a list of integers"), ("bandwidth_bytes_per_s", True, "a number")],
+)
+def test_a_device_field_is_not_coerced(demo_dir, tmp_path, capsys, field, value, what):
+    # int() once read 1.5 and true as 1 and 8.9 as 8; [true, 2.7, 4, 8]
+    # failed as "bad bit-width 1"
+    doc = json.loads((demo_dir / "devices.json").read_text())
+    doc["edge"][field] = value
+    demo = _edit_devices(demo_dir, tmp_path, edge=doc["edge"])
+    assert main(_solve_args(demo)) == 2
+    assert "device edge: %s %r is not %s" % (field, value, what) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("off_chip_bytes", 2.0e6), ("mac_bits", "8"), ("supported_bits", [2, 4.0, 8])])
+def test_an_integral_device_field_still_loads(demo_dir, tmp_path, field, value):
+    # the rule of run.json's integer options: integral floats and numeric strings pass
+    doc = json.loads((demo_dir / "devices.json").read_text())
+    doc["edge"][field] = value
+    demo = _edit_devices(demo_dir, tmp_path, edge=doc["edge"])
+    assert main(_solve_args(demo)) == 0

@@ -26,9 +26,8 @@ from bitsplit.search import (
     potential_splits,
     repair_activation_assignment,
     select_solution,
-    solution_sort_key,
 )
-from bitsplit.synth import TOY_MEMORY_BYTES, resnet50_shapes
+from bitsplit.synth import TOY_MEMORY_BYTES, make_eval_set, make_toy_classifier, resnet50_shapes
 from bitsplit.wire import PACKABLE_BITS, reference_outputs, run_split_session
 from helpers import (
     grid_input_covering,
@@ -641,7 +640,7 @@ def test_sort_key_orders_by_latency_then_simplicity(toy_graph, toy_tables):
     S, _ = enumerate_solutions(
         toy_graph, order, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8)
     )
-    keys = [solution_sort_key(s, compute) for s in sorted(S, key=lambda s: solution_sort_key(s, compute))]
+    keys = [oracles.solution_sort_key(s, compute) for s in sorted(S, key=lambda s: oracles.solution_sort_key(s, compute))]
     assert keys == sorted(keys)
     totals = [k[0] for k in keys]
     assert totals == sorted(totals)
@@ -678,8 +677,8 @@ def test_select_prefers_fastest_qualifier(toy_graph, toy_eval, toy_tables):
     for s in S[1:]:
         s.accuracy_drop = 0.0
     chosen = select_solution(S, toy_graph, toy_eval, 0.0)
-    best = min(S, key=lambda s: solution_sort_key(s, compute))
-    assert solution_sort_key(chosen, compute)[:2] == solution_sort_key(best, compute)[:2]
+    best = min(S, key=lambda s: oracles.solution_sort_key(s, compute))
+    assert oracles.solution_sort_key(chosen, compute)[:2] == oracles.solution_sort_key(best, compute)[:2]
 
 
 def test_select_records_drops_on_solutions(toy_graph, toy_eval, toy_tables, monkeypatch):
@@ -750,3 +749,127 @@ def test_enumerate_on_random_graphs_memory_safe():
             wb = oracles.weight_bits_brute(g, order, sol.n, sol.assignment.weight_bits)
             ab = oracles.act_peak_bits_brute(g, order, sol.n, sol.assignment.act_bits, g.input_bits)
             assert wb + ab <= M * 8
+
+
+# -- the plan set --------------------------------------------------------------------------
+
+
+def _enumerated_sets():
+    """(graph, set, profiles) triples: the toy graph and the ResNet-50
+    shapes at two budgets each, and seeded random DAGs, with synthetic
+    tables."""
+    rng = np.random.default_rng(81)
+    toy = optimize_graph(make_toy_classifier(0))
+    out = []
+    for g, profiles, budgets in [(toy, toy_profiles(), (TOY_MEMORY_BYTES, 10**6)),
+                                 (resnet50_shapes()[0], table1_profiles(), (8 << 20, 32 << 20))]:
+        wtable, atable = _graph_tables(rng, g, (2, 4, 8))
+        out += [(g, enumerate_solutions(g, None, wtable, atable, *profiles, M, B=(2, 4, 8))[0], profiles)
+                for M in budgets]
+    for _ in range(12):
+        g = random_dag(rng, max_nodes=12)
+        wtable, atable = _graph_tables(rng, g, (2, 4, 8))
+        S = enumerate_solutions(g, None, wtable, atable, *toy_profiles(), 10**9, B=(2, 4, 8))[0]
+        out.append((g, S, toy_profiles()))
+    return out
+
+
+def _oracle_order(S, g):
+    compute = g.compute_ids()
+    return sorted(range(len(S)), key=lambda r: oracles.solution_sort_key(S[r], compute))
+
+
+def test_the_lexsort_order_is_the_sort_key_order():
+    ties = 0
+    for g, S, _ in _enumerated_sets():
+        assert S.order().tolist() == _oracle_order(S, g)
+        ties += len(S) - len(set(S.total_s.tolist()))
+        # every total tied with another row's, at other splits and widths
+        rows = list(S)
+        tied = [replace(s, breakdown=replace(s.breakdown, total_s=float(k % 3))) for k, s in enumerate(rows)]
+        assert search.PlanSet.from_solutions(g, tied).order().tolist() == _oracle_order(tied, g)
+        ties += len(tied) - 3
+    assert ties > 0
+
+
+def test_split_latencies_columns_equal_split_latency():
+    for g, S, (edge, cloud, net) in _enumerated_sets():
+        columns = cost.split_latencies(g, S.n, S.weight_bits, S.act_bits, edge, cloud, net)
+        assert all(c.dtype == np.float64 and c.shape == (len(S),) for c in columns)
+        for r, sol in enumerate(S):
+            want = astuple(cost.split_latency(g, sol.n, sol.assignment, edge, cloud, net))
+            assert tuple(c.item(r) for c in columns) == want == astuple(sol.breakdown)
+
+
+def test_split_latencies_refuse_only_a_live_width_the_device_cannot_run(toy_graph):
+    edge, cloud, net = toy_profiles()
+    N = len(toy_graph.compute_ids())
+    widths = np.full((3, N), 2, dtype=np.int64)
+    widths[:, 2:] = [[3], [40], [-1]]  # past split 2: never read
+    cost.split_latencies(toy_graph, 2, widths, widths, edge, cloud, net)
+    for bad in (3, 40, -1, 0):
+        widths[1, 1] = bad
+        with pytest.raises(cost.ConfigError, match="unsupported bit-width %d" % bad):
+            cost.split_latencies(toy_graph, 2, widths, widths, edge, cloud, net)
+
+
+def test_plan_set_rows_are_built_once_and_kept(toy_graph, toy_tables):
+    edge, cloud, net = toy_profiles()
+    wtable, atable = toy_tables
+    S, _ = enumerate_solutions(toy_graph, None, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8))
+    assert len(S) > 3 and S[0].is_sentinel and S[0].accuracy_drop == 0.0
+    assert S[0].assignment == search.EMPTY_ASSIGNMENT and S.recorded_drop(0) == 0.0
+    assert S.recorded_drop(2) is None
+    S[2].accuracy_drop = 0.25
+    assert S[2] is S[2] is S[-len(S) + 2] and S.recorded_drop(2) == 0.25
+    assert all(a is b for a, b in zip(S[1:], list(S)[1:])) and S[::2][1] is S[2]
+    assert S[2].assignment.weight_bits.array.base is not None  # a view of the set's width row
+    with pytest.raises(IndexError):
+        S[len(S)]
+    with pytest.raises(ValueError):
+        S.n[0] = 1
+
+
+def test_a_solve_builds_only_the_sentinel_and_the_rows_it_reaches(tmp_path, monkeypatch):
+    from bitsplit.cli import main
+
+    built, measured = [], []
+    real_solution, real_evaluate = search.SplitSolution, search.evaluate_accuracy
+
+    def spy_solution(*args, **kwargs):
+        built.append(real_solution(*args, **kwargs))
+        return built[-1]
+
+    def spy_evaluate(g, eval_set, n, assignment):
+        measured.append((n, assignment))
+        return real_evaluate(g, eval_set, n, assignment)
+
+    monkeypatch.setattr(search, "SplitSolution", spy_solution)
+    monkeypatch.setattr(search, "evaluate_accuracy", spy_evaluate)
+    demo = tmp_path / "demo"
+    assert main(["make-demo", "--out", str(demo), "--seed", "0", "--per-class", "4"]) == 0
+    assert main(["solve", "--config", str(demo / "run.json"), "--out", str(tmp_path / "report")]) == 0
+    rows = (tmp_path / "report" / "solutions.csv").read_text().splitlines()[1:]
+    assert built[0].is_sentinel and [(s.n, s.assignment) for s in built[1:]] == measured
+    assert 0 < len(measured) < len(rows) - 1  # most plans were never built
+    assert sum(1 for r in rows if r.split(",")[-1]) == len(built)  # each built row, and only those, has a drop
+
+
+def test_a_plain_list_selects_the_same_plan(toy_graph, toy_tables):
+    edge, cloud, net = toy_profiles()
+    wtable, atable = toy_tables
+    eval_set = make_eval_set(per_class=2, seed=3, noise=60)
+
+    def enumerate_set():
+        return enumerate_solutions(toy_graph, None, wtable, atable, edge, cloud, net, TOY_MEMORY_BYTES, B=(2, 4, 8))[0]
+
+    for A in (0.0, 5.0, 50.0):
+        want = select_solution(enumerate_set(), toy_graph, eval_set, A)
+        plans = list(enumerate_set())
+        got = select_solution(plans, toy_graph, eval_set, A)
+        assert any(got is p for p in plans)
+        assert repr(got) == repr(want)
+        reversed_plans = plans[::-1]
+        for p in reversed_plans:
+            p.accuracy_drop = None
+        assert repr(select_solution(reversed_plans, toy_graph, eval_set, A)) == repr(want)
