@@ -183,10 +183,11 @@ class LatencyTable:
         device cannot run raises ConfigError. Elsewhere an entry holds some
         cell of the table, so a prefix sum up to the first non-live entry
         is exact."""
-        top = len(self.column) - 1  # every width above the widest maps here, to -1
-        wcol = self.column.take(np.clip(wbits, 0, top))
-        acol = self.column.take(np.clip(abits, 0, top))
-        bad = ((wcol < 0) | (acol < 0)) & live
+        # clipped: a width below 0 reads column[0] and one above the widest
+        # its last entry, both -1
+        wcol = self.column.take(wbits, mode="clip")
+        acol = self.column.take(abits, mode="clip")
+        bad = (np.minimum(wcol, acol) < 0) & live
         if bad.any():
             r, k = np.argwhere(bad)[0]
             _check_bits(self.device, int(wbits[r, k]))
@@ -244,9 +245,10 @@ def split_latencies(
     n = np.broadcast_to(n, (k,))
     ct = latency_table(g, cloud)
     lat = latency_table(g, edge).edge_latencies(wbits, abits, np.arange(width) < n[:, None])
-    acc = np.zeros((k, width + 1))
-    np.add.accumulate(lat, axis=1, out=acc[:, 1:])
-    edge_s = acc[np.arange(k), n]
+    np.add.accumulate(lat, axis=1, out=lat)  # each row's prefix sums, in place
+    edge_s = np.zeros(k)
+    cut = np.flatnonzero(n)
+    edge_s[cut] = lat[cut, n[cut] - 1]
     crossing = g.liveness.crossing[n]  # a split's crossing tensors all sit in its prefix
     tx_bits = np.einsum("ij,ij->i", abits, crossing[:, 1 : width + 1]) + crossing[:, 0] * g.input_bits
     transmit_s = tx_bits / net.uplink_bits_per_s + net.fixed_rtt_s

@@ -10,10 +10,11 @@ tensor to ship.
 The graph owns its execution order (`topological_order(g)`,
 `g.compute_ids()`) and caches its liveness as three arrays, built on first
 use (`LayerGraph.liveness`); `compute_working_sets` and `boundary_cut`
-derive their records from one row of them. A graph is immutable by
-convention and every rewrite returns a new graph, so the cache cannot go
-stale. Only three functions take an `order`, and they ignore it
-(`enumerate_solutions`, `run_tcp_session`, `reference_outputs`).
+derive their records from one row of them. It caches its weight elements
+the same way, as a prefix over the compute layers (`weight_prefix`). A
+graph is immutable by convention and every rewrite returns a new graph, so
+the caches cannot go stale. Only three functions take an `order`, and they
+ignore it (`enumerate_solutions`, `run_tcp_session`, `reference_outputs`).
 """
 
 from __future__ import annotations
@@ -349,6 +350,14 @@ class LayerGraph:
         crossing = np.where(produced & (k < last), elems, 0)
         peaks = np.maximum.accumulate(incidence.sum(axis=1)).tolist()
         return Liveness(incidence, crossing, tuple([0] + peaks))
+
+    @functools.cached_property
+    def weight_prefix(self) -> np.ndarray:
+        """`weight_prefix[n]`: the weight elements of the first n compute
+        layers (int64, read-only), built on first use."""
+        prefix = np.cumsum([0] + [self.nodes[i].weight_elements() for i in self.compute_ids()], dtype=np.int64)
+        prefix.flags.writeable = False
+        return prefix
 
     def canonical_dump(self) -> str:
         """Deterministic structural dump (weights excluded)."""

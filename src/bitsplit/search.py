@@ -256,13 +256,8 @@ def potential_splits(g: LayerGraph, edge: DeviceProfile, net: NetworkProfile, M_
     if bits is None:
         return []
     tx_s = bits / net.uplink_bits_per_s + net.fixed_rtt_s
-    fits = min(B) * (_weight_prefix(g) + np.array(g.liveness.peaks, dtype=np.int64)) <= M_bytes * 8
+    fits = min(B) * (g.weight_prefix + np.array(g.liveness.peaks, dtype=np.int64)) <= M_bytes * 8
     return (np.flatnonzero(((tx_s <= tx_s[0]) & fits)[1:]) + 1).tolist()
-
-
-def _weight_prefix(g: LayerGraph) -> np.ndarray:
-    """`w[n]`: the weight elements of the first n compute layers."""
-    return np.cumsum([0] + [g.nodes[i].weight_elements() for i in g.compute_ids()])
 
 
 # -- Lagrangian allocation ---------------------------------------------------------
@@ -283,8 +278,26 @@ def _probes(d, r):
     dd = d[:, k1] - d[:, k2]
     dr = r[:, k2] - r[:, k1]
     keep = (dr > 0) & (dd > 0)
-    cuts = np.array(sorted(set((dd[keep] / dr[keep]).tolist())), dtype=np.float64)
+    cuts = np.sort(dd[keep] / dr[keep])
+    first = np.ones(len(cuts), dtype=bool)  # each cut once (np.unique on floats imports numpy.ma)
+    first[1:] = cuts[1:] > cuts[:-1]
+    cuts = cuts[first]
     return np.concatenate([[0.0], 0.5 * (cuts[:-1] + cuts[1:]), 2.0 * cuts[-1:]])
+
+
+def _first_minimum(probes, d, r, columns):
+    """`choice[l, p]`: the first of `columns` (ascending) at which layer l's
+    d + probe*r is least, as numpy's argmin ties; layers x probes."""
+    rf = r.astype(np.float64)  # the cast numpy makes for int64 * float64
+    d = np.where(np.isnan(d), -np.inf, d)  # argmin takes the first NaN as the least
+    best = rf[:, columns[0], None] * probes + d[:, columns[0], None]
+    choice = np.full(best.shape, columns[0], dtype=np.uint8)  # column indices: a menu holds a few widths
+    for k in columns[1:]:
+        cost = rf[:, k, None] * probes + d[:, k, None]
+        less = cost < best
+        np.copyto(best, cost, where=less)
+        choice[less] = k
+    return choice
 
 
 class MultiplierPath:
@@ -299,7 +312,9 @@ class MultiplierPath:
     (prefix, budget) allocation is read from one path with the same bits.
     A probe's choices tie to the smaller width (numpy's first minimum).
     Crossing tensors choose among the packable widths only; those widths'
-    breakpoints are a subset of the full menu's.
+    breakpoints are a subset of the full menu's. A probe whose choices, in
+    either menu, equal the previous probe's measures the same, so no first
+    fit lands on it and the path keeps only the first probe of each run.
 
     Every measure is a prefix array built once per path, probes x splits:
     `rate[p, n]` and `dist[p, n]` are the n-prefix's rate and distortion
@@ -317,22 +332,36 @@ class MultiplierPath:
         self.bits = np.array(table.bits, dtype=np.int64)
         self.d = table.mse[np.array([table.row[i] for i in self.ids], dtype=np.intp)]
         self.r = np.array([table.sizes[i] for i in self.ids], dtype=np.int64)[:, None] * self.bits
-        self.probes = _probes(self.d, self.r)
-        cost = self.probes[:, None, None] * self.r  # probes x layers x widths
-        cost += self.d
-        self.choice = cost.argmin(axis=2).astype(np.uint8)  # column indices: a menu holds a few widths
-        packable = np.isin(self.bits, PACKABLE_BITS)
-        if packable.all():
+        probes = _probes(self.d, self.r)
+        columns = range(len(self.bits))
+        packable = [k for k in columns if table.bits[k] in PACKABLE_BITS]
+        choice = _first_minimum(probes, self.d, self.r, columns)  # layers x probes
+        # crossing tensors' choices, when the packable widths are fewer
+        held = _first_minimum(probes, self.d, self.r, packable) if 0 < len(packable) < len(columns) else None
+        # a probe whose choices equal its predecessor's measures the same, so
+        # no first fit lands on it: keep the first probe of each run
+        keep = np.ones(len(probes), dtype=bool)
+        keep[1:] = (choice[:, 1:] != choice[:, :-1]).any(axis=0)
+        if held is not None:
+            keep[1:] |= (held[:, 1:] != held[:, :-1]).any(axis=0)
+        self.probes = probes[keep]
+        choice = choice[:, keep]
+        self.choice = np.ascontiguousarray(choice.T)  # probes x layers: a read takes rows
+        if not packable:
+            self.packable_choice = None
+        elif held is None:
             self.packable_choice = self.choice
         else:
-            cost[:, :, ~packable] = np.inf
-            self.packable_choice = cost.argmin(axis=2).astype(np.uint8) if packable.any() else None
-        layers = np.arange(len(self.ids))
-        self.rate = np.zeros((len(self.probes), len(self.ids) + 1), dtype=np.int64)
-        np.cumsum(self.r[layers, self.choice], axis=1, out=self.rate[:, 1:])
+            self.packable_choice = np.ascontiguousarray(held[:, keep].T)
+        # each prefix summed down the layers, contiguous rows of a layers x probes array
+        cell = choice + np.arange(len(self.ids))[:, None] * len(self.bits)
+        rows = (len(self.ids) + 1, len(self.probes))
+        self.rate = np.zeros(rows, dtype=np.int64)
+        np.cumsum(self.r.take(cell), axis=0, out=self.rate[1:])
         # accumulate adds left to right; builtin sum compensates on Python 3.12+
-        self.dist = np.zeros((len(self.probes), len(self.ids) + 1), dtype=np.float64)
-        np.add.accumulate(self.d[layers, self.choice], axis=1, out=self.dist[:, 1:])
+        self.dist = np.zeros(rows, dtype=np.float64)
+        np.add.accumulate(self.d.take(cell), axis=0, out=self.dist[1:])
+        self.rate, self.dist = self.rate.T, self.dist.T  # probes x splits
         self.position = {i: k for k, i in enumerate(self.ids)}
         self._steps = None
         self._peaks = None
@@ -345,7 +374,7 @@ class MultiplierPath:
         splits = np.asarray(splits, dtype=np.intp).reshape(-1)
         budgets = np.asarray(budgets).reshape(-1)
         measure = self.rate if g is None else self.prefix_peaks(g)
-        measure, dist = measure[:, splits], self.dist[:, splits]
+        measure = measure.T[splits]  # reads x probes
         blocked, patched = {}, []
         if g is not None and self.packable_choice is not self.choice:
             for r, n in enumerate(splits.tolist()):
@@ -353,17 +382,18 @@ class MultiplierPath:
                 if isinstance(fix, str):
                     blocked[r] = fix
                 elif fix is not None:
-                    columns, measure[:, r], dist[:, r] = fix
-                    patched.append((r, columns))
-        fits = measure <= budgets
-        probe = fits.argmax(axis=0)
-        feasible = fits[-1]
+                    columns, measure[r], dist = fix
+                    patched.append((r, columns, dist))
+        fits = measure <= budgets[:, None]
+        probe = fits.argmax(axis=1)
+        feasible = fits[:, -1]
         feasible[list(blocked)] = False
-        at = np.arange(len(splits))
+        distortion = self.dist[probe, splits]
         choice = self.choice[probe]
-        for r, columns in patched:
+        for r, columns, dist in patched:
+            distortion[r] = dist[probe[r]]
             choice[r, columns] = self.packable_choice[probe[r], columns]
-        widths = self.bits[choice]
+        widths = self.bits.take(choice)
         widths.flags.writeable = False
         return PathReads(
             path=self,
@@ -371,8 +401,8 @@ class MultiplierPath:
             budgets=budgets,
             feasible=feasible,
             probe=probe,
-            used=measure[probe, at],
-            distortion=dist[probe, at],
+            used=measure[np.arange(len(splits)), probe],
+            distortion=distortion,
             widths=widths,
             reasons=blocked,
             reason="budget below minimum rate" if g is None else "infeasible even at minimum bits",
@@ -383,18 +413,17 @@ class MultiplierPath:
         of compute step s at probe p."""
         if self._steps is None:
             n = len(self.ids)
-            widths = np.empty((n + 1, len(self.probes)), dtype=np.int64)  # positions x probes
-            widths[0] = g.input_bits
-            widths[1:] = self.bits[self.choice.T]
-            # each working set summed over its live tensors only: a step
-            # holds a few, and its own output keeps it non-empty
             incidence = g.liveness.incidence[:n, : n + 1]
-            live = incidence != 0
-            live[np.arange(n), np.arange(1, n + 1)] = True
-            step, tensor = np.nonzero(live)
-            terms = widths[tensor] * incidence[step, tensor][:, None]
-            steps = np.add.reduceat(terms, np.searchsorted(step, np.arange(n)), axis=0) if n else terms
-            self._steps = steps.T
+            # every step summed once at probe 0; after that a layer's width
+            # changes at a few probes only (once per move down its menu), and
+            # each change moves every working set that holds its output
+            p, k = np.divmod(np.flatnonzero(np.diff(self.choice, axis=0)), n)
+            change = self.bits.take(self.choice[p + 1, k]) - self.bits.take(self.choice[p, k])
+            sums = np.empty((len(p) + 1, n), dtype=np.int64)
+            sums[0] = incidence @ np.concatenate([[g.input_bits], self.bits.take(self.choice[0])])
+            np.cumsum(change[:, None] * incidence.T[k + 1], axis=0, out=sums[1:])
+            sums[1:] += sums[0]
+            self._steps = sums[np.searchsorted(p, np.arange(len(self.probes)))]  # the changes before each probe
         return self._steps
 
     def prefix_peaks(self, g: LayerGraph) -> np.ndarray:
@@ -545,11 +574,11 @@ def enumerate_solutions(
     """
     B = tuple(B) if B else edge.supported_bits
     compute = g.compute_ids()
-    for i in compute:
-        if wtable.sizes.get(i) != g.nodes[i].weight_elements():
+    for i, e in zip(compute, np.diff(g.weight_prefix).tolist()):
+        if wtable.sizes.get(i) != e:
             raise ValueError(
                 "weight table size %s for layer %d differs from its %d weight elements"
-                % (wtable.sizes.get(i), i, g.nodes[i].weight_elements())
+                % (wtable.sizes.get(i), i, e)
             )
 
     P = potential_splits(g, edge, net, M_bytes, B)
@@ -565,7 +594,7 @@ def enumerate_solutions(
     apath = MultiplierPath(atable, compute)
     splits = np.array(P, dtype=np.intp)
     widths = np.array(B, dtype=np.int64)
-    W = _weight_prefix(g)[splits, None] * widths  # splits x anchors
+    W = g.weight_prefix[splits, None] * widths  # splits x anchors
     A = np.array(g.liveness.peaks, dtype=np.int64)[splits, None] * widths
     room = M_bytes * 8
     pairs = W[:, :, None] + A[:, None, :] <= room  # splits x weight anchors x activation anchors
@@ -587,13 +616,9 @@ def enumerate_solutions(
     rw, ra = w_read[j, kw], a_read[j, ka]
     ok = wr.feasible[rw] & ar.feasible[ra]
     rw, ra = rw[ok], ra[ok]
-    w_keys, a_keys = _width_keys(wr), _width_keys(ar)
-    seen, kept = set(), []
-    for t, (n, r, s) in enumerate(zip(wr.splits[rw].tolist(), rw.tolist(), ra.tolist())):
-        key = (n, w_keys[r], a_keys[s])
-        if key not in seen:
-            seen.add(key)
-            kept.append(t)
+    w_ids, a_ids = _width_ids(wr), _width_ids(ar)
+    kept = np.unique(w_ids[rw] * (len(ar.splits) + 1) + a_ids[ra], return_index=True)[1]
+    kept.sort()
     rw, ra = rw[kept], ra[kept]
     distortion = wr.distortion[rw] + ar.distortion[ra]
     if distortion_cap is not None:
@@ -623,13 +648,14 @@ def enumerate_solutions(
     return S, stats
 
 
-def _width_keys(reads: PathReads) -> list:
-    """Each feasible read's widths over its split as bytes, the dedup key
-    (None when infeasible)."""
-    return [
-        row[:n].tobytes() if ok else None
-        for row, n, ok in zip(reads.widths, reads.splits.tolist(), reads.feasible.tolist())
-    ]
+def _width_ids(reads: PathReads) -> np.ndarray:
+    """One id per read, shared by the reads with the same widths over the
+    same split: the dedup key."""
+    item = reads.widths.itemsize
+    row = reads.widths.shape[1] * item
+    buf, ids = reads.widths.tobytes(), {}
+    keys = (buf[r * row : r * row + n * item] for r, n in enumerate(reads.splits.tolist()))
+    return np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.intp)
 
 
 # -- selection ---------------------------------------------------------------------

@@ -545,6 +545,25 @@ def test_a_mutated_selected_file_exits_cleanly(demo_dir, solved, tmp_path_factor
     assert _run_mutated(path, data, argv) in (0, 2, 3)
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_run_file_exits_cleanly(demo_dir, tmp_path_factory, data):
+    # in-process is safe: a path key that is not a string is refused before
+    # any open, and pytest's capture gives fd 0 an immediate EOF. A relative
+    # or missing `out` writes under the working directory, so it is the copy's.
+    work = tmp_path_factory.mktemp("run")
+    cfg = json.loads((demo_dir / "run.json").read_text())
+    cfg["out"] = str(work / "report")
+    path = work / "run.json"
+    path.write_text(json.dumps(cfg))
+    old = os.getcwd()
+    os.chdir(work)
+    try:
+        assert _run_mutated(path, data, ["solve", "--config", str(path)]) in (0, 2, 3)
+    finally:
+        os.chdir(old)
+
+
 def test_supported_bits_outside_one_to_32_exit_2(demo_dir, tmp_path, capsys):
     for bits in ([2, 4, 1e308], [0, 2], [2, 33]):
         doc = json.loads((demo_dir / "devices.json").read_text())

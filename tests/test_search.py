@@ -629,6 +629,78 @@ def test_enumerate_prices_each_edge_layer_once_and_never_rechecks_memory(monkeyp
     assert not memory_calls
 
 
+# -- per-graph arrays -----------------------------------------------------------------
+
+
+def test_a_second_enumeration_reads_no_weight_elements(monkeypatch):
+    # the graph holds its weight prefix, so the size check, the split filter
+    # and the weight anchors of a later call read it, not the layers
+    g, _ = resnet50_shapes()
+    edge, cloud, net = table1_profiles()
+    wtable, atable = _graph_tables(np.random.default_rng(5), g, (2, 4, 8))
+    read = []
+    real = LayerNode.weight_elements
+
+    def weight_elements(self):
+        read.append(self.id)
+        return real(self)
+
+    monkeypatch.setattr(LayerNode, "weight_elements", weight_elements)
+    enumerate_solutions(g, None, wtable, atable, edge, cloud, net, 8 << 20, B=(2, 4, 8))
+    assert read
+    read.clear()
+    S, _ = enumerate_solutions(g, None, wtable, atable, edge, cloud, net, 32 << 20, B=(2, 4, 8))
+    assert len(S) > 100 and read == []
+    with pytest.raises(ValueError, match="weight table size"):
+        enumerate_solutions(g, None, atable, atable, edge, cloud, net, 32 << 20, B=(2, 4, 8))
+
+
+@pytest.mark.parametrize("B", [(2, 4, 8), (3, 8), (2, 4, 8, 16), (1, 2, 3, 4, 8)])
+def test_a_path_keeps_the_first_probe_of_each_run_of_equal_choices(toy_graph, B):
+    # the reference: numpy's argmin over every width at every probe of
+    # `_probes`, and over the packable widths alone for crossing tensors.
+    # A table with NaN cells is included: argmin takes the first NaN.
+    rng = np.random.default_rng(31)
+    packable = np.isin(B, PACKABLE_BITS)
+    for g in [toy_graph, resnet50_shapes()[0]] + [random_dag(rng, max_nodes=12) for _ in range(10)]:
+        wtable, atable = _graph_tables(rng, g, B)
+        d = {(i, b): atable.d(i, b) for i in atable.layers() for b in atable.bits}
+        d.update((key, float("nan")) for key in list(d)[::3])
+        for table in (wtable, atable, DistortionTable("a", atable.bits, atable.sizes, d)):
+            path = search.MultiplierPath(table, g.compute_ids())
+            probes = search._probes(path.d, path.r)
+            cost = probes[:, None, None] * path.r + path.d
+            choice = cost.argmin(axis=2)
+            cost[:, :, ~packable] = np.inf
+            held = cost.argmin(axis=2)
+            rows = np.hstack([choice, held])
+            first = [0] + [p for p in range(1, len(probes)) if (rows[p] != rows[p - 1]).any()]
+            assert path.probes.tolist() == probes[first].tolist()
+            assert path.choice.tolist() == choice[first].tolist()
+            if not packable.any():
+                assert path.packable_choice is None
+            else:
+                assert path.packable_choice.tolist() == held[first].tolist()
+
+
+@pytest.mark.parametrize("B", [(2, 4, 8), (3, 8), (2, 4, 8, 16)])
+def test_step_bits_equal_each_probe_summed_alone(toy_graph, B):
+    # a path sums every working set at its first probe and then adds each
+    # width change; summing each probe's widths over the incidence is the
+    # reference
+    rng = np.random.default_rng(29)
+    for g in [toy_graph, resnet50_shapes()[0]] + [random_dag(rng, max_nodes=12) for _ in range(10)]:
+        _, atable = _graph_tables(rng, g, B)
+        path = search.MultiplierPath(atable, g.compute_ids())
+        n = len(path.ids)
+        steps = path.step_bits(g)
+        assert steps.shape == (len(path.probes), n) and steps.dtype == np.int64
+        for p, choice in enumerate(path.choice):
+            widths = [g.input_bits] + [path.bits[k] for k in choice.tolist()]
+            want = [sum(int(e) * w for e, w in zip(row, widths)) for row in g.liveness.incidence[:n, : n + 1]]
+            assert steps[p].tolist() == want
+
+
 # -- selection ----------------------------------------------------------------------------
 
 
