@@ -66,7 +66,8 @@ def _padded(x, pad):
 
 def _conv2d(x, w, bias, stride, pad):
     """One matmul per kernel tap; per stacked item it is the C-contiguous
-    (cout, cin) x (cin, ho*wo) product a single input makes."""
+    (cout, cin) x (cin, ho*wo) product a single input makes. With one input
+    channel the product is an einsum outer product, bit for bit."""
     N, cin, H, W = x.shape
     cout, _, kh, kw = w.shape
     xp = _padded(x, pad)
@@ -77,7 +78,14 @@ def _conv2d(x, w, bias, stride, pad):
     for dy in range(kh):
         for dx in range(kw):
             xs = xp[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride]
-            out += np.matmul(taps[dy, dx], np.ascontiguousarray(xs).reshape(N, cin, ho * wo))
+            if cin == 1:
+                # a one-deep product is one multiply per output, and adding it
+                # to out, which starts at +0, erases any sign-of-zero
+                # difference; einsum makes it faster than matmul and without
+                # the 128 KiB of iterator buffers a broadcast multiply takes
+                out += np.einsum("ok,nkp->nop", taps[dy, dx], xs.reshape(N, 1, ho * wo))
+            else:
+                out += np.matmul(taps[dy, dx], np.ascontiguousarray(xs).reshape(N, cin, ho * wo))
     if bias is not None:
         out += bias.astype(np.float64)[:, None]
     return out.reshape(N, cout, ho, wo)
@@ -218,8 +226,7 @@ def quantized_weights(g: LayerGraph, edge_ids, assignment):
     Each (node, bits) is quantized on first use and then read from a per-graph
     cache; the clip search is deterministic, so a cached tensor equals a fresh
     one. Cached tensors are read-only, and an entry counts only while the node
-    still holds the weights array it was made from. Two threads that miss the
-    same entry at once both quantize it, to equal tensors.
+    still holds the weights array it was made from.
     """
     cache = _QUANTIZED_WEIGHTS.setdefault(g, {})
     out = {}

@@ -16,6 +16,8 @@ import numpy as np
 from .graph import LayerGraph
 
 CLIP_ALPHAS = [1.0 - 0.05 * k for k in range(11)]  # 1.0 down to 0.50
+_ALPHA_COLUMN = np.array(CLIP_ALPHAS)[:, None]
+_ALPHA_COLUMN.flags.writeable = False
 CLIP_GROUP_ELEMENTS = 1 << 13  # float64 elements per alpha group of the clip search (64 KiB)
 REFERENCE_BITS = 16
 
@@ -184,8 +186,8 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
     x = np.asarray(x, dtype=np.float32)
     if x.shape[1] == 0:
         raise QuantError("empty tensor")
-    lo = np.min(x, axis=1).astype(np.float64)
-    hi = np.max(x, axis=1).astype(np.float64)
+    lo = x.min(axis=1).astype(np.float64)
+    hi = x.max(axis=1).astype(np.float64)
     # min and max propagate NaN, so finite extremes mean a finite row
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise QuantError("non-finite values")
@@ -212,13 +214,12 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
     with np.errstate(over="ignore"):
         # params for every alpha at once, shape (alphas, live rows); alpha > 0
         # keeps every live row's clip range non-empty
-        alphas = np.array(CLIP_ALPHAS)[:, None]
         if symmetric:
-            s = (alphas * amax[live] / qmax).astype(np.float32)
+            s = (_ALPHA_COLUMN * amax[live] / qmax).astype(np.float32)
             z = np.zeros_like(s)
         else:
-            lo_a = alphas * lo[live]
-            hi_a = alphas * hi[live]
+            lo_a = _ALPHA_COLUMN * lo[live]
+            hi_a = _ALPHA_COLUMN * hi[live]
             step = (hi_a - lo_a) / qmax
             s = step.astype(np.float32)
             z = (-lo_a / step).astype(np.float32)
@@ -263,7 +264,7 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
                 _clip_pass(xl, s64[a : a + 1], z64[a : a + 1], qmin, qmax, buf, sums[a : a + 1])
         sums[bad] = np.inf
         errs = sums / x.shape[1]  # np.mean over each row, as the same sum and division
-        best = np.argmin(errs, axis=0)  # the first minimum: ties go to the larger alpha
+        best = errs.argmin(axis=0)  # the first minimum: ties go to the larger alpha
         rows = np.arange(len(xl))
         scale[live], zero[live], err[live] = s[best, rows], z[best, rows], errs[best, rows]
         return scale, zero, err

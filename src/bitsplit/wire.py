@@ -1,5 +1,11 @@
 """Wire layer: sub-byte activation packing, message framing, split sessions.
 
+A session runs both roles in the caller's thread: the edge computes every
+boundary message, writes the frames and closes its end, then the cloud reads
+and checks them and runs the suffix. No role waits on the other, so no
+thread is needed; the edge's channel keeps its writes from blocking (see
+`Channel`).
+
 Message layout (little-endian): magic 0x4153 u16, version u8 = 1, bits u8,
 tensor_id u32, scale f32, zero_point f32, ndim u8, dims i32 x ndim,
 payload_len u32, payload. The fixed fields through ndim span 17 bytes; ndim
@@ -12,7 +18,6 @@ from __future__ import annotations
 
 import socket
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +38,7 @@ from .util import prod
 MAGIC = 0x4153
 VERSION = 1
 CONNECT_TIMEOUT_S = 10.0  # edge connect and cloud accept deadline for TCP sessions
-EDGE_JOIN_TIMEOUT_S = 30.0  # how long a session waits for its edge thread, and the cloud for each recv
+RECV_TIMEOUT_S = 30.0  # the deadline of each recv on a session's cloud socket
 RECV_CHUNK = 1 << 16  # most bytes one recv asks for; socket.recv allocates the full request up front
 _HEAD = struct.Struct("<HBBIffB")
 
@@ -198,27 +203,52 @@ def decode_message(buf: bytes) -> ActivationMessage:
 
 
 class Channel:
-    """Length-prefixed frames over a stream socket."""
+    """Length-prefixed frames over a stream socket.
 
-    def __init__(self, sock: socket.socket):
+    A channel given `peer`, the channel at the other end of its socket in the
+    same thread, writes without blocking: whenever its socket is full, it
+    moves the bytes waiting at the peer's end into the peer's buffer and
+    sends again. The peer's reads take that buffer first. On loopback a full
+    send buffer means the peer's end holds data, so that move returns at
+    once; failing that, it waits at most the peer socket's timeout.
+    """
+
+    def __init__(self, sock: socket.socket, peer: Channel | None = None):
         self._sock = sock
+        self._peer = peer
+        self._buf = bytearray()  # bytes a peer moved off this socket, not yet read
+        if peer is not None:
+            sock.setblocking(False)
 
     def send_frame(self, data: bytes):
+        frame = memoryview(struct.pack("<I", len(data)) + data)
         try:
-            self._sock.sendall(struct.pack("<I", len(data)) + data)
+            while frame:
+                try:
+                    frame = frame[self._sock.send(frame) :]
+                except BlockingIOError:
+                    self._peer._pull()
         except OSError as e:
             raise ChannelClosedError("send failed: %s" % e)
 
+    def _recv_some(self, n: int) -> bytes:
+        try:
+            chunk = self._sock.recv(min(n, RECV_CHUNK))
+        except OSError as e:
+            raise ChannelClosedError("recv failed: %s" % e)
+        if not chunk:
+            raise ChannelClosedError("channel closed mid-frame")
+        return chunk
+
+    def _pull(self):
+        self._buf += self._recv_some(RECV_CHUNK)
+
     def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        got = 0
+        chunks = [bytes(self._buf[:n])]
+        del self._buf[:n]
+        got = len(chunks[0])
         while got < n:
-            try:
-                chunk = self._sock.recv(min(n - got, RECV_CHUNK))
-            except OSError as e:
-                raise ChannelClosedError("recv failed: %s" % e)
-            if not chunk:
-                raise ChannelClosedError("channel closed mid-frame")
+            chunk = self._recv_some(n - got)
             chunks.append(chunk)
             got += len(chunk)
         return b"".join(chunks)
@@ -235,6 +265,8 @@ class Channel:
     def expect_end(self):
         """Return once the peer has closed its end; a byte sent instead
         raises WireError."""
+        if self._buf:
+            raise WireError("data after the last expected frame")
         try:
             extra = self._sock.recv(1)
         except OSError as e:
@@ -249,11 +281,29 @@ class Channel:
             pass
 
 
+def _channels(edge_sock: socket.socket, cloud_sock: socket.socket):
+    """(edge, cloud) channels over the two ends of one connection."""
+    cloud_sock.settimeout(RECV_TIMEOUT_S)
+    cloud = Channel(cloud_sock)
+    return Channel(edge_sock, peer=cloud), cloud
+
+
 def make_channel_pair():
-    a, b = socket.socketpair()
-    for sock in (a, b):
-        sock.settimeout(EDGE_JOIN_TIMEOUT_S)
-    return Channel(a), Channel(b)
+    """(edge, cloud) channels over a socketpair."""
+    return _channels(*socket.socketpair())
+
+
+def _tcp_channel_pair(host, port):
+    """(edge, cloud) channels over a loopback TCP connection."""
+    with socket.create_server((host, port), backlog=1) as server:
+        server.settimeout(CONNECT_TIMEOUT_S)
+        edge_sock = socket.create_connection((host, server.getsockname()[1]), timeout=CONNECT_TIMEOUT_S)
+        try:
+            cloud_sock, _ = server.accept()
+        except OSError as e:
+            edge_sock.close()
+            raise ChannelClosedError("accept failed: %s" % e)
+    return _channels(edge_sock, cloud_sock)
 
 
 # -- split session -----------------------------------------------------------------
@@ -340,94 +390,31 @@ def cloud_role(g: LayerGraph, solution, chan: Channel, want_transcript=False):
     return (outputs, transcript) if want_transcript else outputs
 
 
-def _drive(edge, cloud):
-    """Run edge() in a thread and cloud() here; return cloud's result.
-
-    The edge thread is joined before this returns or raises, so callers
-    that close their channels afterwards do not cut off an edge that is
-    still sending. An edge still running after `EDGE_JOIN_TIMEOUT_S` raises
-    WireError instead of being passed over in silence.
-
-    When the cloud saw its channel close, an error the edge recorded is the
-    root cause, so that is raised instead, chained from the cloud's. Any
-    other cloud error is the cloud's own and is raised unchanged.
-    """
-    errors = []
-
-    def run_edge():
-        try:
-            edge()
-        except Exception as e:  # re-raised in the caller
-            errors.append(e)
-
-    t = threading.Thread(target=run_edge, daemon=True)
-    t.start()
+def _session(channels, g: LayerGraph, x, solution, want_transcript):
+    """The edge sends every frame and closes its end, then the cloud reads
+    them; returns cloud_role's result. An edge error raises before any frame
+    is sent, and the cloud never runs."""
+    edge, cloud = channels
     try:
         try:
-            result = cloud()
+            edge_role(g, x, solution, edge)
         finally:
-            t.join(timeout=EDGE_JOIN_TIMEOUT_S)
-            if t.is_alive():
-                raise WireError("edge did not finish within %g s" % EDGE_JOIN_TIMEOUT_S)
-    except ChannelClosedError as cloud_error:
-        if errors:
-            raise errors[0] from cloud_error
-        raise
-    if errors:
-        raise errors[0]
-    return result
+            edge.close()
+        return cloud_role(g, solution, cloud, want_transcript=want_transcript)
+    finally:
+        cloud.close()
 
 
 def run_split_session(g: LayerGraph, x, solution, want_transcript=False):
-    """Drive edge and cloud roles over a byte channel; returns cloud outputs,
-    bit-identical to `reference_outputs`."""
-    edge_chan, cloud_chan = make_channel_pair()
-
-    def edge():
-        try:
-            edge_role(g, x, solution, edge_chan)
-        finally:
-            edge_chan.close()
-
-    try:
-        return _drive(edge, lambda: cloud_role(g, solution, cloud_chan, want_transcript=want_transcript))
-    finally:
-        cloud_chan.close()
+    """Run edge and cloud roles over a socketpair, in this thread; returns
+    cloud outputs, bit-identical to `reference_outputs`."""
+    return _session(make_channel_pair(), g, x, solution, want_transcript)
 
 
 def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=None, want_transcript=False):
     """Same as run_split_session but over a real TCP loopback connection.
     `order` is unused; the benchmark still passes it (ROADMAP 4b)."""
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind((host, port))
-    server.listen(1)
-    server.settimeout(CONNECT_TIMEOUT_S)
-    actual_port = server.getsockname()[1]
-    conns = []
-
-    def edge():
-        chan = Channel(socket.create_connection((host, actual_port), timeout=CONNECT_TIMEOUT_S))
-        try:
-            edge_role(g, x, solution, chan)
-        finally:
-            chan.close()
-
-    def cloud():
-        try:
-            conn, _ = server.accept()
-        except socket.timeout:
-            raise ChannelClosedError("edge did not connect within %g s" % CONNECT_TIMEOUT_S)
-        conn.settimeout(EDGE_JOIN_TIMEOUT_S)
-        conns.append(Channel(conn))
-        return cloud_role(g, solution, conns[0], want_transcript=want_transcript)
-
-    try:
-        return _drive(edge, cloud)
-    finally:
-        for chan in conns:
-            chan.close()
-        server.close()
+    return _session(_tcp_channel_pair(host, port), g, x, solution, want_transcript)
 
 
 def reference_outputs(g: LayerGraph, x, solution, order=None):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from bitsplit import engine
 from bitsplit.engine import (
     EvalSet,
     calibrate_activations,
@@ -50,6 +51,29 @@ def test_conv_matches_scalar(stride, pad):
     got = run_inference(g, x)[0]
     want = oracles.conv2d_scalar(x, w, bias, stride, pad)
     assert _rel_err(want, got) < 1e-6
+
+
+@pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (1, 0)])
+def test_one_channel_conv_equals_per_tap_matmul_bitwise(stride, pad):
+    # the one-input-channel outer product against the K=1 matmul it
+    # replaces, over draws with signed zeros in inputs and weights
+    rng = np.random.default_rng(40 + stride * 10 + pad)
+    for _ in range(20):
+        cout, H, k = int(rng.integers(1, 9)), int(rng.integers(3, 12)), int(rng.choice([1, 3]))
+        x = rng.standard_normal((3, 1, H, H))
+        w = rng.standard_normal((cout, 1, k, k))
+        for a in (x, w):
+            a[rng.random(a.shape) < 0.3] = 0.0
+            a[rng.random(a.shape) < 0.3] *= -0.0 if rng.random() < 0.5 else 0.0
+        got = engine._conv2d(x, w, None, stride, pad)
+        xp = engine._padded(x, pad)
+        ho = (H + 2 * pad - k) // stride + 1
+        want = np.zeros((3, cout, ho * ho))
+        for dy in range(k):
+            for dx in range(k):
+                xs = xp[:, :, dy : dy + stride * ho : stride, dx : dx + stride * ho : stride]
+                want += np.matmul(np.ascontiguousarray(w[:, :, dy, dx]), np.ascontiguousarray(xs).reshape(3, 1, -1))
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
 
 
 def test_depthwise_matches_scalar():
