@@ -281,16 +281,17 @@ def _fake_quantized(g: LayerGraph, xs, ids, edge, assignment, qw, codes=None):
     return _forward(g, {g.input_id: xs}, ids, qw, fake_quantize)
 
 
-def run_fake_quantized_detailed(g: LayerGraph, x, n: int, assignment):
+def run_fake_quantized_detailed(g: LayerGraph, x, n: int, assignment, crossing=None):
     """The edge half of a split session: one input through the n-prefix only,
     fake-quantized as run_fake_quantized runs it.
 
     Returns {crossing id: (codes, QuantParams)} for every tensor that crosses
     split n and is quantized below 16 bits; the graph input and 16-bit layers
-    are left out.
+    are left out. crossing, if given, is boundary_cut(g, n).crossing_tensors.
     """
     edge = _edge_layers(g, n, assignment)
-    codes = dict.fromkeys(c for c in boundary_cut(g, n).crossing_tensors if c != g.input_id)
+    crossing = boundary_cut(g, n).crossing_tensors if crossing is None else crossing
+    codes = dict.fromkeys(c for c in crossing if c != g.input_id)
     qw = quantized_weights(g, edge, assignment)
     _fake_quantized(g, _check_input(g, x)[None], [g.input_id] + edge, edge, assignment, qw, codes)
     out = {}

@@ -19,6 +19,9 @@ CLIP_ALPHAS = [1.0 - 0.05 * k for k in range(11)]  # 1.0 down to 0.50
 _ALPHA_COLUMN = np.array(CLIP_ALPHAS)[:, None]
 _ALPHA_COLUMN.flags.writeable = False
 CLIP_GROUP_ELEMENTS = 1 << 13  # float64 elements per alpha group of the clip search (64 KiB)
+# live elements from which the clip search bounds alphas, at 1, 2, 3, ... bits
+# (wider take the last), sized on the demo's activations: at 1-2 bits it pruned none
+CLIP_BOUND_ELEMENTS = (np.inf, np.inf, 1 << 14, 1 << 12, 1 << 12, 1 << 11, 1 << 11, 1 << 10)
 REFERENCE_BITS = 16
 
 
@@ -44,17 +47,18 @@ def _qrange(bits: int, symmetric: bool):
     return 0, 2**bits - 1
 
 
-def _codes(x, scale, zero, qmin, qmax):
-    """(q, dequant) of x under float32 scale and zero point, which may be
-    arrays that broadcast against x."""
-    scale = np.asarray(scale, dtype=np.float32).astype(np.float64)
-    zero = np.asarray(zero, dtype=np.float32).astype(np.float64)
-    t = np.divide(x, scale, dtype=np.float64)
-    t += zero
+def _codes(x, s64, z64, qmin, qmax):
+    """(q, dequant) of x under a float32 scale and zero point, given as their
+    float64 values (scalars or arrays that broadcast against x). A zero point
+    of +-0 moves no code, and codes reconstruct from int64, where code 0
+    gives +0.0 either way, so that shift is skipped."""
+    shift = np.count_nonzero(z64)
+    t = np.divide(x, s64, dtype=np.float64)
+    if shift:
+        t += z64
     np.rint(t, out=t)
-    q = np.clip(t, qmin, qmax, out=t).astype(np.int64)
-    np.subtract(q, zero, out=t)
-    t *= scale
+    q = t.clip(qmin, qmax, out=t).astype(np.int64)
+    np.multiply(np.subtract(q, z64, out=t) if shift else q, s64, out=t)
     return q, t.astype(np.float32)
 
 
@@ -62,7 +66,7 @@ def quantize_tensor(x: np.ndarray, p: QuantParams):
     """Returns (q, dequant): integer codes and their float32 reconstruction."""
     if p.symmetric and p.bits < 2:
         raise QuantError("symmetric quantization needs at least 2 bits")
-    return _codes(x, p.scale, p.zero_point, *p.qrange())
+    return _codes(x, np.float64(np.float32(p.scale)), np.float64(np.float32(p.zero_point)), *p.qrange())
 
 
 def dequantize(q: np.ndarray, p: QuantParams) -> np.ndarray:
@@ -71,21 +75,24 @@ def dequantize(q: np.ndarray, p: QuantParams) -> np.ndarray:
     return ((np.asarray(q, dtype=np.float64) - zero) * scale).astype(np.float32)
 
 
-def _clip_pass(x, s, z, qmin, qmax, b, out):
+def _clip_pass(x, s, z, qmin, qmax, b, out, shift=True):
     """The squared-error sums of one group of alphas: s and z are the
     group's (k, rows, 1) float64 params, out its (k, rows) sums and b a
     float64 buffer of at least k such stacks. Each group runs the elementwise
     steps of one alpha in the same order, so every sum is the one an
-    alpha-at-a-time search gives.
+    alpha-at-a-time search gives. With shift false every z is +-0, whose
+    shifts change at most the sign of a zero, and they are skipped.
     """
     b = b[: len(s)]
     # _codes' reconstruction, in place; codes stay float64, which changes at
     # most the sign of a zero and so no squared error
     np.divide(x, s, out=b)
-    b += z
+    if shift:
+        b += z
     np.rint(b, out=b)
-    np.clip(b, qmin, qmax, out=b)
-    b -= z
+    b.clip(qmin, qmax, out=b)
+    if shift:
+        b -= z
     b *= s
     b[...] = b.astype(np.float32)
     np.subtract(x, b, out=b)
@@ -103,7 +110,7 @@ def _tail_sums(x, rec, ext, above, scratch):
     holds their terms."""
     sums = np.zeros(rec.shape)
     cut = rec.min(axis=0) if above else rec.max(axis=0)
-    if not (ext > cut if above else ext < cut).any():
+    if not np.count_nonzero(ext > cut if above else ext < cut):
         return sums
     # rec holds float32 values, so comparing in float32 is exact
     cut = cut.astype(np.float32)[:, None]
@@ -129,10 +136,12 @@ def _tail_sums(x, rec, ext, above, scratch):
     return sums
 
 
-def _clip_bounds(x, lo, hi, s64, z64, qmin, qmax, scratch):
+def _clip_bounds(x, lo, hi, s64, z64, qmin, qmax, scratch, err=None):
     """A lower bound on each (alpha, row) sum that _clip_pass computes, from
     the values the alpha clips alone; lo and hi are the rows' min and max,
-    s64 and z64 are (alphas, rows, 1).
+    s64 and z64 are (alphas, rows, 1). With err, each row's alpha 1.0 sum,
+    the tails are summed only for the alphas that some row's extremes alone
+    leave below err; the other alphas' bounds come from the extremes.
 
     Proof, for 0 < s < inf (the caller runs no other alpha). A pass clips
     each code to [qmin, qmax] and reconstructs it as
@@ -142,19 +151,26 @@ def _clip_bounds(x, lo, hi, s64, z64, qmin, qmax, scratch):
     x - rec >= x - hi_rec > 0 and rounding keeps that order, so the pass's
     term fl(fl(x - rec)^2) is at least the term fl(fl(x - hi_rec)^2) summed
     here; below lo_rec the same holds for lo_rec - x, and a value in range
-    adds a pass term >= 0 and none here. A float sum of n non-negative
-    terms, in any order, is within a factor 1 +- g(n) of the exact sum,
-    g(n) = n*u / (1 - n*u) with u = eps / 2. The pass sums M terms and the
-    tails at most 2M (a value gathered by both tails adds to one per alpha),
-    so pass >= (1 - g(M)) / (1 + g(2M)) * tails >= (1 - 3.02*M*u) * tails
-    while M*u < 1e-3. The product returned, its factor 1 - 4*(M + 1)*u and
-    both roundings included, is at most (1 - 4*M*u - 2*u) * tails, so never
-    above the pass's sum.
+    adds a pass term >= 0 and none here. Extremes: a float sum of
+    non-negative terms never falls as a term grows, and zeroing all terms
+    but two leaves their rounded sum, so the pass's sum is at least the
+    rounded sum of its max's and min's terms, and so of theirs here. Tails:
+    a float sum of n non-negative terms, in any order, is within a factor
+    1 +- g(n) of the exact sum, g(n) = n*u / (1 - n*u) with u = eps / 2. The
+    pass sums M terms and the tails at most 2M (a value gathered by both
+    tails adds to one per alpha), so pass >= (1 - g(M)) / (1 + g(2M)) * tails
+    >= (1 - 3.02*M*u) * tails while M*u < 1e-3. The product taken, its factor
+    1 - 4*(M + 1)*u and both roundings included, is at most
+    (1 - 4*M*u - 2*u) * tails, so never above the pass's sum.
     """
     lo_rec = ((qmin - z64[..., 0]) * s64[..., 0]).astype(np.float32).astype(np.float64)
     hi_rec = ((qmax - z64[..., 0]) * s64[..., 0]).astype(np.float32).astype(np.float64)
-    tails = _tail_sums(x, hi_rec, hi, True, scratch) + _tail_sums(x, lo_rec, lo, False, scratch)
-    return tails * (1.0 - 2 * (x.shape[1] + 1) * np.finfo(np.float64).eps)
+    bound = np.square(np.maximum(hi - hi_rec, 0.0)) + np.square(np.maximum(lo_rec - lo, 0.0))
+    run = np.arange(len(bound)) if err is None else np.flatnonzero(np.logical_or.reduce(bound < err, axis=1))
+    if len(run):
+        tails = _tail_sums(x, hi_rec[run], hi, True, scratch) + _tail_sums(x, lo_rec[run], lo, False, scratch)
+        bound[run] = np.maximum(bound[run], tails * (1.0 - 2 * (x.shape[1] + 1) * np.finfo(np.float64).eps))
+    return bound
 
 
 def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
@@ -173,100 +189,100 @@ def choose_clip_rows(x: np.ndarray, bits: int, symmetric: bool):
 
     The alphas run k at a time, k = CLIP_GROUP_ELEMENTS // (live rows * M)
     clamped to 1..11, each group one _clip_pass over a (k, live rows, M)
-    buffer. Small stacks (a session's single rows, weight tensors, small
-    layers' blocks) run every group. Stacks larger than the budget (k = 1)
-    run alpha 1.0 first and then only the alphas that can still win: for
-    each other (alpha, row), _clip_bounds bounds the error from the values
-    the alpha clips alone, and an alpha whose bound is at least alpha 1.0's
-    error, or whose scale is unusable, for every row is not run. Its entries
-    read +inf, and where it runs for some rows, the others read errors at
-    least alpha 1.0's. A skipped alpha thus never is the first minimum, and
-    scale, zero point and MSE are those of the full search, ties included.
+    buffer. From the width's CLIP_BOUND_ELEMENTS live elements on, alpha 1.0
+    runs first and then only the alphas that can still win: for each other
+    (alpha, row), _clip_bounds bounds the error from the values the alpha
+    clips alone, and an alpha whose bound is at least alpha 1.0's error for
+    every row is not run. Its entries read +inf, and where it runs for some
+    rows, the others read errors at least alpha 1.0's. A skipped alpha thus
+    never is the first minimum, and scale, zero point and MSE are those of
+    the full search, ties included.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.shape[1] == 0:
         raise QuantError("empty tensor")
     lo = x.min(axis=1).astype(np.float64)
     hi = x.max(axis=1).astype(np.float64)
-    # min and max propagate NaN, so finite extremes mean a finite row
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+    amax = np.maximum(hi, -lo)  # max |x|
+    # min and max propagate NaN, so a finite amax means a finite row
+    if np.count_nonzero(np.isfinite(amax)) < len(x):
         raise QuantError("non-finite values")
     if bits < 1 or (symmetric and bits < 2):
         raise QuantError("bad bit-width %d" % bits)
-    qmin, qmax = _qrange(bits, symmetric)
-    scale = np.ones(len(x), dtype=np.float32)
-    zero = np.zeros(len(x), dtype=np.float32)
-    err = np.zeros(len(x))
-
-    amax = np.maximum(hi, -lo)  # max |x|
-    if symmetric:
-        live = amax != 0.0
-    else:
-        # constant row: code 0 with zero_point -c reconstructs exactly
-        const = (lo == hi) & (amax != 0.0)
-        zero[const] = -lo[const]
-        live = lo != hi
-    if not live.any():
+    live = amax != 0.0 if symmetric else lo != hi
+    n_live = np.count_nonzero(live)
+    if n_live < len(x) or n_live == 0:
+        scale = np.ones(len(x), dtype=np.float32)
+        zero = np.zeros(len(x), dtype=np.float32)
+        err = np.zeros(len(x))
+        if not symmetric:
+            # constant row: code 0 with zero_point -c reconstructs exactly
+            const = ~live & (amax != 0.0)
+            zero[const] = -lo[const]
+        if n_live:
+            scale[live], zero[live], err[live] = choose_clip_rows(x[live], bits, symmetric)
         return scale, zero, err
 
+    qmin, qmax = _qrange(bits, symmetric)
+    n, m = x.shape
     # one errstate for every pass and bound: a 1-bit step can pass float32's
     # max, and so can a reconstruction near it, whose error then reads +inf
     with np.errstate(over="ignore"):
-        # params for every alpha at once, shape (alphas, live rows); alpha > 0
+        # params for every alpha at once, shape (alphas, rows); alpha > 0
         # keeps every live row's clip range non-empty
         if symmetric:
-            s = (_ALPHA_COLUMN * amax[live] / qmax).astype(np.float32)
+            s = (_ALPHA_COLUMN * amax / qmax).astype(np.float32)
             z = np.zeros_like(s)
         else:
-            lo_a = _ALPHA_COLUMN * lo[live]
-            hi_a = _ALPHA_COLUMN * hi[live]
-            step = (hi_a - lo_a) / qmax
+            lo_a = _ALPHA_COLUMN * lo
+            step = (_ALPHA_COLUMN * hi - lo_a) / qmax
             s = step.astype(np.float32)
             z = (-lo_a / step).astype(np.float32)
-
-        bad = (s == 0) | (s == np.inf)
-        if bad.any():
+        bad = fine = None
+        # s >= 0, and only a 1-bit step can overflow float32
+        if np.count_nonzero(s) < s.size or (bits == 1 and np.count_nonzero(s == np.inf)):
             # A row whose every step rounds to 0 spans at most qmax / 2 steps of
             # 2^-149, and every float32 is a multiple of 2^-149: that step, with
             # zero point -lo / 2^-149 (an integer float32 holds), codes each
-            # value exactly within [qmin, qmax]. Every other row keeps a usable
-            # alpha (alpha 0.5's step never overflows), and its bad slots run at
-            # scale 1, with z finite (|z| < qmax * 2^25), for sums read as +inf.
-            fine = bad.all(axis=0)
-            narrow = np.flatnonzero(live)[fine]
-            scale[narrow] = np.finfo(np.float32).smallest_subnormal
-            if not symmetric:
-                zero[narrow] = -lo[narrow] / scale[narrow]
-            live[narrow] = False
-            if not live.any():
-                return scale, zero, err
-            s, z, bad = s[:, ~fine], z[:, ~fine], bad[:, ~fine]
+            # value exactly within [qmin, qmax]; such rows are set after the
+            # search. Every other row keeps a usable alpha (alpha 0.5's step
+            # never overflows). Bad slots run at scale 1, with z finite
+            # (|z| < qmax * 2^25), for sums read as +inf.
+            bad = (s == 0) | (s == np.inf)
+            fine = np.logical_and.reduce(bad, axis=0)
             s[bad] = 1
         s64, z64 = s.astype(np.float64)[..., None], z.astype(np.float64)[..., None]
-        n_live = int(np.count_nonzero(live))
-        k = max(1, min(len(CLIP_ALPHAS), CLIP_GROUP_ELEMENTS // (n_live * x.shape[1])))
-        if k > 1:
-            xl = x[live].astype(np.float64)
-            buf = np.empty((k,) + xl.shape)
-            sums = np.empty(s.shape)
-            for a in range(0, len(CLIP_ALPHAS), k):
-                _clip_pass(xl, s64[a : a + k], z64[a : a + k], qmin, qmax, buf, sums[a : a + k])
-        else:
-            # float32 values go into float64 ufuncs exactly, so no float64 copy
-            xl = x if n_live == len(x) else x[live]
-            buf = np.empty((1,) + xl.shape)
-            sums = np.full(s.shape, np.inf)
-            _clip_pass(xl, s64[:1], z64[:1], qmin, qmax, buf, sums[:1])
+        # zero points of +-0 (all of a symmetric search's, and those of a row
+        # whose min is +-0) only flip the sign of a zero, which squaring erases
+        shift = np.count_nonzero(z) > 0
+        k = max(1, min(len(CLIP_ALPHAS), CLIP_GROUP_ELEMENTS // (n * m)))
+        # float32 values go into float64 ufuncs exactly, so no float64 copy
+        buf = np.empty((k, n, m))
+        sums = out = np.empty(s.shape)
+        todo = None  # every alpha runs
+        if n * m >= CLIP_BOUND_ELEMENTS[min(bits, len(CLIP_BOUND_ELEMENTS)) - 1]:
+            _clip_pass(x, s64[:1], z64[:1], qmin, qmax, buf, sums[:1], shift)
+            if bad is not None:
+                sums[:1][bad[:1]] = np.inf
+            keep = _clip_bounds(x, lo, hi, s64[1:], z64[1:], qmin, qmax, buf, sums[0]) < sums[0]
+            sums[1:] = np.inf
+            todo = np.flatnonzero(np.logical_or.reduce(keep, axis=1)) + 1
+            s64, z64, out = s64[todo], z64[todo], np.empty((len(todo), n))
+        for a in range(0, len(out), k):
+            _clip_pass(x, s64[a : a + k], z64[a : a + k], qmin, qmax, buf, out[a : a + k], shift)
+        if todo is not None:
+            sums[todo] = out
+        if bad is not None:
             sums[bad] = np.inf
-            lower = _clip_bounds(xl, lo[live], hi[live], s64[1:], z64[1:], qmin, qmax, buf)
-            skip = (lower >= sums[0]) | bad[1:]
-            for a in np.flatnonzero(~skip.all(axis=1)) + 1:
-                _clip_pass(xl, s64[a : a + 1], z64[a : a + 1], qmin, qmax, buf, sums[a : a + 1])
-        sums[bad] = np.inf
-        errs = sums / x.shape[1]  # np.mean over each row, as the same sum and division
-        best = errs.argmin(axis=0)  # the first minimum: ties go to the larger alpha
-        rows = np.arange(len(xl))
-        scale[live], zero[live], err[live] = s[best, rows], z[best, rows], errs[best, rows]
+        sums /= m  # np.mean over each row, as the same sum and division
+        # the first minimum, so ties go to the larger alpha; flat (alpha, row)
+        pick = sums.argmin(axis=0) * n + np.arange(n)
+        scale, zero, err = s.take(pick), z.take(pick), sums.take(pick)
+        if fine is not None and np.count_nonzero(fine):
+            scale[fine] = np.finfo(np.float32).smallest_subnormal
+            if not symmetric:
+                zero[fine] = -lo[fine] / scale[fine]
+            err[fine] = 0.0
         return scale, zero, err
 
 
@@ -286,7 +302,7 @@ def quantize_rows(x: np.ndarray, bits: int, symmetric: bool):
     Returns (q, dequant, scale, zero_point), the last two per row.
     """
     scale, zero, _ = choose_clip_rows(x, bits, symmetric)
-    q, deq = _codes(x, scale[:, None], zero[:, None], *_qrange(bits, symmetric))
+    q, deq = _codes(x, scale.astype(np.float64)[:, None], zero.astype(np.float64)[:, None], *_qrange(bits, symmetric))
     return q, deq, scale, zero
 
 

@@ -321,9 +321,10 @@ def _quantize_input(g: LayerGraph, x) -> tuple:
 def _crossing_payloads(g: LayerGraph, x, solution):
     """One (id, message) per boundary tensor, ascending id order."""
     x = _check_input(g, x)
-    codes = run_fake_quantized_detailed(g, x, solution.n, solution.assignment)
+    crossing = boundary_cut(g, solution.n).crossing_tensors
+    codes = run_fake_quantized_detailed(g, x, solution.n, solution.assignment, crossing=crossing)
     out = []
-    for nid in boundary_cut(g, solution.n).crossing_tensors:
+    for nid in crossing:
         if nid == g.input_id:
             q, p = _quantize_input(g, x)
         elif nid in codes:

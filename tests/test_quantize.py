@@ -10,6 +10,7 @@ from bitsplit.engine import calibrate_activations
 from bitsplit import quantize
 from bitsplit.quantize import (
     CLIP_ALPHAS,
+    CLIP_BOUND_ELEMENTS,
     CLIP_GROUP_ELEMENTS,
     DistortionTable,
     QuantError,
@@ -393,6 +394,173 @@ def test_row_search_validates_the_stack():
     with pytest.raises(QuantError, match="bit-width"):
         choose_clip_rows(np.ones((3, 4), dtype=np.float32), 1, symmetric=True)
 
+
+
+def _shifting_codes(x, p):
+    """The codes step as the oracle runs it: always shifted by the zero point,
+    whatever its value or sign."""
+    s, z = np.float64(np.float32(p.scale)), np.float64(np.float32(p.zero_point))
+    lo, hi = p.qrange()
+    q = np.clip(np.rint(x.astype(np.float64) / s + z), lo, hi).astype(np.int64)
+    return q, ((q - z) * s).astype(np.float32)
+
+
+def _signed_zero_stacks(rng, m):
+    """ReLU rows with min +0.0, the same with min -0.0, signed rows with
+    -0.0 values inside, and all three mixed."""
+    relu = np.maximum(rng.standard_normal((3, m)), 0).astype(np.float32)
+    relu[:, 0] = 0.0
+    negzero = np.where(relu == 0, np.float32(-0.0), relu)
+    signed = rng.standard_normal((3, m)).astype(np.float32)
+    signed[:, ::7] = -0.0
+    return [relu, negzero, signed, np.concatenate([relu[:1], negzero[:1], signed[:1]])]
+
+
+@pytest.mark.parametrize("m", [1, 2, 300, 2048, 3000])
+def test_zero_point_skip_matches_always_shifting_codes(m):
+    """Where no zero point of a search is nonzero (a symmetric search, or rows
+    whose min is +-0), the searches and codes skip the shifts. Codes,
+    reconstruction, scale and zero point keep every byte, the sign of each
+    zero included, and the MSE stays the oracle's."""
+    rng = np.random.default_rng(80 + m)
+    for stack in _signed_zero_stacks(rng, m):
+        for symmetric in (False, True):
+            for bits in range(2 if symmetric else 1, 9):
+                q, deq, scale, zero = quantize.quantize_rows(stack, bits, symmetric)
+                err = choose_clip_rows(stack, bits, symmetric)[2]
+                for k, row in enumerate(stack):
+                    want, want_err = oracles.clip_range_scalar(row, bits, symmetric)
+                    want_q, want_deq = _shifting_codes(row, want)
+                    got = (scale[k].tobytes(), zero[k].tobytes(), q[k].tobytes(), deq[k].tobytes())
+                    assert got == (
+                        np.float32(want.scale).tobytes(),
+                        np.float32(want.zero_point).tobytes(),
+                        want_q.tobytes(),
+                        want_deq.tobytes(),
+                    ), (bits, symmetric, k)
+                    assert err[k] == want_err, (bits, symmetric, k)
+
+
+def _bound_edges(bits):
+    """Live-element counts one below and at the width's CLIP_BOUND_ELEMENTS,
+    and at the alpha-group edges (k = 1, 2, 3 and 11)."""
+    t = CLIP_BOUND_ELEMENTS[min(bits, len(CLIP_BOUND_ELEMENTS)) - 1]
+    edges = [CLIP_GROUP_ELEMENTS // k + d for k in (1, 2, 3) for d in (0, 1)] + [len(CLIP_ALPHAS) * 2, 1]
+    return t, ([t - 1, t] if t < np.inf else []) + edges
+
+
+@pytest.mark.parametrize("bits, symmetric", [(b, s) for s in (False, True) for b in range(2 if s else 1, 9)])
+def test_row_search_matches_the_oracle_at_the_bound_threshold(monkeypatch, bits, symmetric):
+    """Single rows, a row beside an all-zero one, and two half rows beside
+    it, with live elements one below and at the width's threshold and at the
+    alpha-group edges: the bound runs from the threshold on, and every row
+    gets the oracle's params and MSE exactly."""
+    rng = np.random.default_rng(90 + bits + 10 * symmetric)
+    bounds = []
+    run = quantize._clip_bounds
+    monkeypatch.setattr(quantize, "_clip_bounds", lambda *a: bounds.append(1) or run(*a))
+    t, sizes = _bound_edges(bits)
+    for size in sizes:
+        zeros = np.zeros(size, dtype=np.float32)
+        stacks = [_stress_row(rng, kind, size, bits)[None] for kind in ("relu", "signed", "quarter_grid")]
+        stacks.append(np.stack([_stress_row(rng, "cauchy", size, bits), zeros]))
+        if size % 2 == 0:
+            halves = [_stress_row(rng, kind, size // 2, bits) for kind in ("relu", "huge")]
+            stacks.append(np.stack([halves[0], zeros[: size // 2], halves[1]]))
+        for stack in stacks:
+            bounds.clear()
+            scale, zero, err = choose_clip_rows(stack, bits, symmetric)
+            assert len(bounds) == (size >= t), (size, stack.shape)
+            for k, row in enumerate(stack):
+                want, want_err = oracles.clip_range_scalar(row, bits, symmetric)
+                assert _exact(QuantParams(bits, float(scale[k]), float(zero[k]), symmetric)) == _exact(want), (size, k)
+                assert err[k] == want_err, (size, k)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bound_from", [(1,), (np.inf,)])
+def test_row_search_matches_the_oracle_whatever_the_threshold(monkeypatch, bound_from):
+    """The threshold only trades time: bounding every stack, the 1-bit ones
+    and those at float32's limits included, or none, gives each row the
+    oracle's params and MSE exactly."""
+    monkeypatch.setattr(quantize, "CLIP_BOUND_ELEMENTS", bound_from)
+    rng = np.random.default_rng(95)
+    for symmetric in (False, True):
+        for bits in range(2 if symmetric else 1, 9):
+            stacks = [np.array(EXTREME_ROWS, dtype=np.float32), _clip_search_rows(rng, 40, bits)]
+            stacks.append(np.stack([_stress_row(rng, kind, 300, bits) for kind in ROW_KINDS]))
+            for stack in stacks:
+                scale, zero, err = choose_clip_rows(stack, bits, symmetric)
+                for k, row in enumerate(stack):
+                    want, want_err = oracles.clip_range_scalar(row, bits, symmetric)
+                    assert _exact(QuantParams(bits, float(scale[k]), float(zero[k]), symmetric)) == _exact(want), (bits, k)
+                    assert err[k] == want_err, (bits, k)
+
+
+def test_bounded_search_skips_alphas_on_a_relu_row(monkeypatch):
+    """A session's first-layer row: one 2,048-value ReLU row at 8 bits is
+    bounded too, and runs fewer than the 11 alphas."""
+    rng = np.random.default_rng(71)
+    row = _stress_row(rng, "relu", 2048, 8)[None]
+    alphas = []
+    run = quantize._clip_pass
+    monkeypatch.setattr(quantize, "_clip_pass", lambda *a: alphas.append(len(a[1])) or run(*a))
+    scale, zero, err = choose_clip_rows(row, 8, symmetric=False)
+    assert 1 <= sum(alphas) < len(CLIP_ALPHAS)
+    want, want_err = oracles.clip_range_scalar(row[0], 8, False)
+    assert (float(scale[0]), float(zero[0]), err[0]) == (want.scale, want.zero_point, want_err)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_clip_bound_with_the_alpha_one_error_never_exceeds_the_pass_error(symmetric):
+    """Given each row's alpha 1.0 sum, the bounds of the alphas whose extremes
+    alone reach it skip the tails; every bound is still at most its pass's."""
+    rng = np.random.default_rng(62 + symmetric)
+    for bits in range(2 if symmetric else 1, 9):
+        live = [k for k in ROW_KINDS if k not in ("constant", "zeros")]
+        x = np.stack([_stress_row(rng, kind, 700, bits) for kind in live])
+        qmin, qmax = quantize._qrange(bits, symmetric)
+        s64, z64 = _alpha_params(x, bits, symmetric)
+        buf = np.empty((1,) + x.shape)
+        sums = np.empty(s64.shape[:2])
+        for a in range(len(CLIP_ALPHAS)):
+            quantize._clip_pass(x, s64[a : a + 1], z64[a : a + 1], qmin, qmax, buf, sums[a : a + 1])
+        lower = quantize._clip_bounds(x, x.min(axis=1), x.max(axis=1), s64[1:], z64[1:], qmin, qmax, buf, sums[0])
+        assert (lower <= sums[1:]).all(), np.argwhere(lower > sums[1:])
+
+
+def test_row_search_of_an_empty_stack_is_empty():
+    for symmetric in (False, True):
+        scale, zero, err = choose_clip_rows(np.zeros((0, 5), dtype=np.float32), 4, symmetric)
+        assert scale.shape == zero.shape == err.shape == (0,)
+
+
+def test_quantize_rows_peaks_no_higher_than_before():
+    """tracemalloc's peak above the base while quantize_rows runs on a 16 x 2,048
+    float32 block stays within the codes step's own arrays, 20 bytes an
+    element (its float64 work array, the int64 codes and the float32
+    reconstruction), plus 8 KiB for the small arrays, whose count moves a few
+    hundred bytes with NumPy's cache of freed ones. The search holds no
+    float64 copy of the block, which would add 256 KiB. Before the shift skip
+    these blocks peaked at 658,499 to 658,619 bytes, after it at 658,080 to
+    659,019."""
+    import tracemalloc
+
+    rng = np.random.default_rng(72)
+    blocks = [np.maximum(rng.standard_normal((16, 2048)), 0).astype(np.float32)]
+    blocks.append(rng.standard_normal((16, 2048)).astype(np.float32))
+    for x in blocks:
+        for bits in (2, 4, 8):
+            quantize.quantize_rows(x, bits, symmetric=False)  # first-call allocations
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = quantize.quantize_rows(x, bits, symmetric=False)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            del out
+            assert peak <= 20 * x.size + 8192, (bits, peak)
 
 # -- distortion tables ----------------------------------------------------------
 
