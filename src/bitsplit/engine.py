@@ -11,10 +11,13 @@ floating-point operations of a stack of one, so a batch reproduces
 one-at-a-time runs bit for bit. Evaluation and calibration run the eval set
 EVAL_BLOCK inputs at a time; sessions run one input.
 
-One fake-quantized pass serves evaluation and sessions alike:
-`run_fake_quantized` runs it over the whole graph, and
-`run_fake_quantized_detailed`, a session's edge half, over the split prefix
-only, keeping the integer codes of just the tensors that cross the boundary.
+One edge half, `_run_prefix`, serves evaluation, the replay reference and
+sessions alike: the edge layers run on quantized weights with their outputs
+fake-quantized, and an input that crosses the split is replaced by the input
+the wire ships. `run_fake_quantized` then runs the layers past the split in
+float, and `run_fake_quantized_detailed`, a session's edge half, keeps the
+integer codes of just the tensors that cross the boundary. So the accuracy
+measured for a plan is the accuracy of the plan as deployed.
 
 Edge weights are quantized once per graph: `quantized_weights` keeps each
 (node, bits) tensor it makes for as long as the graph lives, so a session
@@ -259,86 +262,88 @@ def _edge_layers(g: LayerGraph, n: int, assignment):
     return edge
 
 
-def _fake_quantized(g: LayerGraph, xs, ids, edge, assignment, qw, codes=None):
-    """Run the nodes `ids` over the input stack xs with the edge layers'
-    weights replaced by qw and their outputs fake-quantized; returns the node
-    values. codes, when given, is keyed by the wanted node ids: each wanted
-    layer quantized below 16 bits gets its (codes, scales, zero points), one
-    row per stacked input."""
-    edge_set = set(edge)
+def _run_prefix(g: LayerGraph, xs, n: int, assignment, codes=None):
+    """The edge half over the input stack xs: the n edge layers run on
+    quantized weights with their outputs fake-quantized, and when the input
+    crosses split n its value becomes the shipped input, quantized per row at
+    input_bits and reconstructed. Returns node id -> stack for the input and
+    the edge layers. codes, when given, is keyed by the wanted node ids: each
+    wanted tensor quantized below 16 bits gets its (codes, bits, scales, zero
+    points), one row per stacked input."""
+    edge = _edge_layers(g, n, assignment)
 
-    def fake_quantize(node, y):
-        if node.id not in edge_set:
-            return y
-        bits = assignment.act_bits[node.id]
+    def fake_quantize(nid, y, bits):
         if bits >= 16:
             return y
         q, deq, scale, zero = quantize_rows(y.reshape(len(y), -1), bits, symmetric=False)
-        if codes is not None and node.id in codes:
-            codes[node.id] = (q.reshape(y.shape), scale, zero)
+        if codes is not None and nid in codes:
+            codes[nid] = (q.reshape(y.shape), bits, scale, zero)
         return deq.reshape(y.shape)
 
-    return _forward(g, {g.input_id: xs}, ids, qw, fake_quantize)
+    qw = quantized_weights(g, edge, assignment)
+    vals = _forward(g, {g.input_id: xs}, edge, qw,
+                    lambda node, y: fake_quantize(node.id, y, assignment.act_bits[node.id]))
+    if g.liveness.crossing[n, 0]:
+        vals[g.input_id] = fake_quantize(g.input_id, xs, g.input_bits)
+    return vals
 
 
 def run_fake_quantized_detailed(g: LayerGraph, x, n: int, assignment, crossing=None):
     """The edge half of a split session: one input through the n-prefix only,
-    fake-quantized as run_fake_quantized runs it.
+    as run_fake_quantized runs it.
 
     Returns {crossing id: (codes, QuantParams)} for every tensor that crosses
-    split n and is quantized below 16 bits; the graph input and 16-bit layers
-    are left out. crossing, if given, is boundary_cut(g, n).crossing_tensors.
+    split n and is quantized below 16 bits, the graph input included; 16-bit
+    layers are left out. crossing, if given, is boundary_cut(g, n).crossing_tensors.
     """
-    edge = _edge_layers(g, n, assignment)
     crossing = boundary_cut(g, n).crossing_tensors if crossing is None else crossing
-    codes = dict.fromkeys(c for c in crossing if c != g.input_id)
-    qw = quantized_weights(g, edge, assignment)
-    _fake_quantized(g, _check_input(g, x)[None], [g.input_id] + edge, edge, assignment, qw, codes)
+    codes = dict.fromkeys(crossing)
+    _run_prefix(g, _check_input(g, x)[None], n, assignment, codes)
     out = {}
     for nid, c in codes.items():
         if c is not None:
-            q, scale, zero = c
-            out[nid] = (q[0], QuantParams(assignment.act_bits[nid], float(scale[0]), float(zero[0]), False))
+            q, bits, scale, zero = c
+            out[nid] = (q[0], QuantParams(bits, float(scale[0]), float(zero[0]), False))
     return out
 
 
 def run_fake_quantized(g: LayerGraph, x, n: int, assignment):
-    """Fake-quantized prefix + float suffix: the edge layers run on quantized
-    weights with their outputs fake-quantized, and the layers past the split
-    run in float on the reconstructed tensors. With n = 0 the outputs are
-    run_inference's.
+    """The plan as deployed: the edge half (`_run_prefix`), then the layers
+    past the split in float on the values the edge ships.
 
     x is one input or a stack of them; for a stack every output is a stack.
     """
-    edge = _edge_layers(g, n, assignment)
     xs, single = _as_stack(g, x)
-    vals = _fake_quantized(g, xs, topological_order(g), edge, assignment, quantized_weights(g, edge, assignment))
+    vals = _forward(g, _run_prefix(g, xs, n, assignment), g.compute_ids()[n:])
     return [vals[i][0] if single else vals[i] for i in g.output_ids]
 
 
 # -- evaluation ----------------------------------------------------------------
 
 
-def evaluate_accuracy(g: LayerGraph, eval_set: EvalSet, n: int, assignment) -> float:
-    """Top-1 accuracy of the fake-quantized model over the eval set.
-
-    Inputs run EVAL_BLOCK at a time through run_fake_quantized; predictions
-    are bit-identical to running them one at a time.
-    """
+def _top1(g: LayerGraph, eval_set: EvalSet, run) -> float:
+    """Top-1 accuracy over the eval set of run(stack) -> outputs, EVAL_BLOCK
+    inputs at a time; predictions are bit-identical to one-at-a-time runs."""
     if not eval_set.inputs:
         raise ValueError("empty eval set")
     if len(g.output_ids) != 1:
         raise GraphError("accuracy needs a single-output graph")
     hits = 0
     for k, xs in _blocks(g, eval_set.inputs):
-        logits = run_fake_quantized(g, xs, n, assignment)[0]
-        preds = np.argmax(logits.reshape(len(xs), -1), axis=1)
+        preds = np.argmax(run(xs)[0].reshape(len(xs), -1), axis=1)
         hits += sum(1 for p, t in zip(preds, eval_set.labels[k : k + len(xs)]) if int(p) == int(t))
     return hits / len(eval_set.labels)
 
 
+def evaluate_accuracy(g: LayerGraph, eval_set: EvalSet, n: int, assignment) -> float:
+    """Top-1 accuracy of the plan (n, assignment) as deployed
+    (`run_fake_quantized`) over the eval set."""
+    return _top1(g, eval_set, lambda xs: run_fake_quantized(g, xs, n, assignment))
+
+
 def float_accuracy(g: LayerGraph, eval_set: EvalSet) -> float:
-    return evaluate_accuracy(g, eval_set, 0, None)
+    """Top-1 accuracy of the float model (`run_inference`) over the eval set."""
+    return _top1(g, eval_set, lambda xs: run_inference(g, xs))
 
 
 # -- eval set storage -----------------------------------------------------------

@@ -383,13 +383,11 @@ class LayerGraph:
 
 
 def _ints(value, what):
-    """[int(v) for v in value] of a JSON list, or GraphError naming `what`."""
-    try:
-        if not isinstance(value, list):
-            raise TypeError
-        return [int(v) for v in value]
-    except (TypeError, ValueError, OverflowError):
+    """A JSON list of integers as is, or GraphError naming `what`; a bool, a
+    float or a string is not an integer."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
         raise GraphError("%s must be a list of integers, not %r" % (what, value))
+    return list(value)
 
 
 def graph_from_dict(doc: dict, base_dir: str = ".") -> LayerGraph:
@@ -402,13 +400,16 @@ def graph_from_dict(doc: dict, base_dir: str = ".") -> LayerGraph:
     nodes = []
     for row in doc["nodes"]:
         try:
-            nid = int(row["id"])
-            op = str(row["op"])
-        except (KeyError, TypeError, ValueError) as e:
+            nid, op = row["id"], str(row["op"])
+        except (KeyError, TypeError) as e:
             raise GraphError("malformed node entry: %s" % e)
-        attrs = row.get("attrs", {})
+        if type(nid) is not int:
+            raise GraphError("malformed node entry: id must be an integer, not %r" % (nid,))
+        attrs, relu = row.get("attrs", {}), row.get("fused_relu", False)
         if not isinstance(attrs, dict):
             raise GraphError("node %d: attrs must be an object, not %r" % (nid, attrs))
+        if type(relu) is not bool:
+            raise GraphError("node %d: fused_relu must be true or false, not %r" % (nid, relu))
         n = LayerNode(
             id=nid,
             op_kind=op,
@@ -416,7 +417,7 @@ def graph_from_dict(doc: dict, base_dir: str = ".") -> LayerGraph:
             weight_shape=tuple(_ints(row.get("weight_shape", []), "node %d: weight_shape" % nid)),
             out_shape=tuple(_ints(row.get("out_shape", []), "node %d: out_shape" % nid)),
             inputs=_ints(row.get("inputs", []), "node %d: inputs" % nid),
-            fused_relu=bool(row.get("fused_relu", False)),
+            fused_relu=relu,
         )
         for key, slot in (("weights_file", "weights"), ("bias_file", "bias")):
             rel = row.get(key)

@@ -23,16 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import PACKABLE_BITS, crossing_bits_map, message_payload_bytes
-from .engine import (
-    _check_input,
-    _edge_layers,
-    _fake_quantized,
-    _forward,
-    quantized_weights,
-    run_fake_quantized_detailed,
-)
+from .engine import _check_input, _forward, run_fake_quantized, run_fake_quantized_detailed
 from .graph import LayerGraph, boundary_cut
-from .quantize import QuantParams, choose_clip_range, dequantize, quantize_tensor
+from .quantize import QuantParams, dequantize
 from .util import prod
 
 MAGIC = 0x4153
@@ -309,28 +302,15 @@ def _tcp_channel_pair(host, port):
 # -- split session -----------------------------------------------------------------
 
 
-def _quantize_input(g: LayerGraph, x) -> tuple:
-    bits = g.input_bits
-    if bits not in PACKABLE_BITS:
-        raise WireError("input_bits %d not transportable" % bits)
-    p = choose_clip_range(np.asarray(x, dtype=np.float32), bits, symmetric=False)
-    q, _ = quantize_tensor(x, p)
-    return q, p
-
-
 def _crossing_payloads(g: LayerGraph, x, solution):
     """One (id, message) per boundary tensor, ascending id order."""
-    x = _check_input(g, x)
     crossing = boundary_cut(g, solution.n).crossing_tensors
     codes = run_fake_quantized_detailed(g, x, solution.n, solution.assignment, crossing=crossing)
     out = []
     for nid in crossing:
-        if nid == g.input_id:
-            q, p = _quantize_input(g, x)
-        elif nid in codes:
-            q, p = codes[nid]
-        else:
+        if nid not in codes:
             raise WireError("tensor %d uses a non-transportable bit-width" % nid)
+        q, p = codes[nid]
         msg = ActivationMessage(
             tensor_id=nid,
             bits=p.bits,
@@ -419,18 +399,7 @@ def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=
 
 
 def reference_outputs(g: LayerGraph, x, solution, order=None):
-    """What a session must reproduce bitwise: the edge prefix as
-    `run_fake_quantized` runs it, and the layers past the split in float on
-    the prefix's values. When the input crosses the split, those layers read
-    it as the edge ships it: quantized at input_bits (`_quantize_input`) and
-    dequantized. `order` is unused; the benchmark still passes it (ROADMAP 4b)."""
-    x = _check_input(g, x)
-    n, assignment = solution.n, solution.assignment
-    edge = _edge_layers(g, n, assignment)
-    qw = quantized_weights(g, edge, assignment)
-    vals = _fake_quantized(g, x[None], [g.input_id] + edge, edge, assignment, qw)
-    if g.input_id in boundary_cut(g, n).crossing_tensors:
-        q, p = _quantize_input(g, x)
-        vals[g.input_id] = dequantize(q, p)[None]
-    _forward(g, vals, g.compute_ids()[n:])
-    return [vals[i][0] for i in g.output_ids]
+    """What a session must reproduce bitwise: `run_fake_quantized` on the
+    one input x, the plan as evaluated. `order` is unused; the benchmark
+    still passes it (ROADMAP 4b)."""
+    return run_fake_quantized(g, _check_input(g, x), solution.n, solution.assignment)

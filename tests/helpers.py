@@ -7,7 +7,7 @@ import numpy as np
 from bitsplit import engine
 from bitsplit.cost import DeviceProfile, NetworkProfile
 from bitsplit.engine import evaluate_accuracy, float_accuracy
-from bitsplit.graph import WEIGHTED_OPS, LayerGraph, LayerNode, boundary_cut, topological_order
+from bitsplit.graph import WEIGHTED_OPS, LayerGraph, LayerNode, boundary_cut
 from bitsplit.quantize import dequantize
 from bitsplit.search import BitAssignment
 from bitsplit.synth import table1_device_config, toy_device_config
@@ -41,22 +41,22 @@ def table1_profiles():
 
 
 def reference_values(g, xs, n, asg) -> dict:
-    """Every node's value in the whole-graph fake-quantized pass that
-    `run_fake_quantized` makes over the stack xs: node id -> stack."""
-    edge = g.compute_ids()[:n]
-    qw = engine.quantized_weights(g, edge, asg)
-    return engine._fake_quantized(g, xs, topological_order(g), edge, asg, qw)
+    """Every node's value in the pass that `run_fake_quantized` makes over
+    the stack xs, the input as the edge ships it: node id -> stack."""
+    return engine._forward(g, engine._run_prefix(g, xs, n, asg), g.compute_ids()[n:])
 
 
 def check_edge_codes(g, x, n, asg, values, k=0):
     """`run_fake_quantized_detailed(g, x, n, asg)` holds exactly the crossing
-    tensors quantized below 16 bits, and each one's codes dequantize to row k
-    of `values` (from `reference_values`) bit for bit."""
+    tensors quantized below 16 bits, the input at input_bits whenever it
+    crosses, and each one's codes dequantize to row k of `values` (from
+    `reference_values`) bit for bit."""
     codes = engine.run_fake_quantized_detailed(g, x, n, asg)
     crossing = boundary_cut(g, n).crossing_tensors
-    assert sorted(codes) == [c for c in crossing if c != g.input_id and asg.act_bits[c] < 16]
+    bits = {g.input_id: g.input_bits, **asg.act_bits}
+    assert sorted(codes) == [c for c in crossing if bits[c] < 16]
     for nid, (q, p) in codes.items():
-        assert (p.bits, p.symmetric) == (asg.act_bits[nid], False)
+        assert (p.bits, p.symmetric) == (bits[nid], False)
         assert q.dtype == np.int64 and q.shape == tuple(g.nodes[nid].out_shape)
         assert 0 <= q.min() and q.max() < 2**p.bits
         want = values[nid][k]

@@ -440,13 +440,18 @@ def test_malformed_uplink_rate_exits_2(demo_dir, tmp_path):
         assert main(_solve_args(demo)) == 2, uplink
 
 
-def _edit_graph(demo_dir, tmp_path, edit):
-    """solve on a copy of the demo whose graph.json document `edit` changed."""
+def _edited_demo(demo_dir, tmp_path, edit):
+    """A copy of the demo whose graph.json document `edit` changed."""
     demo = _demo_copy(demo_dir, tmp_path)
     doc = json.loads((demo / "graph.json").read_text())
     edit(doc)
     (demo / "graph.json").write_text(json.dumps(doc))
-    return main(_solve_args(demo))
+    return demo
+
+
+def _edit_graph(demo_dir, tmp_path, edit):
+    """solve on a copy of the demo whose graph.json document `edit` changed."""
+    return main(_solve_args(_edited_demo(demo_dir, tmp_path, edit)))
 
 
 def _first_conv(doc):
@@ -491,6 +496,45 @@ def test_string_out_shape_exits_3(demo_dir, tmp_path, capsys):
 def test_numeric_bias_file_exits_3(demo_dir, tmp_path, capsys):
     assert _edit_graph(demo_dir, tmp_path, lambda d: _first_conv(d).update(bias_file=-1)) == 3
     assert "bias_file must be a path" in capsys.readouterr().err
+
+
+# -- graph.json fields are not coerced: int() read true as 1 and 1.9 as 1, and
+# bool() read "false" as true --------------------------------------------------
+
+
+def _inspect_edited(demo_dir, tmp_path, edit):
+    """inspect on a copy of the demo whose graph.json document `edit` changed."""
+    return main(["inspect", "--graph", str(_edited_demo(demo_dir, tmp_path, edit) / "graph.json")])
+
+
+def test_a_boolean_conv_stride_exits_3(demo_dir, tmp_path, capsys):
+    assert _inspect_edited(demo_dir, tmp_path, lambda d: _first_conv(d)["attrs"].update(stride=True)) == 3
+    assert "attrs must be a list of integers" in capsys.readouterr().err
+
+
+def test_a_fractional_conv_pad_exits_3(demo_dir, tmp_path, capsys):
+    assert _inspect_edited(demo_dir, tmp_path, lambda d: _first_conv(d)["attrs"].update(pad=1.9)) == 3
+    assert "attrs must be a list of integers" in capsys.readouterr().err
+
+
+def test_a_string_out_shape_dimension_exits_3(demo_dir, tmp_path, capsys):
+    assert _inspect_edited(demo_dir, tmp_path, lambda d: _first_conv(d).update(out_shape=["8", 16, 16])) == 3
+    assert "out_shape must be a list of integers" in capsys.readouterr().err
+
+
+def test_a_fractional_input_id_exits_3(demo_dir, tmp_path, capsys):
+    assert _inspect_edited(demo_dir, tmp_path, lambda d: _first_conv(d).update(inputs=[0.7])) == 3
+    assert "inputs must be a list of integers" in capsys.readouterr().err
+
+
+def test_a_string_node_id_exits_3(demo_dir, tmp_path, capsys):
+    assert _inspect_edited(demo_dir, tmp_path, lambda d: _first_conv(d).update(id="1")) == 3
+    assert "id must be an integer, not '1'" in capsys.readouterr().err
+
+
+def test_a_string_fused_relu_exits_3(demo_dir, tmp_path, capsys):
+    assert _inspect_edited(demo_dir, tmp_path, lambda d: _first_conv(d).update(fused_relu="false")) == 3
+    assert "fused_relu must be true or false, not 'false'" in capsys.readouterr().err
 
 
 # -- one field of an input file set to a value it should not hold ---------------------

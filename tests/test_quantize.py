@@ -511,6 +511,35 @@ def test_bounded_search_skips_alphas_on_a_relu_row(monkeypatch):
     assert (float(scale[0]), float(zero[0]), err[0]) == (want.scale, want.zero_point, want_err)
 
 
+def test_clip_bound_keeps_its_rounding_margin():
+    """A row whose in-range values sit on alpha 0.5's 1-bit grid: that
+    alpha's pass error is the clipped tails' terms alone, summed in another
+    order than _tail_sums sums them, and on this row their unmargined sum is
+    an ulp above the pass's. The bound's margin keeps it at most the pass's."""
+    bits, a, m = 1, CLIP_ALPHAS.index(0.5), 256
+    rng = np.random.default_rng(9)
+    ext = np.array([[-rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)]], np.float32)
+    s64, z64 = _alpha_params(ext, bits, False)
+    grid = ((np.arange(2) - z64[a, 0, 0]) * s64[a, 0, 0]).astype(np.float32)
+    above = rng.random(m - 2) < 0.5
+    tail = np.where(above, rng.uniform(grid[-1], ext[0, 1], m - 2), rng.uniform(ext[0, 0], grid[0], m - 2))
+    x = np.concatenate([ext[0], np.where(rng.random(m - 2) < 0.5, rng.choice(grid, m - 2), tail)])
+    x = x.astype(np.float32)[None]  # its extremes are ext's, so its params are too
+    s64, z64 = s64[a : a + 1], z64[a : a + 1]
+    p = QuantParams(bits, float(s64[0, 0, 0]), float(z64[0, 0, 0]), False)
+    inside = (x >= grid[0]) & (x <= grid[-1])
+    assert (quantize_tensor(x, p)[1][inside] == x[inside]).all()  # in range, every value reconstructs exactly
+
+    buf = np.empty((1,) + x.shape)
+    pass_sum = np.empty((1, 1))
+    quantize._clip_pass(x, s64, z64, 0, 1, buf, pass_sum)
+    lo, hi = x.min(axis=1).astype(np.float64), x.max(axis=1).astype(np.float64)
+    rec = grid.astype(np.float64)[:, None, None]
+    tails = quantize._tail_sums(x, rec[1], hi, True, buf) + quantize._tail_sums(x, rec[0], lo, False, buf)
+    assert tails[0, 0] > pass_sum[0, 0]  # unmargined, the bound would prune an alpha that can win
+    assert quantize._clip_bounds(x, lo, hi, s64, z64, 0, 1, buf)[0, 0] <= pass_sum[0, 0]
+
+
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_clip_bound_with_the_alpha_one_error_never_exceeds_the_pass_error(symmetric):
     """Given each row's alpha 1.0 sum, the bounds of the alphas whose extremes

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from bitsplit import engine, wire
 from bitsplit.cost import crossing_bits_map, message_payload_bytes
+from bitsplit.engine import EVAL_BLOCK, EvalSet, evaluate_accuracy, float_accuracy, run_inference
 from bitsplit.graph import GraphError, LayerGraph, LayerNode, boundary_cut, optimize_graph
 from bitsplit.search import BitAssignment, SplitSolution
 from bitsplit.synth import make_toy_classifier
@@ -363,8 +364,7 @@ def test_sessions_on_random_graphs():
 
 def test_sessions_that_ship_the_input_replay_exactly():
     # an input off the 8-bit grid: the edge ships it quantized, so the
-    # reference's layers past the split read it as shipped; where the input
-    # does not cross, the reference is the monolithic fake-quantized run
+    # reference's layers past the split read it as shipped
     rng = np.random.default_rng(31)
     shipped = 0
     for _ in range(12):
@@ -372,17 +372,56 @@ def test_sessions_that_ship_the_input_replay_exactly():
         x = rng.standard_normal(g.nodes[g.input_id].out_shape).astype(np.float32)
         for n in range(1, len(g.compute_ids()) + 1):
             sol = make_sol(n, random_assignment(g, n, rng))
+            if g.input_id not in boundary_cut(g, n).crossing_tensors:
+                continue
             want = reference_outputs(g, x, sol)
-            if g.input_id in boundary_cut(g, n).crossing_tensors:
-                runner = run_tcp_session if shipped == 0 else run_split_session
-                got = runner(g, x, sol)
-                shipped += 1
-            else:
-                got = engine.run_fake_quantized(g, x, n, sol.assignment)
+            runner = run_tcp_session if shipped == 0 else run_split_session
+            got = runner(g, x, sol)
+            shipped += 1
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
     assert shipped >= 5
+
+
+def test_evaluation_runs_the_plan_as_deployed():
+    # inputs off the 8-bit grid, at every split: row k of the stacked
+    # evaluation pass is the session's output for input k, byte for byte,
+    # whether or not the input crosses the split
+    rng = np.random.default_rng(41)
+    shipped = 0
+    for _ in range(12):
+        g = random_dag(rng, max_nodes=10)
+        xs = rng.standard_normal((3, *g.nodes[g.input_id].out_shape)).astype(np.float32)
+        for n in range(len(g.compute_ids()) + 1):
+            sol = make_sol(n, random_assignment(g, n, rng))
+            stacked = engine.run_fake_quantized(g, xs, n, sol.assignment)
+            for k, x in enumerate(xs):
+                got = run_split_session(g, x, sol)
+                assert [a.tobytes() for a in got] == [b[k].tobytes() for b in stacked], (n, k)
+            shipped += n > 0 and g.input_id in boundary_cut(g, n).crossing_tensors
+    assert shipped >= 5
+
+
+def test_accuracy_is_a_per_input_loop_over_the_replay_reference():
+    # labels set to each input's prediction by a per-input loop: the
+    # accuracy reads 1.0 only if every blocked prediction is that one
+    rng = np.random.default_rng(42)
+    graphs = moved = 0
+    while graphs < 4:
+        g = random_dag(rng, max_nodes=10)
+        if len(g.output_ids) != 1:
+            continue
+        graphs += 1
+        inputs = list(rng.standard_normal((EVAL_BLOCK + 4, *g.nodes[g.input_id].out_shape)).astype(np.float32))
+        floats = [int(np.argmax(run_inference(g, x)[0])) for x in inputs]
+        assert float_accuracy(g, EvalSet(inputs, floats)) == 1.0
+        for n in range(len(g.compute_ids()) + 1):
+            sol = make_sol(n, random_assignment(g, n, rng, choices=(2,)))
+            labels = [int(np.argmax(reference_outputs(g, x, sol)[0])) for x in inputs]
+            assert evaluate_accuracy(g, EvalSet(inputs, labels), n, sol.assignment) == 1.0, n
+            moved += labels != floats
+    assert moved  # the plans do change predictions
 
 
 @pytest.mark.parametrize("n", [0, 3])
