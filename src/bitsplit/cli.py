@@ -18,19 +18,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from collections import Counter
 
 import numpy as np
 
-from .cost import (
-    ConfigError,
-    LatencyBreakdown,
-    layer_macs,
-    load_device_config,
-)
+from .cost import ConfigError, layer_macs, load_device_config
 from .engine import (
     calibrate_activations,
     float_accuracy,
@@ -59,7 +53,7 @@ from .search import (
 )
 from .synth import TOY_MEMORY_BYTES, make_eval_set, make_toy_classifier, table1_device_config, toy_device_config
 from .tensorio import BlobError
-from .util import to_int
+from .util import MISSING, read_field
 from .wire import WireError, reference_outputs, run_split_session, run_tcp_session
 
 
@@ -96,8 +90,9 @@ def _graph_digest(g) -> str:
 
 
 def _merge_config(args, keys):
-    """Config-file values fill in flags the user left unset."""
-    cfg = {k: getattr(args, k) for k in keys}
+    """The parsed flags, with config-file values filling in the `keys` the
+    user left unset."""
+    cfg = dict(vars(args))
     path = getattr(args, "config", None)
     if path:
         try:
@@ -124,51 +119,18 @@ def _require(cfg, names):
         raise ConfigError("missing required option(s): %s" % ", ".join("--" + n.replace("_", "-") for n in missing))
 
 
-def _to_float(value) -> float:
-    """A finite float from a config value; a bool or anything else raises ValueError."""
-    if isinstance(value, bool):
-        raise ValueError(value)
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValueError(value)
-    return out
-
-
-def _option(cfg, key, convert, default=None, minimum=None, maximum=None):
-    """cfg[key] converted, or `default` when unset; a value that does not
-    convert, or falls outside `minimum`..`maximum`, raises ConfigError naming
-    the option."""
-    value = cfg[key]
-    if value is None:
+def _option(cfg, key, kind, default=None, minimum=None, maximum=None):
+    """cfg[key], a flag's or config-file value, read as `kind`; `default`
+    when it is unset (None)."""
+    if cfg[key] is None:
         return default
-    try:
-        out = convert(value)
-        if (minimum is None or out >= minimum) and (maximum is None or out <= maximum):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
-    bound = "" if minimum is None else " of at least %s" % minimum
-    if maximum is not None:
-        bound = " in %s..%s" % (minimum, maximum)
-    raise ConfigError("--%s: %r is not %s%s" % (
-        key.replace("_", "-"), value, "an integer" if convert is to_int else "a finite number", bound,
-    ))
+    return read_field(cfg[key], kind, cfg["cmd"], "--" + key.replace("_", "-"), ConfigError, minimum, maximum)
 
 
-def _parse_bits(value):
-    """Bit candidates from a comma-separated string or a list of integers."""
-    if value is None:
-        return None
-    try:
-        if isinstance(value, list):
-            bits = {to_int(b) for b in value}
-        else:
-            bits = {int(t) for t in str(value).split(",") if t.strip()}
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("cannot parse bit list %r" % (value,))
-    if not bits or any(b < 1 for b in bits):
-        raise ConfigError("bit candidates must be positive integers")
-    return tuple(sorted(bits))
+def _bit_menu(cfg, default):
+    """The --bits candidates, sorted and distinct, or `default` when unset."""
+    bits = _option(cfg, "bits", "bits")
+    return default if bits is None else tuple(sorted(set(bits)))
 
 
 # -- solve --------------------------------------------------------------------
@@ -205,25 +167,24 @@ def _load_labelled_eval(dirpath, g):
 def cmd_solve(args) -> int:
     cfg = _merge_config(args, _SOLVE_KEYS)
     _require(cfg, ["graph", "devices", "memory_bytes", "eval_dir"])
-    for key in ("graph", "devices", "eval_dir", "out"):
-        # open(0) would read stdin: a path must be a string
-        if not isinstance(cfg[key], (str, type(None))):
-            raise ConfigError("--%s: %r is not a path string" % (key.replace("_", "-"), cfg[key]))
-    out_dir = cfg["out"] or "bitsplit_out"
-    A = _option(cfg, "accuracy_drop", _to_float, default=1.0, minimum=0.0)
-    calib_n = _option(cfg, "calib", to_int, default=8, minimum=1)
-    seed = _option(cfg, "seed", to_int, default=0)
-    M = _option(cfg, "memory_bytes", to_int, minimum=1)
-    distortion_cap = _option(cfg, "distortion_cap", _to_float)
+    # a path must be a string: open(0) would read stdin
+    graph, devices, eval_dir = (_option(cfg, key, "path") for key in ("graph", "devices", "eval_dir"))
+    out_dir = _option(cfg, "out", "path", default="bitsplit_out")
+    A = _option(cfg, "accuracy_drop", "number", default=1.0, minimum=0.0)
+    calib_n = _option(cfg, "calib", "int", default=8, minimum=1)
+    seed = _option(cfg, "seed", "int", default=0)
+    M = _option(cfg, "memory_bytes", "int", minimum=1)
+    distortion_cap = _option(cfg, "distortion_cap", "number")
+    require_split = _option(cfg, "require_split", "flag", default=False)
 
-    edge, cloud, net = load_device_config(cfg["devices"])
-    B = _parse_bits(cfg["bits"]) or edge.supported_bits
-    g = optimize_graph(load_graph(cfg["graph"]))
+    edge, cloud, net = load_device_config(devices)
+    B = _bit_menu(cfg, edge.supported_bits)
+    g = optimize_graph(load_graph(graph))
     for w in g.warnings:
         print("note: %s" % w, file=sys.stderr)
     compute = g.compute_ids()
 
-    eval_set = _load_labelled_eval(cfg["eval_dir"], g)
+    eval_set = _load_labelled_eval(eval_dir, g)
     calib = calibrate_activations(g, eval_set.inputs, max_samples=calib_n)
     wtable = weight_distortion_table(g, B)
     atable = activation_distortion_table(g, calib, B)
@@ -231,12 +192,12 @@ def cmd_solve(args) -> int:
     S, stats = enumerate_solutions(
         g, topological_order(g), wtable, atable, edge, cloud, net, M, B=B, distortion_cap=distortion_cap,
     )
-    if cfg["require_split"] and len(S) <= 1:
+    if require_split and len(S) <= 1:
         raise InfeasibleError("no feasible split found under %d bytes" % M)
 
     base_acc = float_accuracy(g, eval_set)
     chosen = select_solution(S, g, eval_set, A, base_acc=base_acc)
-    if cfg["require_split"] and chosen.is_sentinel:
+    if require_split and chosen.is_sentinel:
         raise InfeasibleError("only the cloud-only sentinel meets the %.4f%% accuracy limit" % A)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -383,7 +344,9 @@ def _summary_text(g, edge, cloud, net, M, B, eval_set, base_acc, stats, S, chose
 
 def _load_selected(path, g):
     """The plan in a `selected.json`, checked against the graph: its split
-    is one of g's, and its widths cover exactly the edge layers."""
+    is one of g's, its widths cover exactly the edge layers, and it was
+    solved against g. Only these four fields are read; a replay needs no
+    other, so the plan's latency, distortion and memory are left unset."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -391,62 +354,44 @@ def _load_selected(path, g):
         raise ConfigError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise ConfigError("corrupt selected file %s: %s" % (path, e))
+    where = "selected file %s" % path
+    if not isinstance(doc, dict):
+        raise ConfigError("%s must hold a JSON object" % where)
     compute = g.compute_ids()
-    try:
-        n = doc["split_index"]
-        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= len(compute):
-            raise ConfigError("selected file %s: split_index %r is not a split of 0..%d" % (path, n, len(compute)))
-        position = {nid: k for k, nid in enumerate(compute)}
-        latency, memory = doc["latency"], doc["memory"]
-        plan = SplitSolution(
-            n=n,
-            assignment=BitAssignment(
-                weight_bits=Widths(position, _plan_widths(doc["weight_bits"], compute[:n], "weight_bits")),
-                act_bits=Widths(position, _plan_widths(doc["act_bits"], compute[:n], "act_bits")),
-            ),
-            breakdown=LatencyBreakdown(
-                **{k: float(latency[k]) for k in ("edge_s", "transmit_s", "cloud_s", "total_s", "relative_s")}
-            ),
-            total_distortion=float(doc["total_distortion"]),
-            edge_weight_bytes=float(memory["weight_bytes"]),
-            edge_act_bytes=float(memory["act_bytes"]),
-            accuracy_drop=float(doc["accuracy_drop_percent"]) / 100.0,
-        )
-        digest = doc["graph_sha256"]
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise ConfigError("selected file %s is missing fields: %s" % (path, e))
-    if digest != _graph_digest(g):
-        raise ConfigError("selected file %s was solved against a different graph" % path)
-    return plan
+    n = read_field(doc.get("split_index", MISSING), "int", where, "split_index", ConfigError, 0, len(compute))
+    position = {nid: k for k, nid in enumerate(compute)}
+    weight_bits, act_bits = (
+        Widths(position, _plan_widths(doc.get(key, MISSING), compute[:n], where, key))
+        for key in ("weight_bits", "act_bits")
+    )
+    if read_field(doc.get("graph_sha256", MISSING), "string", where, "graph_sha256", ConfigError) != _graph_digest(g):
+        raise ConfigError("%s: graph_sha256 does not match: the plan was solved against a different graph" % where)
+    return SplitSolution(
+        n=n,
+        assignment=BitAssignment(weight_bits=weight_bits, act_bits=act_bits),
+        breakdown=None,
+        total_distortion=None,
+        edge_weight_bytes=None,
+        edge_act_bytes=None,
+    )
 
 
-def _plan_widths(bits, ids, name) -> np.ndarray:
+def _plan_widths(bits, ids, where, name) -> np.ndarray:
     """A plan file's `name` object, which must map exactly `ids` (as
-    strings) to positive integer widths, as a read-only width array."""
-    if not isinstance(bits, dict):
-        raise ConfigError("%s must be an object" % name)
-    widths = {}
-    for k, v in bits.items():
-        try:
-            nid = int(k)
-        except ValueError:
-            nid = None
-        if nid is None or nid in widths:
-            raise ConfigError("%s: %r is not a distinct layer id" % (name, k))
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ConfigError("%s: width %r of layer %s is not a positive integer" % (name, v, k))
-        widths[nid] = v
-    if set(widths) != set(ids):
-        raise ConfigError("%s must cover exactly the %d edge layers %s, not %s" % (name, len(ids), list(ids), sorted(widths)))
-    array = np.array([widths[i] for i in ids], dtype=np.int64)
+    strings) to widths in 1..32, as a read-only width array."""
+    bits = read_field(bits, "object", where, name, ConfigError)
+    keys = [str(i) for i in ids]
+    if sorted(bits) != sorted(keys):
+        raise ConfigError("%s: %s must map exactly the %d edge layers %s, not %s"
+                          % (where, name, len(keys), ", ".join(keys) or "-", ", ".join(bits) or "-"))
+    array = np.array([read_field(bits[k], "int", where, "%s[%s]" % (name, k), ConfigError, 1, 32) for k in keys],
+                     dtype=np.int64)
     array.flags.writeable = False
     return array
 
 
 def cmd_simulate(args) -> int:
-    limit = _option(vars(args), "limit", to_int, minimum=1)
+    limit = _option(vars(args), "limit", "int", minimum=1)
     g = optimize_graph(load_graph(args.graph))
     plan = _load_selected(args.selected, g)
     inputs = load_eval_dir(args.eval_dir).inputs[:limit]
@@ -474,7 +419,7 @@ def cmd_simulate(args) -> int:
         "all_match": bool(all_match),
         "cases": cases,
     }
-    out_dir = args.out or os.path.dirname(os.path.abspath(args.selected))
+    out_dir = _option(vars(args), "out", "path", default=os.path.dirname(os.path.abspath(args.selected)))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "transcript.json")
     with open(path, "w") as f:
@@ -520,8 +465,8 @@ def cmd_inspect(args) -> int:
 
     if args.devices:
         edge, cloud, net = load_device_config(args.devices)
-        B = _parse_bits(args.bits) or edge.supported_bits
-        M = _option(vars(args), "memory_bytes", to_int, default=edge.off_chip_bytes, minimum=1)
+        B = _bit_menu(vars(args), edge.supported_bits)
+        M = _option(vars(args), "memory_bytes", "int", default=edge.off_chip_bytes, minimum=1)
         P = potential_splits(g, edge, net, M, B)
         bits = tx_bits_at_min(g, B)
         splits = []
@@ -572,8 +517,8 @@ def cmd_inspect(args) -> int:
 
 def cmd_profile(args) -> int:
     g = optimize_graph(load_graph(args.graph))
-    B = _parse_bits(args.bits) or (2, 4, 8)
-    out_dir = args.out or "bitsplit_out"
+    B = _bit_menu(vars(args), (2, 4, 8))
+    out_dir = _option(vars(args), "out", "path", default="bitsplit_out")
     os.makedirs(out_dir, exist_ok=True)
 
     wtable = weight_distortion_table(g, B)
@@ -583,7 +528,7 @@ def cmd_profile(args) -> int:
 
     if args.eval_dir:
         eval_set = _load_labelled_eval(args.eval_dir, g)
-        calib_n = _option(vars(args), "calib", to_int, default=8, minimum=1)
+        calib_n = _option(vars(args), "calib", "int", default=8, minimum=1)
         calib = calibrate_activations(g, eval_set.inputs, max_samples=calib_n)
         atable = activation_distortion_table(g, calib, B)
         apath = os.path.join(out_dir, "act_distortion.csv")
@@ -598,10 +543,10 @@ def cmd_profile(args) -> int:
 
 
 def cmd_make_demo(args) -> int:
-    out = args.out or "demo"
-    seed = 0 if args.seed is None else int(args.seed)
-    per_class = _option(vars(args), "per_class", to_int, default=20, minimum=1)
-    noise = _option(vars(args), "noise", to_int, default=60, minimum=0, maximum=255)
+    out = _option(vars(args), "out", "path", default="demo")
+    seed = _option(vars(args), "seed", "int", default=0)
+    per_class = _option(vars(args), "per_class", "int", default=20, minimum=1)
+    noise = _option(vars(args), "noise", "int", default=60, minimum=0, maximum=255)
 
     os.makedirs(out, exist_ok=True)
     g = make_toy_classifier(seed)

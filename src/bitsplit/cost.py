@@ -34,7 +34,7 @@ from .graph import (
     LayerGraph,
     WEIGHTED_OPS,
 )
-from .util import ceil_div, prod, to_int
+from .util import MISSING, ceil_div, prod, read_field
 
 
 class ConfigError(ValueError):
@@ -284,30 +284,21 @@ def activation_memory_bits(g: LayerGraph, n: int, act_bits: dict) -> int:
 # -- profiles from JSON ------------------------------------------------------------
 
 
-def _device_from_dict(d: dict, fallback_name: str) -> DeviceProfile:
-    def field(key, convert, what, default=None):
-        value = d.get(key, default)
-        if value is None:
-            raise ConfigError("device %s: missing field %r" % (fallback_name, key))
-        try:
-            if isinstance(value, bool):  # JSON true is no number
-                raise ValueError(value)
-            return convert(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("device %s: %s %r is not %s" % (fallback_name, key, value, what))
+# a device section's fields besides its name: (field, kind, value when absent)
+_DEVICE_FIELDS = (
+    ("off_chip_bytes", "int", MISSING),
+    ("bandwidth_bytes_per_s", "number", MISSING),
+    ("peak_ops_per_s", "number", MISSING),
+    ("mac_bits", "int", 8),
+    ("supported_bits", "bits", [2, 4, 8]),
+)
 
-    def bit_list(value) -> tuple:
-        if not isinstance(value, list):
-            raise TypeError(value)
-        return tuple(to_int(b) for b in value)
 
+def _device_from_dict(d: dict, section: str) -> DeviceProfile:
+    where = "device %s" % section
     return DeviceProfile(
-        name=str(d.get("name", fallback_name)),
-        off_chip_bytes=field("off_chip_bytes", to_int, "an integer"),
-        bandwidth_bytes_per_s=field("bandwidth_bytes_per_s", float, "a number"),
-        peak_ops_per_s=field("peak_ops_per_s", float, "a number"),
-        mac_bits=field("mac_bits", to_int, "an integer", default=8),
-        supported_bits=field("supported_bits", bit_list, "a list of integers", default=[2, 4, 8]),
+        name=read_field(d.get("name", section), "string", where, "name", ConfigError),
+        **{key: read_field(d.get(key, absent), kind, where, key, ConfigError) for key, kind, absent in _DEVICE_FIELDS},
     )
 
 
@@ -328,15 +319,10 @@ def load_device_config(path):
         if not isinstance(doc[key], dict):
             raise ConfigError("config %s: section %r must be an object" % (path, key))
     net = doc["network"]
-    try:
-        network = NetworkProfile(
-            uplink_bits_per_s=float(net["uplink_bps"]),
-            fixed_rtt_s=float(net.get("fixed_rtt_s", 0.0)),
-        )
-    except KeyError as e:
-        raise ConfigError("network section: missing field %s" % e)
-    except (TypeError, ValueError) as e:
-        raise ConfigError("network section: %s" % e)
+    network = NetworkProfile(
+        uplink_bits_per_s=read_field(net.get("uplink_bps", MISSING), "number", "network", "uplink_bps", ConfigError),
+        fixed_rtt_s=read_field(net.get("fixed_rtt_s", 0.0), "number", "network", "fixed_rtt_s", ConfigError),
+    )
     return (
         _device_from_dict(doc["edge"], "edge"),
         _device_from_dict(doc["cloud"], "cloud"),

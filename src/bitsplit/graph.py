@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensorio import read_tensor
-from .util import prod
+from .util import MISSING, prod, read_field
 
 OP_KINDS = (
     "conv",
@@ -382,49 +382,36 @@ class LayerGraph:
 # -- loading ----------------------------------------------------------------
 
 
-def _ints(value, what):
-    """A JSON list of integers as is, or GraphError naming `what`; a bool, a
-    float or a string is not an integer."""
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
-        raise GraphError("%s must be a list of integers, not %r" % (what, value))
-    return list(value)
-
-
 def graph_from_dict(doc: dict, base_dir: str = ".") -> LayerGraph:
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise GraphError("graph document must be an object with a 'nodes' list")
-    bits = doc.get("input_bits", 8)
-    if type(bits) is not int or bits not in PACKABLE_BITS:
+    bits = read_field(doc.get("input_bits", 8), "int", "graph", "input_bits", GraphError)
+    if bits not in PACKABLE_BITS:
         raise GraphError("input_bits must be a width the wire can ship, one of %s, not %r"
                          % (", ".join(map(str, PACKABLE_BITS)), bits))
     nodes = []
-    for row in doc["nodes"]:
-        try:
-            nid, op = row["id"], str(row["op"])
-        except (KeyError, TypeError) as e:
-            raise GraphError("malformed node entry: %s" % e)
-        if type(nid) is not int:
-            raise GraphError("malformed node entry: id must be an integer, not %r" % (nid,))
-        attrs, relu = row.get("attrs", {}), row.get("fused_relu", False)
-        if not isinstance(attrs, dict):
-            raise GraphError("node %d: attrs must be an object, not %r" % (nid, attrs))
-        if type(relu) is not bool:
-            raise GraphError("node %d: fused_relu must be true or false, not %r" % (nid, relu))
+    for k, row in enumerate(doc["nodes"]):
+        entry = "nodes[%d]" % k
+        row = read_field(row, "object", "graph", entry, GraphError)
+        nid = read_field(row.get("id", MISSING), "int", "graph: " + entry, "id", GraphError)
+        where = "node %d" % nid
+
+        def read(key, kind, absent=MISSING):
+            return read_field(row.get(key, absent), kind, where, key, GraphError)
+
+        attrs = read("attrs", "object", {})
         n = LayerNode(
             id=nid,
-            op_kind=op,
-            attrs=dict(zip(map(str, attrs), _ints(list(attrs.values()), "node %d: attrs" % nid))),
-            weight_shape=tuple(_ints(row.get("weight_shape", []), "node %d: weight_shape" % nid)),
-            out_shape=tuple(_ints(row.get("out_shape", []), "node %d: out_shape" % nid)),
-            inputs=_ints(row.get("inputs", []), "node %d: inputs" % nid),
-            fused_relu=relu,
+            op_kind=read("op", "string"),
+            attrs={name: read_field(v, "int", where, "attrs." + name, GraphError) for name, v in attrs.items()},
+            weight_shape=tuple(read("weight_shape", "ints", [])),
+            out_shape=tuple(read("out_shape", "ints", [])),
+            inputs=read("inputs", "ints", []),
+            fused_relu=read("fused_relu", "flag", False),
         )
         for key, slot in (("weights_file", "weights"), ("bias_file", "bias")):
-            rel = row.get(key)
-            if not isinstance(rel, (str, type(None))):
-                raise GraphError("node %d: %s must be a path string, not %r" % (nid, key, rel))
-            if rel:
-                setattr(n, slot, read_tensor(os.path.join(base_dir, rel)))
+            if row.get(key) is not None:  # null: no blob
+                setattr(n, slot, read_tensor(os.path.join(base_dir, read(key, "path"))))
         nodes.append(n)
     return LayerGraph(nodes, input_bits=bits)
 

@@ -394,12 +394,12 @@ def run_split_session(g: LayerGraph, x, solution, want_transcript=False):
 
 def run_tcp_session(g: LayerGraph, x, solution, host="127.0.0.1", port=0, order=None, want_transcript=False):
     """Same as run_split_session but over a real TCP loopback connection.
-    `order` is unused; the benchmark still passes it (ROADMAP 4b)."""
+    `order` is unused; the benchmark still passes it (ROADMAP item 1)."""
     return _session(_tcp_channel_pair(host, port), g, x, solution, want_transcript)
 
 
 def reference_outputs(g: LayerGraph, x, solution, order=None):
     """What a session must reproduce bitwise: `run_fake_quantized` on the
     one input x, the plan as evaluated. `order` is unused; the benchmark
-    still passes it (ROADMAP 4b)."""
+    still passes it (ROADMAP item 1)."""
     return run_fake_quantized(g, _check_input(g, x), solution.n, solution.assignment)

@@ -1,5 +1,6 @@
 import glob
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bitsplit
-from bitsplit.cli import main
+from bitsplit.cli import _load_selected, main
+from bitsplit.cost import ConfigError, load_device_config
 from bitsplit.engine import calibrate_activations, load_eval_dir
-from bitsplit.graph import load_graph, optimize_graph
+from bitsplit.graph import GraphError, graph_from_dict, load_graph, optimize_graph
 from bitsplit.quantize import activation_distortion_table, weight_distortion_table
+from bitsplit.synth import table1_device_config, toy_device_config
+from bitsplit.tensorio import BlobError
 
 
 @pytest.fixture(scope="module")
@@ -290,21 +294,21 @@ def test_simulate_limit_below_one_exits_2(demo_dir, solved, tmp_path, capsys):
     for limit in ("0", "-198"):
         assert main(["simulate", "--graph", str(demo_dir / "graph.json"), "--selected", str(solved / "selected.json"),
                      "--eval-dir", str(demo_dir / "eval"), "--limit", limit, "--out", str(tmp_path)]) == 2
-        assert "--limit: %s is not an integer of at least 1" % limit in capsys.readouterr().err
+        assert "simulate: --limit must be an integer of at least 1, not %s" % limit in capsys.readouterr().err
     assert not (tmp_path / "transcript.json").exists()
 
 
 def test_make_demo_noise_outside_0_to_255_exits_2(tmp_path, capsys):
     for noise in ("-5", "256"):
         assert main(["make-demo", "--out", str(tmp_path / noise), "--noise", noise, "--per-class", "1"]) == 2
-        assert "--noise: %s is not an integer in 0..255" % noise in capsys.readouterr().err
+        assert "make-demo: --noise must be an integer in 0..255, not %s" % noise in capsys.readouterr().err
     assert main(["make-demo", "--out", str(tmp_path / "0"), "--noise", "0", "--per-class", "1"]) == 0
 
 
 def test_make_demo_per_class_below_one_exits_2(tmp_path, capsys):
     for per_class in ("-1", "0"):
         assert main(["make-demo", "--out", str(tmp_path / per_class), "--per-class", per_class]) == 2
-        assert "--per-class: %s is not an integer of at least 1" % per_class in capsys.readouterr().err
+        assert "make-demo: --per-class must be an integer of at least 1, not %s" % per_class in capsys.readouterr().err
         assert not (tmp_path / per_class).exists()
 
 
@@ -509,12 +513,12 @@ def _inspect_edited(demo_dir, tmp_path, edit):
 
 def test_a_boolean_conv_stride_exits_3(demo_dir, tmp_path, capsys):
     assert _inspect_edited(demo_dir, tmp_path, lambda d: _first_conv(d)["attrs"].update(stride=True)) == 3
-    assert "attrs must be a list of integers" in capsys.readouterr().err
+    assert "attrs.stride must be an integer, not True" in capsys.readouterr().err
 
 
 def test_a_fractional_conv_pad_exits_3(demo_dir, tmp_path, capsys):
     assert _inspect_edited(demo_dir, tmp_path, lambda d: _first_conv(d)["attrs"].update(pad=1.9)) == 3
-    assert "attrs must be a list of integers" in capsys.readouterr().err
+    assert "attrs.pad must be an integer, not 1.9" in capsys.readouterr().err
 
 
 def test_a_string_out_shape_dimension_exits_3(demo_dir, tmp_path, capsys):
@@ -608,13 +612,142 @@ def test_a_mutated_run_file_exits_cleanly(demo_dir, tmp_path_factory, data):
         os.chdir(old)
 
 
+# -- every field a loader reads, set in turn to each of MUTATIONS ------------------
+
+# What each field of the four input files must hold, by path, with "*" for a
+# list position, a node's place in `nodes` or a layer id (README, "File
+# formats"). A kind ending in "?" also takes null, which leaves the field
+# unset; None marks a field the loader does not read.
+FIELD_KINDS = {
+    "run.json": {
+        "graph": "path?", "devices": "path?", "eval_dir": "path?", "out": "path?", "memory_bytes": "int?",
+        "accuracy_drop": "number?", "seed": "int?", "bits": "bits?", "calib": "int?", "require_split": "flag?",
+        "distortion_cap": "number?",
+    },
+    "devices.json": {
+        "network": "object", "network.uplink_bps": "number", "network.fixed_rtt_s": "number",
+        **{section + key: kind for section in ("edge", "cloud") for key, kind in (
+            ("", "object"), (".name", "string"), (".off_chip_bytes", "int"), (".bandwidth_bytes_per_s", "number"),
+            (".peak_ops_per_s", "number"), (".mac_bits", "int"), (".supported_bits", "bits"),
+            (".supported_bits.*", "int"))},
+    },
+    "graph.json": {
+        "input_bits": "int", "nodes": "list", "nodes.*": "object", "nodes.*.id": "int", "nodes.*.op": "string",
+        "nodes.*.attrs": "object", "nodes.*.attrs.pad": "int", "nodes.*.attrs.stride": "int",
+        "nodes.*.weight_shape": "ints", "nodes.*.weight_shape.*": "int", "nodes.*.out_shape": "ints",
+        "nodes.*.out_shape.*": "int", "nodes.*.inputs": "ints", "nodes.*.inputs.*": "int",
+        "nodes.*.weights_file": "path?", "nodes.*.bias_file": "path?", "nodes.*.fused_relu": "flag",
+    },
+    "selected.json": {
+        "split_index": "int", "weight_bits": "object", "weight_bits.*": "int", "act_bits": "object",
+        "act_bits.*": "int", "graph_sha256": "string",
+        **dict.fromkeys([
+            "accuracy_drop_percent", "accuracy_limit_percent", "bits_candidates", "bits_candidates.*",
+            "crossing_tensors", "crossing_tensors.*", "input_bits", "latency", "latency.cloud_s", "latency.edge_s",
+            "latency.relative_s", "latency.total_s", "latency.transmit_s", "memory", "memory.act_bytes",
+            "memory.budget_bytes", "memory.weight_bytes", "seed", "total_distortion",
+        ]),
+    },
+}
+
+# where the probe puts a field that a loader reads and the generated file leaves out
+NOT_WRITTEN = {
+    "run.json": {key: (key,) for key in ("bits", "calib", "require_split", "distortion_cap")},
+    "graph.json": {"nodes.*.fused_relu": ("nodes", 1, "fused_relu")},
+}
+
+_KIND_RULES = {
+    "int": lambda v: type(v) is int,
+    "number": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "flag": lambda v: type(v) is bool,
+    "string": lambda v: type(v) is str,
+    "path": lambda v: type(v) is str and v != "",
+    "object": lambda v: type(v) is dict,
+    "list": lambda v: type(v) is list,
+    "ints": lambda v: type(v) is list and all(type(x) is int for x in v),
+    "bits": lambda v: (type(v) is str and all(t.strip().isdigit() for t in v.split(",")) and v.strip() != "")
+    or (type(v) is list and v != [] and all(type(b) is int and 1 <= b <= 32 for b in v)),
+}
+
+
+def _pattern(path):
+    return ".".join("*" if isinstance(k, int) or k.isdigit() else k for k in path)
+
+
+def _generated(demo_dir, solved, file):
+    return json.loads(((solved if file == "selected.json" else demo_dir) / file).read_text())
+
+
+def _probe(demo_dir, solved, tmp_path, capsys, file, path, value):
+    """Load `file` with the field at `path` set to `value` through the loader
+    that reads it: None when it loads, the message when it is refused with
+    exit 2 or 3. Anything else fails the test."""
+    doc = _generated(demo_dir, solved, file)
+    if file == "run.json":
+        doc["out"] = str(tmp_path / "report")
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    target = tmp_path / file
+    target.write_text(json.dumps(doc))
+    try:
+        if file == "run.json":
+            rc = main(["solve", "--config", str(target)])
+            assert rc in (0, 2, 3), rc
+            return None if rc == 0 else capsys.readouterr().err
+        if file == "graph.json":
+            graph_from_dict(doc, base_dir=str(demo_dir))
+        elif file == "devices.json":
+            load_device_config(target)
+        else:
+            _load_selected(target, optimize_graph(load_graph(demo_dir / "graph.json")))
+    except (ConfigError, GraphError, BlobError) as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("value", MUTATIONS, ids=repr)
+@pytest.mark.parametrize("file, field", [(file, field) for file in FIELD_KINDS for field in FIELD_KINDS[file]])
+def test_a_field_loads_only_a_value_of_its_kind(demo_dir, solved, tmp_path, capsys, monkeypatch, file, field, value):
+    # a relative `out` is written under the working directory: the test's own
+    monkeypatch.chdir(tmp_path)
+    paths = [p for p in _field_paths(_generated(demo_dir, solved, file)) if _pattern(p) == field]
+    path = paths[0] if paths else NOT_WRITTEN[file][field]
+    refusal = _probe(demo_dir, solved, tmp_path, capsys, file, path, value)
+    kind = FIELD_KINDS[file][field]
+    if kind is None:
+        assert refusal is None, "%s: %s is not read, but %r is refused: %s" % (file, field, value, refusal)
+        return
+    of_kind = (value is None and kind.endswith("?")) or _KIND_RULES[kind.rstrip("?")](value)
+    if refusal is None:
+        assert of_kind, "%s: %s loaded %r, which is not %s" % (file, field, value, kind)
+    elif not of_kind:
+        # a value of the field's kind may fail a later check instead (a graph
+        # without an input node, a path to no file), which names what it checks
+        name = next(k for k in reversed(field.split(".")) if k != "*")
+        assert name in refusal or "--" + name.replace("_", "-") in refusal, refusal
+
+
+@pytest.mark.parametrize("file", FIELD_KINDS)
+def test_every_field_of_a_generated_file_has_a_kind(demo_dir, solved, file):
+    # a field that make-demo or solve starts to write fails here until it
+    # is given a kind above, and so a probe
+    docs = [_generated(demo_dir, solved, file)]
+    if file == "devices.json":
+        docs += [toy_device_config(), table1_device_config()]
+    written = {_pattern(p) for doc in docs for p in _field_paths(doc)}
+    assert sorted(written - set(FIELD_KINDS[file])) == []
+    assert sorted(set(FIELD_KINDS[file]) - written) == sorted(NOT_WRITTEN.get(file, {}))
+
+
 def test_supported_bits_outside_one_to_32_exit_2(demo_dir, tmp_path, capsys):
     for bits in ([2, 4, 1e308], [0, 2], [2, 33]):
         doc = json.loads((demo_dir / "devices.json").read_text())
         doc["edge"]["supported_bits"] = bits
         demo = _edit_devices(demo_dir, tmp_path / str(bits[-1]), edge=doc["edge"])
         assert main(_solve_args(demo)) == 2, bits
-        assert "supported_bits must lie in 1..32" in capsys.readouterr().err
+        assert "supported_bits must be a list of integers in 1..32" in capsys.readouterr().err
 
 
 def test_a_weight_dimension_below_one_exits_3(demo_dir, tmp_path, capsys):
@@ -637,34 +770,34 @@ def _edit_device_field(demo_dir, tmp_path, section, field, value):
 def test_a_non_finite_cloud_peak_rate_exits_2(demo_dir, tmp_path, capsys, value):
     demo = _edit_device_field(demo_dir, tmp_path, "cloud", "peak_ops_per_s", value)
     assert main(_solve_args(demo)) == 2
-    assert "peak_ops_per_s must be positive and finite" in capsys.readouterr().err
+    assert "device cloud: peak_ops_per_s must be a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_a_non_finite_edge_bandwidth_exits_2(demo_dir, tmp_path, capsys, value):
     demo = _edit_device_field(demo_dir, tmp_path, "edge", "bandwidth_bytes_per_s", value)
     assert main(_solve_args(demo)) == 2
-    assert "bandwidth_bytes_per_s must be positive and finite" in capsys.readouterr().err
+    assert "device edge: bandwidth_bytes_per_s must be a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_a_non_finite_uplink_rate_exits_2(demo_dir, tmp_path, capsys, value):
     demo = _edit_device_field(demo_dir, tmp_path, "network", "uplink_bps", value)
     assert main(_solve_args(demo)) == 2
-    assert "uplink_bits_per_s must be positive and finite" in capsys.readouterr().err
+    assert "network: uplink_bps must be a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_a_non_finite_round_trip_exits_2(demo_dir, tmp_path, capsys, value):
     demo = _edit_device_field(demo_dir, tmp_path, "network", "fixed_rtt_s", value)
     assert main(_solve_args(demo)) == 2
-    assert "fixed_rtt_s must be non-negative and finite" in capsys.readouterr().err
+    assert "network: fixed_rtt_s must be a finite number" in capsys.readouterr().err
 
 
 def test_inspect_memory_bytes_below_one_exits_2(demo_dir, capsys):
     argv = ["inspect", "--graph", str(demo_dir / "graph.json"), "--devices", str(demo_dir / "devices.json")]
     assert main(argv + ["--memory-bytes", "-5"]) == 2
-    assert "--memory-bytes: -5 is not an integer of at least 1" in capsys.readouterr().err
+    assert "inspect: --memory-bytes must be an integer of at least 1, not -5" in capsys.readouterr().err
     assert main(argv + ["--memory-bytes", "0"]) == 2
 
 
@@ -691,7 +824,7 @@ def test_a_run_json_path_that_is_not_a_string_exits_2(demo_dir, tmp_path, key, v
     path.write_text(json.dumps(cfg))
     out = _solve_in_a_child_without_stdin(path)
     assert out.returncode == 2, out.stderr
-    assert "--%s: %r is not a path string" % (key.replace("_", "-"), value) in out.stderr
+    assert "solve: --%s must be a path string, not %r" % (key.replace("_", "-"), value) in out.stderr
     assert "Traceback" not in out.stderr
 
 
@@ -710,22 +843,17 @@ def test_an_input_bits_the_wire_cannot_ship_exits_3(demo_dir, tmp_path, capsys, 
 @pytest.mark.parametrize(
     "field, value, what",
     [("off_chip_bytes", 1.5, "an integer"), ("off_chip_bytes", True, "an integer"), ("mac_bits", 8.9, "an integer"),
-     ("supported_bits", [True, 2.7, 4, 8], "a list of integers"), ("bandwidth_bytes_per_s", True, "a number")],
+     ("supported_bits", [True, 2.7, 4, 8], "a list of integers"), ("bandwidth_bytes_per_s", True, "a finite number"),
+     ("off_chip_bytes", 2.0e6, "an integer"), ("mac_bits", "8", "an integer"),
+     ("supported_bits", [2, 4.0, 8], "a list of integers")],
 )
 def test_a_device_field_is_not_coerced(demo_dir, tmp_path, capsys, field, value, what):
-    # int() once read 1.5 and true as 1 and 8.9 as 8; [true, 2.7, 4, 8]
-    # failed as "bad bit-width 1"
+    # int() once read 1.5 and true as 1 and 8.9 as 8, and [true, 2.7, 4, 8]
+    # failed as "bad bit-width 1"; an integral float or a numeric string is
+    # no JSON integer either
     doc = json.loads((demo_dir / "devices.json").read_text())
     doc["edge"][field] = value
     demo = _edit_devices(demo_dir, tmp_path, edge=doc["edge"])
     assert main(_solve_args(demo)) == 2
-    assert "device edge: %s %r is not %s" % (field, value, what) in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("field, value", [("off_chip_bytes", 2.0e6), ("mac_bits", "8"), ("supported_bits", [2, 4.0, 8])])
-def test_an_integral_device_field_still_loads(demo_dir, tmp_path, field, value):
-    # the rule of run.json's integer options: integral floats and numeric strings pass
-    doc = json.loads((demo_dir / "devices.json").read_text())
-    doc["edge"][field] = value
-    demo = _edit_devices(demo_dir, tmp_path, edge=doc["edge"])
-    assert main(_solve_args(demo)) == 0
+    err = capsys.readouterr().err
+    assert "device edge: %s must be %s" % (field, what) in err and "not %r" % (value,) in err

@@ -233,7 +233,7 @@ def test_load_rejects_malformed_documents(tmp_path):
         load_graph(tmp_path / "missing.json")
     with pytest.raises(GraphError, match="nodes"):
         graph_from_dict({"input_bits": 8})
-    with pytest.raises(GraphError, match="malformed node"):
+    with pytest.raises(GraphError, match="missing field 'id'"):
         graph_from_dict({"nodes": [{"op": "relu"}]})
 
 
